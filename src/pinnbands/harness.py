@@ -25,6 +25,7 @@ import scipy
 from . import __version__
 from .bands import PredictiveBand
 from .bounds import (
+    PseudoAleatoricProfile,
     burgers_sigma_grid,
     estimate_envelope,
     pseudo_profile,
@@ -316,7 +317,7 @@ def run_burgers(config: ExperimentConfig) -> ExperimentReport:
         run = vi_train(trained, vi_cfg, profile=profile)
         samples = sample_posterior(run.q, vi_cfg.n_posterior_samples, seed=config.seed + _SEED_SAMPLES)
         grid_profile = (
-            pseudo_profile(problem, trained, None, grid, config.burgers_time_samples)
+            PseudoAleatoricProfile(grid, sigma, "burgers_heuristic")
             if likelihood == "error_aware_simulated"
             else None
         )

@@ -1,11 +1,24 @@
 """Small fully connected network engine with exact derivative propagation.
 
-The forward pass can carry, next to every activation value, the first and
-second derivatives of that activation with respect to up to two tracked
-input coordinates ("jets").  The backward pass differentiates any scalar
-function of the output jet (its value, first or second derivative entries)
-with respect to all weights and biases.  Everything is plain numpy in
-double precision; there is no graph framework underneath.
+The forward pass carries, next to every activation value, a stack of
+derivative *slots*: the input derivatives an operator actually reads, each
+named by a multi-index over the input coordinates.  ``(i,)`` is du/dx_i and
+``(i, j)`` is d2u/dx_i dx_j.  A problem declares its set as ``derivs``:
+``((0,),)`` for u', ``((0,), (0, 0))`` for u' and u'', and
+``((0,), (1,), (0, 0))`` for Burgers' u_x, u_t and u_xx.  The slots live in
+one ``(S, M, n)`` array, so each layer maps all of them with one matmul, and
+only the Taylor coefficients the operator uses are propagated (Taylor-mode
+differentiation cut down to the requested slots).  Through an activation f
+with pre-activation z and pre-activation slots g_i, h_ij:
+
+    first slot  (i,):    f'(z) g_i
+    second slot (i, j):  f''(z) g_i g_j + f'(z) h_ij
+
+The backward pass differentiates any scalar function of the output value and
+slots with respect to all weights and biases, along the reverse of the same
+rules.  Activation derivatives are computed only to the order a pass needs.
+Everything is plain numpy in double precision; there is no graph framework
+underneath.
 
 Layer convention: ``layer_sizes = [d_in, h_1, ..., h_k, d_out]``; hidden
 layers apply the configured activation, the output layer is linear.
@@ -13,6 +26,7 @@ layers apply the configured activation, the output layer is linear.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,18 +43,20 @@ from .jets import Jet2
 ACTIVATIONS = ("tanh", "sigmoid")
 
 
-def _act_with_derivs(name, z):
-    """Activation value and its first two derivatives at ``z``."""
+def _act_with_derivs(name, z, order):
+    """Activation value and its first ``order`` (0, 1 or 2) derivatives at ``z``."""
     if name == "tanh":
         a = np.tanh(z)
+        if order == 0:
+            return (a,)
         f1 = 1.0 - a * a
-        f2 = -2.0 * a * f1
-        return a, f1, f2
+        return (a, f1) if order == 1 else (a, f1, -2.0 * a * f1)
     if name == "sigmoid":
         s = expit(z)
+        if order == 0:
+            return (s,)
         f1 = s * (1.0 - s)
-        f2 = f1 * (1.0 - 2.0 * s)
-        return s, f1, f2
+        return (s, f1) if order == 1 else (s, f1, f1 * (1.0 - 2.0 * s))
     raise ConfigurationError(f"unknown activation {name!r}")
 
 
@@ -149,28 +165,37 @@ def init_network(layer_sizes, activation="tanh", seed=0) -> NetworkParameters:
 
 @dataclass
 class JetBatch:
-    """Output jets for a batch: value (M,), d1 (M,d), d2 (M,d,d).
+    """Output of one forward pass over M points.
 
-    ``d1`` and ``d2`` are None when no coordinates are tracked.
+    ``value`` has shape (M,).  ``slots`` has shape (S, M): row k holds the
+    input derivative named by the multi-index ``derivs[k]``.  ``slots`` is
+    None when no derivative was requested.
     """
 
     value: np.ndarray
-    d1: np.ndarray = None
-    d2: np.ndarray = None
+    derivs: tuple = ()
+    slots: np.ndarray = None
+
+    def slot(self, index) -> np.ndarray:
+        """The derivative named by the multi-index ``index``, shape (M,)."""
+        index = tuple(index)
+        if index not in self.derivs:
+            raise ShapeError(f"derivative {index} was not propagated (have {self.derivs})")
+        return self.slots[self.derivs.index(index)]
 
 
 @dataclass
 class Tape:
-    """Record of one jet-forward pass, consumed by :func:`backward`.
+    """Record of one forward pass, consumed by :func:`backward`.
 
-    Each layer entry holds the layer's input jets, the pre-activation
-    derivative jets, and the activation value with its first two
-    derivatives (None for the linear output layer).
+    Each layer entry holds the layer's input value and slots, the
+    pre-activation slots, and the activation value with the derivatives the
+    pass computed (None for the linear output layer).
     """
 
     layer_sizes: tuple
     activation: str
-    tracked: tuple
+    derivs: tuple
     n_points: int
     layers: list = field(default_factory=list)
 
@@ -186,95 +211,138 @@ def _check_input(params, X):
     return X
 
 
-def forward_jets_batch(params, X, tracked=(), need_tape=False):
-    """Propagate values (and jets for ``tracked`` coordinates) through the net.
+def _slot_plan(derivs, input_dim):
+    """Check a ``derivs`` tuple; return it with the first slots as
+    ``(slot, coordinate)`` pairs and the second slots as ``(slot, p, q)``,
+    where p and q are the slots of the two first derivatives it is built on."""
+    try:
+        return _cached_slot_plan(tuple(derivs), int(input_dim))
+    except TypeError:
+        raise ConfigurationError(
+            f"derivs must be a tuple of multi-indices such as ((0,), (0, 0)), got {derivs!r}"
+        ) from None
 
-    Returns ``(JetBatch, Tape-or-None)``.  The value slot is computed by the
-    same sequence of operations regardless of how many coordinates are
-    tracked, so values agree bitwise across tracking modes.
+
+@functools.lru_cache(maxsize=None)
+def _cached_slot_plan(derivs, input_dim):
+    derivs = tuple(tuple(int(i) for i in k) for k in derivs)
+    if len(set(derivs)) != len(derivs):
+        raise ConfigurationError(f"repeated derivative slot in {derivs}")
+    for k in derivs:
+        if len(k) not in (1, 2):
+            raise UnsupportedOrderError(f"derivative slots have order 1 or 2, got {k}")
+        if any(i < 0 or i >= input_dim for i in k):
+            raise ShapeError(f"derivative slot {k} outside input dim {input_dim}")
+    first = {k[0]: s for s, k in enumerate(derivs) if len(k) == 1}
+    firsts = tuple((s, k[0]) for s, k in enumerate(derivs) if len(k) == 1)
+    seconds = []
+    for s, k in enumerate(derivs):
+        if len(k) == 2:
+            if k[0] not in first or k[1] not in first:
+                raise ConfigurationError(f"second slot {k} needs first slots {sorted(set(k))}")
+            seconds.append((s, first[k[0]], first[k[1]]))
+    return derivs, firsts, tuple(seconds)
+
+
+def _activate_slots(act, G, firsts, seconds, out):
+    """Slots after the activation: f1 g_i and f2 g_i g_j + f1 h_ij.
+
+    ``out`` may be ``G`` itself: second slots are written before the first
+    slots they read are overwritten.
+    """
+    f1 = act[1]
+    for s, p, q in seconds:
+        t = G[p] * G[q]
+        t *= act[2]
+        np.multiply(f1, G[s], out=out[s])
+        out[s] += t
+    for s, _ in firsts:
+        np.multiply(f1, G[s], out=out[s])
+    return out
+
+
+def forward_jets_batch(params, X, derivs=(), need_tape=False):
+    """Propagate values and the derivative slots ``derivs`` through the net.
+
+    Returns ``(JetBatch, Tape-or-None)``.  The value is computed by the same
+    sequence of operations whatever slots are requested, so values agree
+    bitwise across requests.  Activation derivatives are computed only as far
+    as the slots and the tape need them.
     """
     X = _check_input(params, X)
-    tracked = tuple(int(i) for i in tracked)
-    d = len(tracked)
-    if d > 2:
-        raise UnsupportedOrderError(f"at most 2 tracked coordinates, got {d}")
-    if any(i < 0 or i >= params.input_dim for i in tracked):
-        raise ShapeError(f"tracked coordinates {tracked} outside input dim {params.input_dim}")
+    derivs, firsts, seconds = _slot_plan(derivs, params.input_dim)
+    S = len(derivs)
+    # f'' feeds the second slots, and the reverse pass of the first slots
+    if seconds or (need_tape and firsts):
+        order = 2
+    else:
+        order = 1 if firsts or need_tape else 0
 
     M, n0 = X.shape
     v = X
-    g = h = None
-    if d:
-        g = np.zeros((M, d, n0))
-        for s, idx in enumerate(tracked):
-            g[:, s, idx] = 1.0
-        h = np.zeros((M, d, d, n0))
+    G = None
+    if S:
+        G = np.zeros((S, M, n0))
+        for s, i in firsts:
+            G[s, :, i] = 1.0
 
     tape = None
     if need_tape:
-        tape = Tape(tuple(params.layer_sizes), params.activation, tracked, M)
+        tape = Tape(tuple(params.layer_sizes), params.activation, derivs, M)
 
     n_layers = len(params.weights)
     for l, (W, b) in enumerate(zip(params.weights, params.biases)):
-        a_in = (v, g, h)
+        if need_tape:
+            a_in = (v, G)
         n_out = W.shape[0]
         v = v @ W.T + b
-        if d:
-            g = (g.reshape(M * d, -1) @ W.T).reshape(M, d, n_out)
-            h = (h.reshape(M * d * d, -1) @ W.T).reshape(M, d, d, n_out)
-        z_g, z_h = g, h
+        if S:
+            G = (G.reshape(S * M, -1) @ W.T).reshape(S, M, n_out)
+        z_G = G
         act = None
         if l < n_layers - 1:
-            a, f1, f2 = _act_with_derivs(params.activation, v)
-            act = (a, f1, f2)
-            if d:
-                gg = f1[:, None, :] * g
-                outer = g[:, :, None, :] * g[:, None, :, :]
-                h = f2[:, None, None, :] * outer + f1[:, None, None, :] * h
-                g = gg
-            v = a
+            act = _act_with_derivs(params.activation, v, order)
+            if S:
+                # the tape keeps the pre-activation slots; otherwise overwrite
+                G = _activate_slots(
+                    act, z_G, firsts, seconds, np.empty_like(G) if need_tape else G
+                )
+            v = act[0]
         if need_tape:
-            tape.layers.append((a_in, z_g, z_h, act))
+            tape.layers.append((a_in, z_G, act))
+        del act  # frees f', f'' before the next layer's matmul on tapeless passes
 
-    out = JetBatch(
-        value=v[:, 0],
-        d1=g[:, :, 0] if d else None,
-        d2=h[:, :, :, 0] if d else None,
-    )
+    out = JetBatch(v[:, 0], derivs, G[:, :, 0] if S else None)
     return out, tape
 
 
-def backward(params, tape, value_bar, d1_bar=None, d2_bar=None) -> Gradients:
+def backward(params, tape, value_bar, slots_bar=None) -> Gradients:
     """Gradient of a scalar loss w.r.t. all weights and biases.
 
-    ``value_bar``/``d1_bar``/``d2_bar`` are the cotangents of the loss with
-    respect to the output jet produced by the forward pass that recorded
-    ``tape``.  Derivative paths through d1 and d2 are included, which is
-    what lets residual losses (built from u, u', u'') train the network.
+    ``value_bar`` (M,) and ``slots_bar`` (S, M) are the cotangents of the
+    loss with respect to the output value and slots of the forward pass that
+    recorded ``tape``.  Derivative paths through the slots are included,
+    which is what lets residual losses (built from u, u', u'') train the
+    network.
     """
     if not isinstance(tape, Tape):
         raise TapeMismatchError("backward needs a Tape from forward_jets_batch")
     if tape.layer_sizes != tuple(params.layer_sizes) or tape.activation != params.activation:
         raise TapeMismatchError("tape was recorded with different network parameters")
 
-    d = len(tape.tracked)
+    _, firsts, seconds = _slot_plan(tape.derivs, tape.layer_sizes[0])
+    S = len(tape.derivs)
     M = tape.n_points
     vb = np.asarray(value_bar, dtype=float).reshape(M, 1)
-    if d:
-        gb = (
-            np.zeros((M, d, 1))
-            if d1_bar is None
-            else np.asarray(d1_bar, dtype=float).reshape(M, d, 1)
+    Gb = None
+    if S:
+        Gb = (
+            np.zeros((S, M, 1))
+            if slots_bar is None
+            else np.asarray(slots_bar, dtype=float).reshape(S, M, 1)
         )
-        hb = (
-            np.zeros((M, d, d, 1))
-            if d2_bar is None
-            else np.asarray(d2_bar, dtype=float).reshape(M, d, d, 1)
-        )
-    else:
-        if d1_bar is not None or d2_bar is not None:
-            raise TapeMismatchError("derivative cotangents given but tape tracked nothing")
-        gb = hb = None
+    elif slots_bar is not None:
+        raise TapeMismatchError("slot cotangents given but the tape has no slots")
 
     n_layers = len(params.weights)
     if len(tape.layers) != n_layers:
@@ -284,53 +352,48 @@ def backward(params, tape, value_bar, d1_bar=None, d2_bar=None) -> Gradients:
     grad_b = [None] * n_layers
 
     for l in range(n_layers - 1, -1, -1):
-        (a_v, a_g, a_h), z_g, z_h, act = tape.layers[l]
+        (a_v, a_G), z_G, act = tape.layers[l]
         W = params.weights[l]
 
-        if act is not None:
-            # reverse through the activation: outputs were
-            #   a = f(z), ag = f'(z) g, ah = f''(z) g gT + f'(z) h
-            a, f1, f2 = act
-            zvb = vb * f1
-            if d:
-                zvb = zvb + f2 * (gb * z_g).sum(axis=1)
-                f3 = _act_third_deriv(params.activation, a, f1)
-                outer = z_g[:, :, None, :] * z_g[:, None, :, :]
-                zvb = zvb + (
-                    hb * (f3[:, None, None, :] * outer + f2[:, None, None, :] * z_h)
-                ).sum(axis=(1, 2))
-                hb_sym = hb + hb.transpose(0, 2, 1, 3)
-                zgb = f1[:, None, :] * gb + f2[:, None, :] * np.einsum(
-                    "mstn,mtn->msn", hb_sym, z_g
-                )
-                zhb = f1[:, None, None, :] * hb
-            else:
-                zgb = zhb = None
+        if act is None:
+            zvb, zGb = vb, Gb
         else:
-            zvb, zgb, zhb = vb, gb, hb
+            # reverse through the activation: outputs were
+            #   a = f(z), first slots f1 g_i, second slots f2 g_i g_j + f1 h_ij
+            a, f1 = act[0], act[1]
+            zvb = vb * f1
+            zGb = None
+            if S:
+                f2 = act[2]
+                zvb = zvb + f2 * sum(Gb[s] * z_G[s] for s, _ in firsts)
+                zGb = f1 * Gb
+                if seconds:
+                    f3 = _act_third_deriv(params.activation, a, f1)
+                    cross = np.zeros_like(z_G)
+                    for s, p, q in seconds:
+                        hb = Gb[s]
+                        zvb = zvb + hb * (f3 * (z_G[p] * z_G[q]) + f2 * z_G[s])
+                        cross[p] += hb * z_G[q]
+                        cross[q] += hb * z_G[p]
+                    zGb += f2 * cross
 
-        M_ = zvb.shape[0]
         gw = zvb.T @ a_v
-        if d:
-            n_out, n_in = zvb.shape[1], a_v.shape[1]
-            gw = gw + zgb.reshape(M_ * d, n_out).T @ a_g.reshape(M_ * d, n_in)
-            gw = gw + zhb.reshape(M_ * d * d, n_out).T @ a_h.reshape(M_ * d * d, n_in)
+        for s in range(S):
+            gw = gw + zGb[s].T @ a_G[s]
         grad_w[l] = gw
         grad_b[l] = zvb.sum(axis=0)
 
         if l > 0:
             vb = zvb @ W
-            if d:
-                n_in = W.shape[1]
-                gb = (zgb.reshape(M_ * d, -1) @ W).reshape(M_, d, n_in)
-                hb = (zhb.reshape(M_ * d * d, -1) @ W).reshape(M_, d, d, n_in)
+            if S:
+                Gb = (zGb.reshape(S * M, -1) @ W).reshape(S, M, W.shape[1])
 
     return Gradients(grad_w, grad_b)
 
 
 def forward_values(params, X) -> np.ndarray:
     """Batched scalar outputs, no derivative tracking."""
-    out, _ = forward_jets_batch(params, X, tracked=())
+    out, _ = forward_jets_batch(params, X)
     return out.value
 
 
@@ -343,16 +406,23 @@ def forward(params, x) -> float:
 def forward_jet(params, x, tracked=(0,)) -> Jet2:
     """Network output with exact first/second derivatives w.r.t. ``tracked``.
 
-    The value entry is computed by the same operations as :func:`forward`.
+    Every first and second slot of the tracked coordinates is propagated,
+    mixed ones included, and assembled into a full ``Jet2``.  The value entry
+    is computed by the same operations as :func:`forward`.
     """
-    tracked = tuple(tracked)
-    if len(tracked) not in (1, 2):
-        raise UnsupportedOrderError(
-            f"forward_jet tracks 1 or 2 coordinates, got {len(tracked)}"
-        )
+    tracked = tuple(int(i) for i in tracked)
+    n = len(tracked)
+    if n not in (1, 2):
+        raise UnsupportedOrderError(f"forward_jet tracks 1 or 2 coordinates, got {n}")
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    derivs = tuple((i,) for i in tracked) + tuple((tracked[a], tracked[b]) for a, b in pairs)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out, _ = forward_jets_batch(params, x[None, :], tracked=tracked)
-    return Jet2(out.value[0], out.d1[0], out.d2[0])
+    out, _ = forward_jets_batch(params, x[None, :], derivs)
+    d1 = out.slots[:n, 0]
+    d2 = np.empty((n, n))
+    for s, (a, b) in enumerate(pairs, start=n):
+        d2[a, b] = d2[b, a] = out.slots[s, 0]
+    return Jet2(out.value[0], d1, d2)
 
 
 def hidden_features(params, X) -> np.ndarray:
@@ -365,5 +435,5 @@ def hidden_features(params, X) -> np.ndarray:
         raise ConfigurationError("network has no hidden layer to extract features from")
     v = X
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
-        v = _act_with_derivs(params.activation, v @ W.T + b)[0]
+        v = _act_with_derivs(params.activation, v @ W.T + b, 0)[0]
     return v

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, ShapeError
 from .jets import Jet2
 from .network import forward_jet, forward_jets_batch, forward_values
 
@@ -100,8 +100,9 @@ class ODEProblem:
         return 1
 
     @property
-    def tracked(self) -> tuple:
-        return (0,)
+    def derivs(self) -> tuple:
+        """Derivative slots the residual reads: u', and u'' at order 2."""
+        return ((0,),) if self.order == 1 else ((0,), (0, 0))
 
     def real_parts(self):
         """Real parts (lam1, lam2) of the characteristic-root negatives.
@@ -136,8 +137,9 @@ class BurgersProblem:
         return 2
 
     @property
-    def tracked(self) -> tuple:
-        return (0, 1)
+    def derivs(self) -> tuple:
+        """Derivative slots the residual reads: u_x, u_t and u_xx."""
+        return ((0,), (1,), (0, 0))
 
 
 @dataclass
@@ -301,51 +303,47 @@ def residual_from_jets(problem, points, jets):
     if isinstance(problem, BurgersProblem):
         A, A_x, A_t, A_xx, B, B_x, B_t, B_xx = _burgers_pieces(points)
         v = jets.value
-        gx, gt = jets.d1[:, 0], jets.d1[:, 1]
-        hxx = jets.d2[:, 0, 0]
+        gx, gt, hxx = jets.slot((0,)), jets.slot((1,)), jets.slot((0, 0))
         u = A + B * v
         u_x = A_x + B_x * v + B * gx
         u_t = A_t + B_t * v + B * gt
         u_xx = A_xx + B_xx * v + 2.0 * B_x * gx + B * hxx
         return u_t + u * u_x - problem.nu * u_xx
     a0, a1, a2, beta = residual_coefficients(problem, points)
-    r = a0 * jets.value + a1 * jets.d1[:, 0] + beta
+    r = a0 * jets.value + a1 * jets.slot((0,)) + beta
     if problem.order == 2:
-        r = r + a2 * jets.d2[:, 0, 0]
+        r = r + a2 * jets.slot((0, 0))
     return r
 
 
 def residual_jet_partials(problem, points, jets):
-    """Partials of the residual w.r.t. raw jet slots (value, d1, d2).
+    """Partials of the residual w.r.t. the raw network value and slots.
 
-    Returns (dv, dg, dh) where dg has one column per tracked coordinate and
-    dh covers the second-derivative entries actually used by the operator.
-    Shapes match what :func:`pinnbands.network.backward` expects.
+    Returns ``(dv, dslots)``: dv has shape (M,) and dslots (S, M), one row
+    per slot of ``problem.derivs`` in that order, which is the layout
+    :func:`pinnbands.network.backward` expects for the slot cotangents.
     """
-    M = len(jets.value)
+    if jets.derivs != problem.derivs:
+        raise ShapeError(f"jets carry slots {jets.derivs}, the problem reads {problem.derivs}")
     if isinstance(problem, BurgersProblem):
         A, A_x, A_t, A_xx, B, B_x, B_t, B_xx = _burgers_pieces(points)
         v = jets.value
-        gx = jets.d1[:, 0]
+        gx = jets.slot((0,))
         u = A + B * v
         u_x = A_x + B_x * v + B * gx
         dv = B_t + B * u_x + u * B_x - problem.nu * B_xx
-        dg = np.stack([u * B - 2.0 * problem.nu * B_x, B], axis=1)
-        dh = np.zeros((M, 2, 2))
-        dh[:, 0, 0] = -problem.nu * B
-        return dv, dg, dh
+        dslots = np.stack([u * B - 2.0 * problem.nu * B_x, B, -problem.nu * B])
+        return dv, dslots
     a0, a1, a2, _ = residual_coefficients(problem, points)
-    dg = a1[:, None]
-    dh = a2[:, None, None]
-    return a0, dg, dh
+    dslots = a1[None, :] if problem.order == 1 else np.stack([a1, a2])
+    return a0, dslots
 
 
 def residual_values(problem, params, points) -> np.ndarray:
     """Residuals of the transformed surrogate on a batch of points."""
     pts = np.asarray(points, dtype=float)
     X = pts[:, None] if pts.ndim == 1 else pts
-    tracked = problem.tracked
-    jets, _ = forward_jets_batch(params, X, tracked=tracked)
+    jets, _ = forward_jets_batch(params, X, problem.derivs)
     return residual_from_jets(problem, pts, jets)
 
 

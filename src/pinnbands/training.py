@@ -149,12 +149,12 @@ def residual_loss_and_grads(problem, params, points):
     """Mean squared residual over ``points`` and its parameter gradient."""
     pts = np.asarray(points, dtype=float)
     X = pts[:, None] if pts.ndim == 1 else pts
-    jets, tape = forward_jets_batch(params, X, tracked=problem.tracked, need_tape=True)
+    jets, tape = forward_jets_batch(params, X, problem.derivs, need_tape=True)
     r = residual_from_jets(problem, pts, jets)
     loss = float(np.mean(r * r))
-    dv, dg, dh = residual_jet_partials(problem, pts, jets)
+    dv, dslots = residual_jet_partials(problem, pts, jets)
     rbar = 2.0 * r / len(r)
-    grads = backward(params, tape, rbar * dv, rbar[:, None] * dg, rbar[:, None, None] * dh)
+    grads = backward(params, tape, rbar * dv, rbar * dslots)
     return loss, grads
 
 

@@ -36,7 +36,6 @@ from .optim import adam_step_arrays, init_adam
 from .problems import (
     residual_from_jets,
     residual_jet_partials,
-    surrogate_values,
     transform_offset_scale,
 )
 from .training import TrainedPINN, training_grid
@@ -148,7 +147,7 @@ class _VIContext:
     problem: object
     points: np.ndarray
     X: np.ndarray
-    tracked: tuple
+    derivs: tuple
     likelihood: str
     sigma_d: float = 1.0
     raw_targets: Optional[np.ndarray] = None   # error-aware: det net raw outputs
@@ -165,7 +164,7 @@ def _make_context(trained: TrainedPINN, config: VIConfig, profile) -> _VIContext
         m = len(points)
         const = -0.5 * m * (LOG_2PI + 2.0 * np.log(config.sigma_d))
         return _VIContext(
-            problem, points, X, problem.tracked, config.likelihood,
+            problem, points, X, problem.derivs, config.likelihood,
             sigma_d=config.sigma_d, const_term=const,
         )
     if profile is None:
@@ -196,18 +195,16 @@ def _make_context(trained: TrainedPINN, config: VIConfig, profile) -> _VIContext
 
 def _loglik_and_grads(ctx: _VIContext, params: NetworkParameters, need_grads=True):
     """Log-likelihood at sampled parameters; gradient w.r.t. them if asked."""
-    jets, tape = forward_jets_batch(params, ctx.X, tracked=ctx.tracked, need_tape=need_grads)
+    jets, tape = forward_jets_batch(params, ctx.X, ctx.derivs, need_tape=need_grads)
     if ctx.likelihood == "baseline_residual":
         r = residual_from_jets(ctx.problem, ctx.points, jets)
         sd2 = ctx.sigma_d * ctx.sigma_d
         loglik = ctx.const_term - 0.5 * float(np.sum(r * r)) / sd2
         if not need_grads:
             return loglik, None
-        dv, dg, dh = residual_jet_partials(ctx.problem, ctx.points, jets)
+        dv, dslots = residual_jet_partials(ctx.problem, ctx.points, jets)
         rbar = -r / sd2
-        grads = backward(
-            params, tape, rbar * dv, rbar[:, None] * dg, rbar[:, None, None] * dh
-        )
+        grads = backward(params, tape, rbar * dv, rbar * dslots)
         return loglik, grads.flat_arrays()
     dev = ctx.scale * (ctx.raw_targets - jets.value)
     loglik = ctx.const_term - 0.5 * float(np.sum(dev * dev / ctx.variances))
@@ -350,7 +347,10 @@ def predictive_moments(samples, problem, grid, profile=None) -> PredictiveBand:
     if len(samples) == 0:
         raise ConfigurationError("need at least one posterior sample")
     grid = np.asarray(grid, dtype=float)
-    values = np.stack([surrogate_values(problem, p, grid) for p in samples])
+    X = grid[:, None] if grid.ndim == 1 else grid
+    # u~ = offset + scale * net, with the transform evaluated once for all draws
+    offset, scale = transform_offset_scale(problem, grid)
+    values = offset + scale * np.stack([forward_values(p, X) for p in samples])
     mean = values.mean(axis=0)
     epi = np.mean((values - mean) ** 2, axis=0)
     if profile is not None:

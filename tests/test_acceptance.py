@@ -129,17 +129,15 @@ def test_c01_autodiff_matches_finite_differences():
         pts = np.linspace(0.1, 1.9, 5)
 
         def loss_of(p):
-            jets, _ = forward_jets_batch(p, pts[:, None], (0,))
+            jets, _ = forward_jets_batch(p, pts[:, None], problem2.derivs)
             r = residual_from_jets(problem2, pts, jets)
             return float(np.mean(r * r))
 
-        jets, tape = forward_jets_batch(params, pts[:, None], (0,), need_tape=True)
+        jets, tape = forward_jets_batch(params, pts[:, None], problem2.derivs, need_tape=True)
         r = residual_from_jets(problem2, pts, jets)
-        dv, dg, dh = residual_jet_partials(problem2, pts, jets)
+        dv, dslots = residual_jet_partials(problem2, pts, jets)
         rbar = 2.0 * r / len(r)
-        grads = backward(
-            params, tape, rbar * dv, rbar[:, None] * dg, rbar[:, None, None] * dh
-        )
+        grads = backward(params, tape, rbar * dv, rbar * dslots)
 
         ad, fd = [], []
         for garr, arr in zip(grads.flat_arrays(), params.flat_arrays()):

@@ -157,7 +157,7 @@ class TestBackward:
     def test_zero_cotangent_zero_gradients(self):
         p = init_network([1, 5, 1], "tanh", seed=1)
         X = np.linspace(0, 1, 4)[:, None]
-        _, tape = forward_jets_batch(p, X, (0,), need_tape=True)
+        _, tape = forward_jets_batch(p, X, ((0,),), need_tape=True)
         g = backward(p, tape, np.zeros(4))
         assert all(np.all(a == 0.0) for a in g.flat_arrays())
 
@@ -175,7 +175,7 @@ class TestBackward:
     def test_tape_params_mismatch(self):
         p = init_network([1, 5, 1], "tanh", seed=1)
         q = init_network([1, 6, 1], "tanh", seed=1)
-        _, tape = forward_jets_batch(p, np.zeros((2, 1)), (0,), need_tape=True)
+        _, tape = forward_jets_batch(p, np.zeros((2, 1)), ((0,),), need_tape=True)
         with pytest.raises(TapeMismatchError):
             backward(q, tape, np.zeros(2))
 
@@ -184,15 +184,17 @@ class TestBackward:
         p = init_network([1, 5, 4, 1], "tanh", seed=7)
         X = np.linspace(0.1, 1.9, 6)[:, None]
 
+        derivs = ((0,), (0, 0))
+
         def loss_of(params):
-            out, _ = forward_jets_batch(params, X, (0,))
-            r = out.d2[:, 0, 0] + 3.0 * out.d1[:, 0] + 4.0 * out.value
+            out, _ = forward_jets_batch(params, X, derivs)
+            r = out.slot((0, 0)) + 3.0 * out.slot((0,)) + 4.0 * out.value
             return float(np.mean(r * r))
 
-        out, tape = forward_jets_batch(p, X, (0,), need_tape=True)
-        r = out.d2[:, 0, 0] + 3.0 * out.d1[:, 0] + 4.0 * out.value
+        out, tape = forward_jets_batch(p, X, derivs, need_tape=True)
+        r = out.slot((0, 0)) + 3.0 * out.slot((0,)) + 4.0 * out.value
         rbar = 2.0 * r / len(r)
-        g = backward(p, tape, 4.0 * rbar, (3.0 * rbar)[:, None], rbar[:, None, None])
+        g = backward(p, tape, 4.0 * rbar, np.stack([3.0 * rbar, rbar]))
 
         h = 1e-4
         ad, fd = [], []
@@ -210,6 +212,21 @@ class TestBackward:
                 fd.append((lp - lm) / (2 * h))
         ad, fd = np.asarray(ad), np.asarray(fd)
         assert np.linalg.norm(ad - fd) / np.linalg.norm(fd) < 1e-5
+
+
+def test_values_only_pass_equals_value_slot_bitwise():
+    from pinnbands.problems import REGISTRY
+
+    derivs_sets = {(e.problem.input_dim, e.problem.derivs) for e in REGISTRY.values()}
+    rng = np.random.default_rng(4)
+    for (dim, derivs), act in [(k, a) for k in sorted(derivs_sets) for a in ("tanh", "sigmoid")]:
+        p = init_network([dim, 9, 7, 1], act, seed=5)
+        X = rng.uniform(-1.0, 1.0, size=(37, dim))
+        values = forward_values(p, X)
+        for need_tape in (False, True):
+            out, _ = forward_jets_batch(p, X, derivs, need_tape=need_tape)
+            assert out.slots.shape == (len(derivs), len(X))
+            assert np.array_equal(out.value, values), (derivs, act, need_tape)
 
 
 def test_hidden_features_last_layer():

@@ -66,6 +66,48 @@ class TestLoss:
         )
 
 
+def test_burgers_slot_gradient_matches_finite_differences():
+    # nonlinear residual u_t + u u_x - nu u_xx over the slots (x,), (t,), (x, x)
+    from pinnbands.network import backward, forward_jets_batch
+    from pinnbands.problems import residual_from_jets, residual_jet_partials, residual_values
+
+    problem = get_problem("burgers")
+    assert problem.derivs == ((0,), (1,), (0, 0))
+    rng = np.random.default_rng(11)
+    pts = np.stack([rng.uniform(-0.9, 0.9, 8), rng.uniform(0.1, 0.9, 8)], axis=1)
+    h = 1e-4
+    for seed in range(3):
+        params = init_network([2, 5, 4, 1], "sigmoid", seed=seed)
+        for w in params.weights:
+            w *= 2.0
+
+        jets, tape = forward_jets_batch(params, pts, problem.derivs, need_tape=True)
+        r = residual_from_jets(problem, pts, jets)
+        dv, dslots = residual_jet_partials(problem, pts, jets)
+        rbar = 2.0 * r / len(r)
+        grads = backward(params, tape, rbar * dv, rbar * dslots)
+
+        def loss_of(p):
+            res = residual_values(problem, p, pts)
+            return float(np.mean(res * res))
+
+        ad, fd = [], []
+        for garr, arr in zip(grads.flat_arrays(), params.flat_arrays()):
+            it = np.nditer(arr, flags=["multi_index"])
+            for _ in it:
+                idx = it.multi_index
+                old = arr[idx]
+                arr[idx] = old + h
+                lp = loss_of(params)
+                arr[idx] = old - h
+                lm = loss_of(params)
+                arr[idx] = old
+                ad.append(garr[idx])
+                fd.append((lp - lm) / (2 * h))
+        ad, fd = np.asarray(ad), np.asarray(fd)
+        assert np.linalg.norm(ad - fd) / np.linalg.norm(fd) < 1e-5
+
+
 class TestTrainDeterministic:
     def test_zero_epochs_returns_initialization(self):
         cfg = default_train_config("ode1.poly", epochs=0, seed=0)

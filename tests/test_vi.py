@@ -175,7 +175,7 @@ class TestPredictiveMoments:
         # synthetic "samples" via a fake problem: use three constant surrogates
         class FakeProblem:
             input_dim = 1
-            tracked = (0,)
+            derivs = ((0,),)
 
         vals = [1.0, 2.0, 3.0]
         grid = np.array([0.5])
@@ -186,8 +186,9 @@ class TestPredictiveMoments:
 
         import pinnbands.vi as vi_mod
 
-        orig = vi_mod.surrogate_values
-        vi_mod.surrogate_values = lambda problem, p, grid: np.full(len(grid), p.v)
+        orig = vi_mod.forward_values, vi_mod.transform_offset_scale
+        vi_mod.forward_values = lambda p, X: np.full(len(X), p.v)
+        vi_mod.transform_offset_scale = lambda problem, grid: (0.0, 1.0)
         try:
             band = predictive_moments(
                 [FakeParams(v) for v in vals],
@@ -196,7 +197,7 @@ class TestPredictiveMoments:
                 profile=type("P", (), {"grid": grid, "sigma_p": np.array([np.sqrt(0.5)])})(),
             )
         finally:
-            vi_mod.surrogate_values = orig
+            vi_mod.forward_values, vi_mod.transform_offset_scale = orig
         assert band.mean[0] == pytest.approx(2.0)
         assert band.epistemic_var[0] == pytest.approx(2.0 / 3.0)
         assert band.total_var[0] == pytest.approx(2.0 / 3.0 + 0.5)
