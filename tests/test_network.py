@@ -19,6 +19,7 @@ from pinnbands.network import (
     hidden_features,
     init_network,
 )
+from pinnbands.problems import REGISTRY
 
 
 def naive_forward(params, x):
@@ -215,18 +216,17 @@ class TestBackward:
 
 
 def test_values_only_pass_equals_value_slot_bitwise():
-    from pinnbands.problems import REGISTRY
-
     derivs_sets = {(e.problem.input_dim, e.problem.derivs) for e in REGISTRY.values()}
     rng = np.random.default_rng(4)
-    for (dim, derivs), act in [(k, a) for k in sorted(derivs_sets) for a in ("tanh", "sigmoid")]:
-        p = init_network([dim, 9, 7, 1], act, seed=5)
+    for dim, derivs in sorted(derivs_sets):
         X = rng.uniform(-1.0, 1.0, size=(37, dim))
-        values = forward_values(p, X)
-        for need_tape in (False, True):
-            out, _ = forward_jets_batch(p, X, derivs, need_tape=need_tape)
-            assert out.slots.shape == (len(derivs), len(X))
-            assert np.array_equal(out.value, values), (derivs, act, need_tape)
+        for act in ("tanh", "sigmoid"):
+            p = init_network([dim, 9, 7, 1], act, seed=5)
+            values = forward_values(p, X)
+            for need_tape in (False, True):
+                out, _ = forward_jets_batch(p, X, derivs, need_tape=need_tape)
+                assert out.slots.shape == (len(derivs), len(X))
+                assert np.array_equal(out.value, values), (derivs, act, need_tape)
 
 
 def test_hidden_features_last_layer():
