@@ -98,7 +98,6 @@ from .vi import (
     MeanFieldGaussian,
     VIConfig,
     VIRun,
-    elbo_step,
     gaussian_kl,
     predictive_moments,
     sample_posterior,

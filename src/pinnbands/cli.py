@@ -196,6 +196,8 @@ def main(argv=None) -> int:
         return _CONFIG_EXIT
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        for key, value in getattr(exc, "diagnostics", {}).items():
+            print(f"  {key}: {value}", file=sys.stderr)
         return _NUMERIC_EXIT
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -68,35 +68,64 @@ def _act_third_deriv(name, a, f1):
     return f1 * (one_minus_2s * one_minus_2s - 2.0 * f1)
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(layer_sizes):
+    """``(start, stop, shape)`` of every weight matrix, then every bias, in theta."""
+    if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
+        raise ConfigurationError(f"invalid layer sizes {list(layer_sizes)}")
+    shapes = [(o, i) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])]
+    shapes += [(o,) for o in layer_sizes[1:]]
+    out, start = [], 0
+    for shape in shapes:
+        stop = start + int(np.prod(shape))
+        out.append((start, stop, shape))
+        start = stop
+    return tuple(out)
+
+
+def _layer_views(layer_sizes, theta):
+    """Per-layer weight and bias views of a flat vector laid out by ``_layout``."""
+    layout = _layout(tuple(layer_sizes))
+    if theta.shape != (layout[-1][1],):
+        raise ShapeError(
+            f"flat parameter vector of shape {theta.shape} does not fit layer sizes "
+            f"{list(layer_sizes)} ({layout[-1][1]} entries)"
+        )
+    views = [theta[a:b].reshape(shape) for a, b, shape in layout]
+    n = len(layer_sizes) - 1
+    return views[:n], views[n:]
+
+
 @dataclass
 class NetworkParameters:
-    """Weights and biases of a fully connected network.
+    """Weights and biases of a fully connected network in one flat vector.
 
-    ``weights[l]`` has shape ``(layer_sizes[l+1], layer_sizes[l])`` and
-    ``biases[l]`` shape ``(layer_sizes[l+1],)``.
+    ``theta`` holds every weight matrix (row-major), then every bias vector.
+    ``weights[l]``, shape ``(layer_sizes[l+1], layer_sizes[l])``, and
+    ``biases[l]``, shape ``(layer_sizes[l+1],)``, are views of it: writing to
+    a view writes ``theta``.
     """
 
     layer_sizes: list
-    weights: list
-    biases: list
+    theta: np.ndarray
     activation: str = "tanh"
+    weights: list = field(init=False, repr=False)
+    biases: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.weights, self.biases = _layer_views(self.layer_sizes, self.theta)
+
+    @classmethod
+    def zeros(cls, layer_sizes, activation="tanh") -> "NetworkParameters":
+        """All-zero parameters for ``layer_sizes``."""
+        sizes = [int(s) for s in layer_sizes]
+        return cls(sizes, np.zeros(_layout(tuple(sizes))[-1][1]), activation)
 
     def validate(self):
-        sizes = list(self.layer_sizes)
-        if len(sizes) < 2 or any(int(s) < 1 for s in sizes):
-            raise ConfigurationError(f"invalid layer sizes {sizes}")
         if self.activation not in ACTIVATIONS:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
-        if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
-            raise ShapeError("weight/bias count does not match layer_sizes")
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (sizes[l + 1], sizes[l]) or b.shape != (sizes[l + 1],):
-                raise ShapeError(
-                    f"layer {l}: weight {w.shape} / bias {b.shape} inconsistent "
-                    f"with sizes {sizes[l]}->{sizes[l + 1]}"
-                )
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ShapeError(f"layer {l}: non-finite parameter entries")
+        if not np.all(np.isfinite(self.theta)):
+            raise ShapeError("non-finite parameter entries")
         return self
 
     @property
@@ -108,39 +137,24 @@ class NetworkParameters:
         return int(self.layer_sizes[-1])
 
     def n_params(self) -> int:
-        return int(sum(w.size + b.size for w, b in zip(self.weights, self.biases)))
+        return int(self.theta.size)
 
     def copy(self) -> "NetworkParameters":
-        return NetworkParameters(
-            list(self.layer_sizes),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.activation,
-        )
-
-    def flat_arrays(self) -> list:
-        """Weights followed by biases, the ordering optimizers rely on."""
-        return list(self.weights) + list(self.biases)
-
-    def with_flat_arrays(self, arrays) -> "NetworkParameters":
-        n = len(self.weights)
-        return NetworkParameters(
-            list(self.layer_sizes), list(arrays[:n]), list(arrays[n:]), self.activation
-        )
+        return NetworkParameters(list(self.layer_sizes), self.theta.copy(), self.activation)
 
 
 @dataclass
 class Gradients:
-    """Parameter gradients, mirroring NetworkParameters layout."""
+    """Parameter gradients in the layout of NetworkParameters: a flat
+    ``theta`` with per-layer ``weights`` and ``biases`` views."""
 
-    weights: list
-    biases: list
+    layer_sizes: list
+    theta: np.ndarray
+    weights: list = field(init=False, repr=False)
+    biases: list = field(init=False, repr=False)
 
-    def flat_arrays(self) -> list:
-        return list(self.weights) + list(self.biases)
-
-    def allfinite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.flat_arrays())
+    def __post_init__(self):
+        self.weights, self.biases = _layer_views(self.layer_sizes, self.theta)
 
 
 def init_network(layer_sizes, activation="tanh", seed=0) -> NetworkParameters:
@@ -149,18 +163,13 @@ def init_network(layer_sizes, activation="tanh", seed=0) -> NetworkParameters:
     Weights for a layer with ``fan_in`` inputs and ``fan_out`` outputs are
     drawn from U(-r, r) with r = sqrt(6 / (fan_in + fan_out)).
     """
-    sizes = [int(s) for s in layer_sizes]
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
-        raise ConfigurationError(f"layer_sizes needs >= 2 positive entries, got {layer_sizes}")
-    if activation not in ACTIVATIONS:
-        raise ConfigurationError(f"unknown activation {activation!r}")
+    params = NetworkParameters.zeros(layer_sizes, activation).validate()
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    for W in params.weights:
+        fan_out, fan_in = W.shape
         r = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-r, r, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return NetworkParameters(sizes, weights, biases, activation).validate()
+        W[...] = rng.uniform(-r, r, size=W.shape)
+    return params
 
 
 @dataclass
@@ -348,8 +357,7 @@ def backward(params, tape, value_bar, slots_bar=None) -> Gradients:
     if len(tape.layers) != n_layers:
         raise TapeMismatchError("tape depth does not match parameter count")
 
-    grad_w = [None] * n_layers
-    grad_b = [None] * n_layers
+    grads = Gradients(list(params.layer_sizes), np.empty_like(params.theta))
 
     for l in range(n_layers - 1, -1, -1):
         (a_v, a_G), z_G, act = tape.layers[l]
@@ -377,18 +385,17 @@ def backward(params, tape, value_bar, slots_bar=None) -> Gradients:
                         cross[q] += hb * z_G[p]
                     zGb += f2 * cross
 
-        gw = zvb.T @ a_v
+        gw = np.matmul(zvb.T, a_v, out=grads.weights[l])
         for s in range(S):
-            gw = gw + zGb[s].T @ a_G[s]
-        grad_w[l] = gw
-        grad_b[l] = zvb.sum(axis=0)
+            gw += zGb[s].T @ a_G[s]
+        np.sum(zvb, axis=0, out=grads.biases[l])
 
         if l > 0:
             vb = zvb @ W
             if S:
                 Gb = (zGb.reshape(S * M, -1) @ W).reshape(S, M, W.shape[1])
 
-    return Gradients(grad_w, grad_b)
+    return grads
 
 
 def forward_values(params, X) -> np.ndarray:

@@ -1,8 +1,9 @@
-"""Adam optimizer over lists of numpy arrays.
+"""Adam optimizer over one flat parameter vector.
 
-Works on any parameter collection expressed as a list of arrays; the
-network wrapper maps NetworkParameters to and from that layout.  Updates
-are pure: both the new values and the new state are fresh arrays.
+The network's parameters live in one contiguous vector (see
+:class:`pinnbands.network.NetworkParameters`), so an Adam step is a handful
+of vector operations and a single finite check.  Updates are pure: both the
+new values and the new state are fresh arrays.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .network import Gradients, NetworkParameters
 
 @dataclass
 class AdamState:
-    first_moment: list
-    second_moment: list
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
     learning_rate: float = 0.01
     beta1: float = 0.9
@@ -26,10 +27,11 @@ class AdamState:
     eps: float = 1e-8
 
 
-def init_adam(arrays, learning_rate=0.01, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
+def init_adam(theta, learning_rate=0.01, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
+    """Zero moments shaped like the flat vector ``theta``."""
     return AdamState(
-        first_moment=[np.zeros_like(a) for a in arrays],
-        second_moment=[np.zeros_like(a) for a in arrays],
+        first_moment=np.zeros_like(theta),
+        second_moment=np.zeros_like(theta),
         step_count=0,
         learning_rate=float(learning_rate),
         beta1=float(beta1),
@@ -38,37 +40,31 @@ def init_adam(arrays, learning_rate=0.01, beta1=0.9, beta2=0.999, eps=1e-8) -> A
     )
 
 
-def adam_step_arrays(values, grads, state: AdamState):
-    """One bias-corrected Adam update; returns (new values, new state)."""
-    if len(values) != len(grads) or len(values) != len(state.first_moment):
-        raise ShapeError("Adam update: value/gradient/state lengths differ")
-    for v, g in zip(values, grads):
-        if v.shape != g.shape:
-            raise ShapeError(f"Adam update: value {v.shape} vs gradient {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergedError("non-finite gradient entries")
+def adam_step_arrays(theta, grad, state: AdamState):
+    """One bias-corrected Adam update of a flat vector; returns (new theta, new state).
+
+    A non-finite gradient entry raises :class:`TrainingDivergedError`; this is
+    the only finite check of a training step.
+    """
+    if theta.shape != grad.shape or theta.shape != state.first_moment.shape:
+        raise ShapeError(
+            f"Adam update: value {theta.shape}, gradient {grad.shape}, "
+            f"state {state.first_moment.shape} differ"
+        )
+    if not np.all(np.isfinite(grad)):
+        raise TrainingDivergedError("non-finite gradient entries")
 
     t = state.step_count + 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    new_values, new_m, new_v = [], [], []
-    for val, g, m, s in zip(values, grads, state.first_moment, state.second_moment):
-        m = b1 * m + (1.0 - b1) * g
-        s = b2 * s + (1.0 - b2) * g * g
-        step = state.learning_rate * (m / bc1) / (np.sqrt(s / bc2) + state.eps)
-        new_values.append(val - step)
-        new_m.append(m)
-        new_v.append(s)
-    new_state = AdamState(
-        new_m, new_v, t, state.learning_rate, b1, b2, state.eps
-    )
-    return new_values, new_state
+    m = b1 * state.first_moment + (1.0 - b1) * grad
+    s = b2 * state.second_moment + (1.0 - b2) * grad * grad
+    step = state.learning_rate * (m / bc1) / (np.sqrt(s / bc2) + state.eps)
+    return theta - step, AdamState(m, s, t, state.learning_rate, b1, b2, state.eps)
 
 
 def adam_step(params: NetworkParameters, grads: Gradients, state: AdamState):
     """Adam update for network parameters; returns (params, state)."""
-    new_values, new_state = adam_step_arrays(params.flat_arrays(), grads.flat_arrays(), state)
-    new_params = params.with_flat_arrays(new_values)
-    new_params.validate()
-    return new_params, new_state
+    theta, state = adam_step_arrays(params.theta, grads.theta, state)
+    return NetworkParameters(params.layer_sizes, theta, params.activation), state

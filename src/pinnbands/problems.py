@@ -298,10 +298,29 @@ def _burgers_pieces(points):
     return A, A_x, A_t, A_xx, B, B_x, B_t, B_xx
 
 
-def residual_from_jets(problem, points, jets):
-    """Residual values from a raw-network JetBatch at ``points``."""
+def residual_pieces(problem, points):
+    """The point-dependent factors of the residual at ``points``: the Burgers
+    transform pieces, or the ODE coefficients of :func:`residual_coefficients`.
+
+    They depend on the points only, so a caller that evaluates the residual
+    and its partials on the same points computes them once and passes them
+    to both.
+    """
     if isinstance(problem, BurgersProblem):
-        A, A_x, A_t, A_xx, B, B_x, B_t, B_xx = _burgers_pieces(points)
+        return _burgers_pieces(points)
+    return residual_coefficients(problem, points)
+
+
+def residual_from_jets(problem, points, jets, pieces=None):
+    """Residual values from a raw-network JetBatch at ``points``.
+
+    ``pieces`` is :func:`residual_pieces` at the same points, computed here
+    when not given.
+    """
+    if pieces is None:
+        pieces = residual_pieces(problem, points)
+    if isinstance(problem, BurgersProblem):
+        A, A_x, A_t, A_xx, B, B_x, B_t, B_xx = pieces
         v = jets.value
         gx, gt, hxx = jets.slot((0,)), jets.slot((1,)), jets.slot((0, 0))
         u = A + B * v
@@ -309,24 +328,27 @@ def residual_from_jets(problem, points, jets):
         u_t = A_t + B_t * v + B * gt
         u_xx = A_xx + B_xx * v + 2.0 * B_x * gx + B * hxx
         return u_t + u * u_x - problem.nu * u_xx
-    a0, a1, a2, beta = residual_coefficients(problem, points)
+    a0, a1, a2, beta = pieces
     r = a0 * jets.value + a1 * jets.slot((0,)) + beta
     if problem.order == 2:
         r = r + a2 * jets.slot((0, 0))
     return r
 
 
-def residual_jet_partials(problem, points, jets):
+def residual_jet_partials(problem, points, jets, pieces=None):
     """Partials of the residual w.r.t. the raw network value and slots.
 
     Returns ``(dv, dslots)``: dv has shape (M,) and dslots (S, M), one row
     per slot of ``problem.derivs`` in that order, which is the layout
     :func:`pinnbands.network.backward` expects for the slot cotangents.
+    ``pieces`` is as in :func:`residual_from_jets`.
     """
     if jets.derivs != problem.derivs:
         raise ShapeError(f"jets carry slots {jets.derivs}, the problem reads {problem.derivs}")
+    if pieces is None:
+        pieces = residual_pieces(problem, points)
     if isinstance(problem, BurgersProblem):
-        A, A_x, A_t, A_xx, B, B_x, B_t, B_xx = _burgers_pieces(points)
+        A, A_x, A_t, A_xx, B, B_x, B_t, B_xx = pieces
         v = jets.value
         gx = jets.slot((0,))
         u = A + B * v
@@ -334,7 +356,7 @@ def residual_jet_partials(problem, points, jets):
         dv = B_t + B * u_x + u * B_x - problem.nu * B_xx
         dslots = np.stack([u * B - 2.0 * problem.nu * B_x, B, -problem.nu * B])
         return dv, dslots
-    a0, a1, a2, _ = residual_coefficients(problem, points)
+    a0, a1, a2, _ = pieces
     dslots = a1[None, :] if problem.order == 1 else np.stack([a1, a2])
     return a0, dslots
 

@@ -21,6 +21,7 @@ from .problems import (
     get_entry,
     residual_from_jets,
     residual_jet_partials,
+    residual_pieces,
     residual_values,
 )
 from .weights_io import load_weights, save_weights
@@ -150,9 +151,10 @@ def residual_loss_and_grads(problem, params, points):
     pts = np.asarray(points, dtype=float)
     X = pts[:, None] if pts.ndim == 1 else pts
     jets, tape = forward_jets_batch(params, X, problem.derivs, need_tape=True)
-    r = residual_from_jets(problem, pts, jets)
+    pieces = residual_pieces(problem, pts)
+    r = residual_from_jets(problem, pts, jets, pieces)
     loss = float(np.mean(r * r))
-    dv, dslots = residual_jet_partials(problem, pts, jets)
+    dv, dslots = residual_jet_partials(problem, pts, jets, pieces)
     rbar = 2.0 * r / len(r)
     grads = backward(params, tape, rbar * dv, rbar * dslots)
     return loss, grads
@@ -187,7 +189,7 @@ def train_deterministic(problem_or_id, config: TrainConfig) -> TrainedPINN:
 
     layer_sizes = [problem.input_dim, *config.hidden, 1]
     params = init_network(layer_sizes, config.activation, seed=config.seed)
-    state = init_adam(params.flat_arrays(), learning_rate=config.learning_rate)
+    state = init_adam(params.theta, learning_rate=config.learning_rate)
     rng = np.random.default_rng(config.seed + 1)
 
     history = np.empty(config.epochs)
@@ -201,11 +203,12 @@ def train_deterministic(problem_or_id, config: TrainConfig) -> TrainedPINN:
                 raise TrainingDivergedError(
                     f"non-finite residual loss at epoch {epoch}", epoch=epoch
                 )
-            if not grads.allfinite():
+            try:
+                params, state = adam_step(params, grads, state)
+            except TrainingDivergedError as exc:
                 raise TrainingDivergedError(
                     f"non-finite gradients at epoch {epoch}", epoch=epoch
-                )
-            params, state = adam_step(params, grads, state)
+                ) from exc
             epoch_loss += loss * len(batch)
         history[epoch] = epoch_loss / n_points
 

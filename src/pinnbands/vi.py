@@ -22,7 +22,7 @@ function of the variational state rather than per-step sampling noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -32,16 +32,17 @@ from .bands import PredictiveBand
 from .bounds import PseudoAleatoricProfile
 from .errors import ConfigurationError, ShapeError, TrainingDivergedError
 from .network import NetworkParameters, backward, forward_jets_batch, forward_values
+from .nlm import VAR_FLOOR
 from .optim import adam_step_arrays, init_adam
 from .problems import (
     residual_from_jets,
     residual_jet_partials,
+    residual_pieces,
     transform_offset_scale,
 )
 from .training import TrainedPINN, training_grid
 
 LIKELIHOODS = ("baseline_residual", "error_aware_simulated")
-VAR_FLOOR = 1e-10
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -53,36 +54,35 @@ def softplus(rho):
 
 @dataclass
 class MeanFieldGaussian:
-    """Diagonal Gaussian over network parameters (weights then biases)."""
+    """Diagonal Gaussian over the flat parameter vector of a network.
+
+    ``mu`` and ``rho`` have shape ``(P,)`` in the layout of
+    :attr:`pinnbands.network.NetworkParameters.theta` (weights, then biases).
+    """
 
     layer_sizes: list
     activation: str
-    mu: list
-    rho: list
+    mu: np.ndarray
+    rho: np.ndarray
     means_frozen: bool = True
 
-    def sigmas(self) -> list:
-        return [softplus(r) for r in self.rho]
+    def sigmas(self) -> np.ndarray:
+        return softplus(self.rho)
 
     def n_params(self) -> int:
-        return int(sum(m.size for m in self.mu))
+        return int(self.mu.size)
 
     def copy(self) -> "MeanFieldGaussian":
-        return MeanFieldGaussian(
-            list(self.layer_sizes),
-            self.activation,
-            [m.copy() for m in self.mu],
-            [r.copy() for r in self.rho],
-            self.means_frozen,
+        return replace(
+            self, layer_sizes=list(self.layer_sizes), mu=self.mu.copy(), rho=self.rho.copy()
         )
 
-    def materialize(self, offsets) -> NetworkParameters:
-        """Network with parameters mu + sigma * offsets."""
-        arrays = [m + softplus(r) * z for m, r, z in zip(self.mu, self.rho, offsets)]
-        n = len(self.layer_sizes) - 1
-        return NetworkParameters(
-            list(self.layer_sizes), arrays[:n], arrays[n:], self.activation
-        )
+    def materialize(self, offsets, sigma=None) -> NetworkParameters:
+        """Network with parameters mu + sigma * offsets; ``sigma`` is
+        ``softplus(rho)``, computed here when not given."""
+        if sigma is None:
+            sigma = softplus(self.rho)
+        return NetworkParameters(self.layer_sizes, self.mu + sigma * offsets, self.activation)
 
 
 @dataclass
@@ -113,31 +113,20 @@ def vi_init(trained: TrainedPINN, seed: int = 0) -> MeanFieldGaussian:
     params = trained.params
     params.validate()
     rng = np.random.default_rng(seed)
-    mu = [a.copy() for a in params.flat_arrays()]
-    rho = [rng.uniform(-5.0, -4.0, size=a.shape) for a in mu]
-    return MeanFieldGaussian(list(params.layer_sizes), params.activation, mu, rho, True)
+    rho = rng.uniform(-5.0, -4.0, size=params.theta.shape)
+    return MeanFieldGaussian(
+        list(params.layer_sizes), params.activation, params.theta.copy(), rho, True
+    )
 
 
-def gaussian_kl(q: MeanFieldGaussian, prior_sigma: float) -> float:
-    """KL(q || N(0, prior_sigma^2 I)) for a diagonal Gaussian q, closed form."""
-    total = 0.0
+def gaussian_kl(q: MeanFieldGaussian, prior_sigma: float, sigma=None) -> float:
+    """KL(q || N(0, prior_sigma^2 I)) for a diagonal Gaussian q, closed form.
+
+    ``sigma`` is ``softplus(q.rho)``, computed here when not given.
+    """
+    s = softplus(q.rho) if sigma is None else sigma
     sp2 = prior_sigma * prior_sigma
-    for m, r in zip(q.mu, q.rho):
-        s = softplus(r)
-        total += float(
-            np.sum(np.log(prior_sigma / s) + (s * s + m * m) / (2.0 * sp2) - 0.5)
-        )
-    return total
-
-
-def _kl_grads(q: MeanFieldGaussian, prior_sigma: float):
-    sp2 = prior_sigma * prior_sigma
-    g_rho, g_mu = [], []
-    for m, r in zip(q.mu, q.rho):
-        s = softplus(r)
-        g_rho.append((-1.0 / s + s / sp2) * expit(r))
-        g_mu.append(m / sp2)
-    return g_rho, g_mu
+    return float(np.sum(np.log(prior_sigma / s) + (s * s + q.mu * q.mu) / (2.0 * sp2) - 0.5))
 
 
 @dataclass
@@ -150,6 +139,7 @@ class _VIContext:
     derivs: tuple
     likelihood: str
     sigma_d: float = 1.0
+    pieces: Optional[tuple] = None             # baseline: residual_pieces(points)
     raw_targets: Optional[np.ndarray] = None   # error-aware: det net raw outputs
     variances: Optional[np.ndarray] = None     # error-aware: floored sigma_P^2
     scale: Optional[np.ndarray] = None         # error-aware: transform mask
@@ -165,7 +155,7 @@ def _make_context(trained: TrainedPINN, config: VIConfig, profile) -> _VIContext
         const = -0.5 * m * (LOG_2PI + 2.0 * np.log(config.sigma_d))
         return _VIContext(
             problem, points, X, problem.derivs, config.likelihood,
-            sigma_d=config.sigma_d, const_term=const,
+            sigma_d=config.sigma_d, pieces=residual_pieces(problem, points), const_term=const,
         )
     if profile is None:
         raise ConfigurationError("error-aware likelihood needs a pseudo-aleatoric profile")
@@ -194,108 +184,73 @@ def _make_context(trained: TrainedPINN, config: VIConfig, profile) -> _VIContext
 
 
 def _loglik_and_grads(ctx: _VIContext, params: NetworkParameters, need_grads=True):
-    """Log-likelihood at sampled parameters; gradient w.r.t. them if asked."""
+    """Log-likelihood at sampled parameters; its flat gradient w.r.t. them if asked."""
     jets, tape = forward_jets_batch(params, ctx.X, ctx.derivs, need_tape=need_grads)
     if ctx.likelihood == "baseline_residual":
-        r = residual_from_jets(ctx.problem, ctx.points, jets)
+        r = residual_from_jets(ctx.problem, ctx.points, jets, ctx.pieces)
         sd2 = ctx.sigma_d * ctx.sigma_d
         loglik = ctx.const_term - 0.5 * float(np.sum(r * r)) / sd2
         if not need_grads:
             return loglik, None
-        dv, dslots = residual_jet_partials(ctx.problem, ctx.points, jets)
+        dv, dslots = residual_jet_partials(ctx.problem, ctx.points, jets, ctx.pieces)
         rbar = -r / sd2
-        grads = backward(params, tape, rbar * dv, rbar * dslots)
-        return loglik, grads.flat_arrays()
+        return loglik, backward(params, tape, rbar * dv, rbar * dslots).theta
     dev = ctx.scale * (ctx.raw_targets - jets.value)
     loglik = ctx.const_term - 0.5 * float(np.sum(dev * dev / ctx.variances))
     if not need_grads:
         return loglik, None
     value_bar = ctx.scale * dev / ctx.variances
-    grads = backward(params, tape, value_bar)
-    return loglik, grads.flat_arrays()
+    return loglik, backward(params, tape, value_bar).theta
 
 
-def _draw_offsets(rng, q: MeanFieldGaussian) -> list:
-    return [rng.standard_normal(m.shape) for m in q.mu]
-
-
-def _elbo_and_grads(ctx: _VIContext, q: MeanFieldGaussian, offsets, prior_sigma: float):
-    """Single-draw ELBO estimate and its gradients w.r.t. (rho, mu)."""
-    params = q.materialize(offsets)
-    loglik, dl_dtheta = _loglik_and_grads(ctx, params)
-    kl = gaussian_kl(q, prior_sigma)
-    kl_rho, kl_mu = _kl_grads(q, prior_sigma)
-    # minimize -ELBO = KL - loglik;  d theta / d rho = zeta * sigmoid(rho)
-    g_rho = [
-        kr - dl * z * expit(r)
-        for kr, dl, z, r in zip(kl_rho, dl_dtheta, offsets, q.rho)
-    ]
-    g_mu = [km - dl for km, dl in zip(kl_mu, dl_dtheta)]
-    return loglik - kl, g_rho, g_mu
-
-
-def eval_elbo(ctx, q: MeanFieldGaussian, prior_sigma: float, offsets_list) -> float:
-    """ELBO evaluated with fixed draws: deterministic in the variational state."""
-    kl = gaussian_kl(q, prior_sigma)
+def eval_elbo(ctx, q: MeanFieldGaussian, prior_sigma: float, offsets) -> float:
+    """ELBO evaluated with fixed draws (rows of ``offsets``): deterministic
+    in the variational state."""
+    sigma = softplus(q.rho)
+    kl = gaussian_kl(q, prior_sigma, sigma)
     logliks = [
-        _loglik_and_grads(ctx, q.materialize(z), need_grads=False)[0]
-        for z in offsets_list
+        _loglik_and_grads(ctx, q.materialize(z, sigma), need_grads=False)[0]
+        for z in offsets
     ]
     return float(np.mean(logliks) - kl)
 
 
-def elbo_step(
-    q: MeanFieldGaussian,
-    problem,
-    trained: TrainedPINN,
-    profile,
-    config: VIConfig,
-    rng=None,
-    adam_state=None,
-):
-    """One reparameterized gradient step on the negative ELBO.
-
-    Returns ``(updated q, elbo estimate, adam state)``.  With frozen means
-    only rho moves.  Intended for inspection; :func:`vi_train` runs the
-    full loop with shared precomputation.
-    """
-    ctx = _make_context(trained, config, profile)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    if adam_state is None:
-        adam_state = init_adam(q.rho + ([] if q.means_frozen else q.mu), config.learning_rate)
-    return _step(ctx, q, config, rng, adam_state)
+def _adam_vector(q: MeanFieldGaussian) -> np.ndarray:
+    """The vector Adam moves: rho, followed by mu unless the means are frozen."""
+    return q.rho if q.means_frozen else np.concatenate([q.rho, q.mu])
 
 
 def _step(ctx, q, config, rng, adam_state):
-    n_rho = len(q.rho)
+    """One reparameterized gradient step on the negative ELBO, averaged over
+    ``config.mc_samples_per_step`` draws."""
+    prior_sigma = config.prior_sigma
+    sp2 = prior_sigma * prior_sigma
+    sigma, dsigma = softplus(q.rho), expit(q.rho)
+    kl = gaussian_kl(q, prior_sigma, sigma)
+    kl_rho = (-1.0 / sigma + sigma / sp2) * dsigma
+    kl_mu = q.mu / sp2
     acc_rho = acc_mu = None
     elbo_acc = 0.0
     for _ in range(config.mc_samples_per_step):
-        offsets = _draw_offsets(rng, q)
-        elbo, g_rho, g_mu = _elbo_and_grads(ctx, q, offsets, config.prior_sigma)
-        elbo_acc += elbo
+        z = rng.standard_normal(q.mu.size)
+        loglik, dl = _loglik_and_grads(ctx, q.materialize(z, sigma))
+        elbo_acc += loglik - kl
+        # minimize -ELBO = KL - loglik;  d theta / d rho = zeta * sigmoid(rho)
+        g_rho = kl_rho - dl * z * dsigma
+        g_mu = kl_mu - dl
         if acc_rho is None:
             acc_rho, acc_mu = g_rho, g_mu
         else:
-            acc_rho = [a + b for a, b in zip(acc_rho, g_rho)]
-            acc_mu = [a + b for a, b in zip(acc_mu, g_mu)]
+            acc_rho, acc_mu = acc_rho + g_rho, acc_mu + g_mu
     k = float(config.mc_samples_per_step)
     elbo_val = elbo_acc / k
     if not np.isfinite(elbo_val):
         raise TrainingDivergedError("non-finite ELBO estimate")
-    acc_rho = [a / k for a in acc_rho]
-    acc_mu = [a / k for a in acc_mu]
-
-    new_q = q.copy()
-    if q.means_frozen:
-        new_rho, adam_state = adam_step_arrays(q.rho, acc_rho, adam_state)
-        new_q.rho = new_rho
-    else:
-        values, adam_state = adam_step_arrays(q.rho + q.mu, acc_rho + acc_mu, adam_state)
-        new_q.rho = values[:n_rho]
-        new_q.mu = values[n_rho:]
-    return new_q, elbo_val, adam_state
+    grad = acc_rho if q.means_frozen else np.concatenate([acc_rho, acc_mu])
+    values, adam_state = adam_step_arrays(_adam_vector(q), grad / k, adam_state)
+    n = q.mu.size
+    mu = q.mu if q.means_frozen else values[n:]
+    return replace(q, rho=values[:n], mu=mu), elbo_val, adam_state
 
 
 @dataclass
@@ -313,8 +268,8 @@ def vi_train(trained: TrainedPINN, config: VIConfig, profile=None, q0=None) -> V
     ctx = _make_context(trained, config, profile)
     q = q0.copy() if q0 is not None else vi_init(trained, seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
-    eval_offsets = [_draw_offsets(rng, q) for _ in range(config.n_eval_draws)]
-    adam_state = init_adam(q.rho + ([] if q.means_frozen else q.mu), config.learning_rate)
+    eval_offsets = rng.standard_normal((config.n_eval_draws, q.mu.size))
+    adam_state = init_adam(_adam_vector(q), config.learning_rate)
 
     steps = np.empty(config.epochs)
     evals = np.empty(config.epochs)
@@ -364,12 +319,14 @@ def predictive_moments(samples, problem, grid, profile=None) -> PredictiveBand:
 
 
 def sample_posterior(q: MeanFieldGaussian, n: int, seed: int = 0) -> list:
-    """n i.i.d. parameter draws theta = mu + sigma * zeta, deterministic per seed."""
+    """n i.i.d. parameter draws theta = mu + sigma * zeta, deterministic per seed.
+
+    The draws are rows of one ``(n, P)`` array, scaled in place; each returned
+    network's ``theta`` is a view of its row.
+    """
     if n < 1:
         raise ConfigurationError("need n >= 1 samples")
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(int(n)):
-        offsets = [rng.standard_normal(m.shape) for m in q.mu]
-        out.append(q.materialize(offsets))
-    return out
+    thetas = np.random.default_rng(seed).standard_normal((int(n), q.mu.size))
+    thetas *= softplus(q.rho)
+    thetas += q.mu
+    return [NetworkParameters(q.layer_sizes, theta, q.activation) for theta in thetas]

@@ -75,14 +75,13 @@ def loads_weights(text: str) -> NetworkParameters:
 
     if sizes is None or activation is None:
         raise ConfigurationError("weights file missing layers/activation header")
-    n_layers = len(sizes) - 1
-    w_list, b_list = [], []
-    for l in range(n_layers):
+    params = NetworkParameters.zeros(sizes, activation)
+    for l in range(len(sizes) - 1):
         if l not in weights or l not in biases:
             raise ConfigurationError(f"weights file missing layer {l}")
-        w_list.append(weights[l].reshape(sizes[l + 1], sizes[l]))
-        b_list.append(biases[l].reshape(sizes[l + 1]))
-    return NetworkParameters(sizes, w_list, b_list, activation).validate()
+        params.weights[l][...] = weights[l].reshape(params.weights[l].shape)
+        params.biases[l][...] = biases[l].reshape(params.biases[l].shape)
+    return params.validate()
 
 
 def save_weights(params: NetworkParameters, path):

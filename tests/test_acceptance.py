@@ -140,7 +140,7 @@ def test_c01_autodiff_matches_finite_differences():
         grads = backward(params, tape, rbar * dv, rbar * dslots)
 
         ad, fd = [], []
-        for garr, arr in zip(grads.flat_arrays(), params.flat_arrays()):
+        for garr, arr in zip(grads.weights + grads.biases, params.weights + params.biases):
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
@@ -421,7 +421,7 @@ def test_c08_vi_mechanics(models_10000, envelopes_10000):
     mus = rng.normal(size=8)
     sigmas = rng.uniform(0.2, 1.2, 8)
     q = MeanFieldGaussian(
-        [1, 1], "tanh", [mus.reshape(2, 4)], [np.log(np.expm1(sigmas)).reshape(2, 4)], True
+        [1, 1], "tanh", mus, np.log(np.expm1(sigmas)), True
     )
     prior_sigma = 0.6
     exact = gaussian_kl(q, prior_sigma)
@@ -449,8 +449,7 @@ def test_c08_vi_mechanics(models_10000, envelopes_10000):
 
     # (c) frozen means at rho = -12 reproduce the deterministic surrogate
     q0 = vi_init(trained, seed=3)
-    for r in q0.rho:
-        r[:] = -12.0
+    q0.rho[:] = -12.0
     samples = sample_posterior(q0, 1000, seed=5)
     from pinnbands.vi import predictive_moments
 
@@ -535,8 +534,7 @@ def test_c10_bit_reproducibility(tmp_path):
     cfg = default_train_config("ode1.cos", epochs=300, seed=11)
     a = train_deterministic("ode1.cos", cfg)
     b = train_deterministic("ode1.cos", cfg)
-    for wa, wb in zip(a.params.flat_arrays(), b.params.flat_arrays()):
-        assert np.array_equal(wa, wb)
+    assert np.array_equal(a.params.theta, b.params.theta)
     assert np.array_equal(a.loss_history, b.loss_history)
 
     # variational training and posterior sampling
@@ -547,8 +545,7 @@ def test_c10_bit_reproducibility(tmp_path):
     rb = vi_train(b, vcfg, profile=profile)
     assert np.array_equal(ra.elbo_history, rb.elbo_history)
     for sa, sb in zip(sample_posterior(ra.q, 16, 3), sample_posterior(rb.q, 16, 3)):
-        for wa, wb in zip(sa.flat_arrays(), sb.flat_arrays()):
-            assert np.array_equal(wa, wb)
+        assert np.array_equal(sa.theta, sb.theta)
 
     # full experiment cell emits byte-identical files
     xcfg = ExperimentConfig(

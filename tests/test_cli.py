@@ -106,3 +106,23 @@ def test_numeric_failure_exit_3(tmp_path, monkeypatch, capsys):
         "solve", "--problem", "ode1.poly", "--method", "deterministic", "--out", str(tmp_path)
     )
     assert code == 3
+
+
+def test_conditioning_failure_prints_diagnostics(tmp_path, monkeypatch, capsys):
+    from pinnbands.errors import ConditioningError
+    import pinnbands.cli as cli_mod
+
+    def explode(cfg):
+        raise ConditioningError(
+            "synthetic ill-conditioning",
+            diagnostics={"feature_dim": 33, "min_eigenvalue": -1.5e-12},
+        )
+
+    monkeypatch.setattr(cli_mod, "run_experiment", explode)
+    code = run_cli(
+        "solve", "--problem", "ode1.poly", "--method", "deterministic", "--out", str(tmp_path)
+    )
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "numeric failure: synthetic ill-conditioning"
+    assert err[1:] == ["  feature_dim: 33", "  min_eigenvalue: -1.5e-12"]

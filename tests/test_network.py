@@ -11,6 +11,8 @@ from pinnbands.errors import (
     UnsupportedOrderError,
 )
 from pinnbands.network import (
+    Gradients,
+    NetworkParameters,
     backward,
     forward,
     forward_jet,
@@ -160,7 +162,7 @@ class TestBackward:
         X = np.linspace(0, 1, 4)[:, None]
         _, tape = forward_jets_batch(p, X, ((0,),), need_tape=True)
         g = backward(p, tape, np.zeros(4))
-        assert all(np.all(a == 0.0) for a in g.flat_arrays())
+        assert np.all(g.theta == 0.0)
 
     def test_one_weight_hand_algebra(self):
         # linear net out = w*x + b, loss = out^2 at a single point
@@ -199,7 +201,7 @@ class TestBackward:
 
         h = 1e-4
         ad, fd = [], []
-        for garr, arr in zip(g.flat_arrays(), p.flat_arrays()):
+        for garr, arr in zip(g.weights + g.biases, p.weights + p.biases):
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
@@ -258,3 +260,36 @@ def test_evaluation_thread_safe_on_shared_params():
         parallel = list(pool.map(lambda x: forward_values(p, x), xs))
     for a, b in zip(serial, parallel):
         assert np.array_equal(a, b)
+
+
+class TestFlatLayout:
+    def test_weights_and_biases_alias_theta(self):
+        p = init_network([2, 3, 4, 1], "tanh", seed=0)
+        # weights-then-biases order: W0 (3,2) at 0, W1 (4,3) at 6, W2 (1,4) at 18,
+        # b0 (3,) at 22, b1 (4,) at 25, b2 (1,) at 29
+        assert p.theta.shape == (30,)
+        p.weights[1][3, 2] = 7.5
+        assert p.theta[6 + 3 * 3 + 2] == 7.5
+        p.theta[25] = -2.0
+        assert p.biases[1][0] == -2.0
+        parts = p.weights + p.biases
+        assert all(np.shares_memory(a, p.theta) for a in parts)
+        assert np.array_equal(np.concatenate([a.ravel() for a in parts]), p.theta)
+
+    def test_backward_writes_views_of_one_gradient(self):
+        p = init_network([1, 5, 3, 1], "sigmoid", seed=2)
+        X = np.linspace(0.0, 1.0, 7)[:, None]
+        _, tape = forward_jets_batch(p, X, ((0,), (0, 0)), need_tape=True)
+        g = backward(p, tape, np.ones(7), np.ones((2, 7)))
+        assert g.theta.shape == p.theta.shape
+        parts = g.weights + g.biases
+        assert all(np.shares_memory(a, g.theta) for a in parts)
+        assert np.array_equal(np.concatenate([a.ravel() for a in parts]), g.theta)
+
+    def test_wrong_vector_length_rejected(self):
+        with pytest.raises(ShapeError):
+            NetworkParameters([1, 2, 1], np.zeros(6))
+        with pytest.raises(ShapeError):
+            Gradients([1, 2, 1], np.zeros(8))
+        with pytest.raises(ConfigurationError):
+            NetworkParameters.zeros([1, 0, 1])

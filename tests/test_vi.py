@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from pinnbands.bounds import pseudo_profile
 from pinnbands.errors import ConfigurationError, ShapeError
@@ -9,7 +10,6 @@ from pinnbands.training import training_grid
 from pinnbands.vi import (
     MeanFieldGaussian,
     VIConfig,
-    elbo_step,
     gaussian_kl,
     moving_average,
     predictive_moments,
@@ -22,7 +22,7 @@ from pinnbands.vi import (
 
 def scalar_q(mu, sigma, prior_frozen=True):
     rho = np.log(np.expm1(sigma))
-    return MeanFieldGaussian([1, 1], "tanh", [np.array([[mu]])], [np.array([[rho]])], prior_frozen)
+    return MeanFieldGaussian([1, 1], "tanh", np.array([mu]), np.array([rho]), prior_frozen)
 
 
 class TestInit:
@@ -30,8 +30,7 @@ class TestInit:
         trained = models_10["ode1.exp"]
         q = vi_init(trained, seed=0)
         assert q.means_frozen
-        for m, a in zip(q.mu, trained.params.flat_arrays()):
-            assert np.array_equal(m, a)
+        assert np.array_equal(q.mu, trained.params.theta)
 
     def test_initial_sigmas_in_softplus_window(self, models_10):
         q = vi_init(models_10["ode1.exp"], seed=1)
@@ -47,8 +46,7 @@ class TestInit:
     def test_deterministic_per_seed(self, models_10):
         a = vi_init(models_10["ode1.exp"], seed=5)
         b = vi_init(models_10["ode1.exp"], seed=5)
-        for ra, rb in zip(a.rho, b.rho):
-            assert np.array_equal(ra, rb)
+        assert np.array_equal(a.rho, b.rho)
 
 
 class TestKL:
@@ -66,7 +64,7 @@ class TestKL:
         mus = rng.normal(size=6)
         sigmas = rng.uniform(0.3, 1.5, 6)
         q = MeanFieldGaussian(
-            [1, 1], "tanh", [mus.reshape(2, 3)], [np.log(np.expm1(sigmas)).reshape(2, 3)], True
+            [1, 1], "tanh", mus, np.log(np.expm1(sigmas)), True
         )
         prior_sigma = 0.8
         exact = gaussian_kl(q, prior_sigma)
@@ -92,7 +90,7 @@ class TestElboStep:
         config = VIConfig(prior_sigma=1.0, epochs=1, likelihood="baseline_residual", sigma_d=1.0)
         ctx = _make_context(trained, config, None)
         q = vi_init(trained, seed=0)
-        params = q.materialize([np.zeros_like(m) for m in q.mu])
+        params = q.materialize(np.zeros_like(q.mu))
         loglik, _ = _loglik_and_grads(ctx, params, need_grads=False)
         m = len(training_grid(trained))
         from pinnbands.training import mse_residual_loss
@@ -107,17 +105,17 @@ class TestElboStep:
         profile = pseudo_profile(trained.problem, trained, envelopes_10["ode1.exp"], pts)
         config = VIConfig(prior_sigma=0.5, epochs=1, seed=0)
         q = vi_init(trained, seed=0)
-        q2, elbo, _ = elbo_step(q, trained.problem, trained, profile, config)
+        run = vi_train(trained, config, profile=profile, q0=q)
+        q2, elbo = run.q, run.elbo_step_history[0]
         assert np.isfinite(elbo)
-        for m0, m1 in zip(q.mu, q2.mu):
-            assert np.array_equal(m0, m1)
-        assert any(not np.array_equal(r0, r1) for r0, r1 in zip(q.rho, q2.rho))
+        assert np.array_equal(q.mu, q2.mu)
+        assert not np.array_equal(q.rho, q2.rho)
 
     def test_error_aware_needs_profile(self, models_10):
         trained = models_10["ode1.exp"]
         config = VIConfig(prior_sigma=0.5, epochs=1, likelihood="error_aware_simulated")
         with pytest.raises(ConfigurationError):
-            elbo_step(vi_init(trained, 0), trained.problem, trained, None, config)
+            vi_train(trained, config, profile=None, q0=vi_init(trained, 0))
 
     def test_unknown_likelihood_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -127,29 +125,26 @@ class TestElboStep:
 class TestSampling:
     def test_sigma_zero_limit_returns_means(self, models_10):
         q = vi_init(models_10["ode1.exp"], seed=0)
-        for r in q.rho:
-            r[:] = -800.0  # exp(-800) underflows, softplus is exactly 0
+        q.rho[:] = -800.0  # exp(-800) underflows, softplus is exactly 0
         samples = sample_posterior(q, 3, seed=1)
         for s in samples:
-            for a, m in zip(s.flat_arrays(), q.mu):
-                assert np.array_equal(a, m)
+            assert np.array_equal(s.theta, q.mu)
 
     def test_seeded_and_iid(self, models_10):
         q = vi_init(models_10["ode1.exp"], seed=0)
         a = sample_posterior(q, 4, seed=9)
         b = sample_posterior(q, 4, seed=9)
         for sa, sb in zip(a, b):
-            for wa, wb in zip(sa.flat_arrays(), sb.flat_arrays()):
-                assert np.array_equal(wa, wb)
+            assert np.array_equal(sa.theta, sb.theta)
         assert not np.array_equal(a[0].weights[0], a[1].weights[0])
 
     def test_sample_mean_clt(self, models_10):
         q = vi_init(models_10["ode1.exp"], seed=0)
-        q.rho[0][:] = np.log(np.expm1(0.5))  # sigma = 0.5 on first weight block
+        q.rho[0] = np.log(np.expm1(0.5))  # sigma = 0.5 on the first weight
         n = 100_000
         rng = np.random.default_rng(3)
-        draws = q.mu[0][0, 0] + 0.5 * rng.standard_normal(n)
-        assert abs(np.mean(draws) - q.mu[0][0, 0]) < 3 * 0.5 / np.sqrt(n)
+        draws = q.mu[0] + 0.5 * rng.standard_normal(n)
+        assert abs(np.mean(draws) - q.mu[0]) < 3 * 0.5 / np.sqrt(n)
 
 
 class TestPredictiveMoments:
@@ -226,8 +221,7 @@ class TestTraining:
         a = vi_train(trained, config, profile=profile)
         b = vi_train(trained, config, profile=profile)
         assert np.array_equal(a.elbo_history, b.elbo_history)
-        for ra, rb in zip(a.q.rho, b.q.rho):
-            assert np.array_equal(ra, rb)
+        assert np.array_equal(a.q.rho, b.q.rho)
 
     def test_total_variance_decomposition(self, models_10, envelopes_10):
         # identical posterior samples: error-aware total minus baseline total
@@ -248,6 +242,74 @@ class TestTraining:
         ma = moving_average(np.arange(10, dtype=float), 3)
         assert len(ma) == 8
         assert ma[0] == pytest.approx(1.0)
+
+
+def layer_shapes(layer_sizes):
+    """Weight shapes, then bias shapes: the per-layer list layout."""
+    pairs = list(zip(layer_sizes[:-1], layer_sizes[1:]))
+    return [(o, i) for i, o in pairs] + [(o,) for _, o in pairs]
+
+
+def split_layers(flat, shapes):
+    out, start = [], 0
+    for shape in shapes:
+        n = int(np.prod(shape))
+        out.append(flat[start : start + n].reshape(shape))
+        start += n
+    assert start == flat.size
+    return out
+
+
+class TestFlatLayoutOracles:
+    def test_sample_posterior_matches_per_layer_draws(self, models_10):
+        q = vi_init(models_10["ode1.exp"], seed=0)
+        q.rho[::7] = 0.3  # mix sigmas so every layer has distinct scales
+        shapes = layer_shapes(q.layer_sizes)
+        mus, rhos = split_layers(q.mu, shapes), split_layers(q.rho, shapes)
+        samples = sample_posterior(q, 5, seed=7)
+        rng = np.random.default_rng(7)
+        for sample in samples:
+            for arr, mu, rho, shape in zip(sample.weights + sample.biases, mus, rhos, shapes):
+                expect = mu + softplus(rho) * rng.standard_normal(shape)
+                assert np.array_equal(arr, expect)
+
+    @pytest.mark.parametrize("likelihood", ["error_aware_simulated", "baseline_residual"])
+    def test_one_step_matches_list_oracle(self, models_10, envelopes_10, likelihood):
+        from pinnbands.network import NetworkParameters
+        from pinnbands.vi import _loglik_and_grads, _make_context
+
+        trained = models_10["ode1.exp"]
+        pts = training_grid(trained)
+        profile = pseudo_profile(trained.problem, trained, envelopes_10["ode1.exp"], pts)
+        config = VIConfig(prior_sigma=0.5, epochs=1, seed=3, likelihood=likelihood)
+        run = vi_train(trained, config, profile=profile)
+
+        # the step written array by array, as one list entry per weight/bias
+        params = trained.params
+        shapes = layer_shapes(params.layer_sizes)
+        mus = [a.copy() for a in params.weights + params.biases]
+        init = np.random.default_rng(config.seed)
+        rhos = [init.uniform(-5.0, -4.0, size=s) for s in shapes]
+        rng = np.random.default_rng(config.seed + 1)
+        for _ in range(config.n_eval_draws):
+            for s in shapes:
+                rng.standard_normal(s)
+        zs = [rng.standard_normal(s) for s in shapes]
+        # rho < 0 here, where softplus(rho) is log1p(exp(rho)) exactly
+        sigmas = [np.log1p(np.exp(r)) for r in rhos]
+        theta = np.concatenate([(m + s * z).ravel() for m, s, z in zip(mus, sigmas, zs)])
+        sampled = NetworkParameters(params.layer_sizes, theta, params.activation)
+        _, dl = _loglik_and_grads(_make_context(trained, config, profile), sampled)
+        sp2 = config.prior_sigma**2
+        lr, b1, b2, eps = config.learning_rate, 0.9, 0.999, 1e-8
+        new_rhos = []
+        for r, s, z, d in zip(rhos, sigmas, zs, split_layers(dl, shapes)):
+            g = (-1.0 / s + s / sp2) * expit(r) - d * z * expit(r)
+            m = b1 * np.zeros_like(g) + (1.0 - b1) * g
+            v = b2 * np.zeros_like(g) + (1.0 - b2) * g * g
+            new_rhos.append(r - lr * (m / (1.0 - b1**1)) / (np.sqrt(v / (1.0 - b2**1)) + eps))
+        assert np.array_equal(run.q.rho, np.concatenate([r.ravel() for r in new_rhos]))
+        assert np.array_equal(run.q.mu, params.theta)
 
 
 def test_band_csv_header(tmp_path, models_10):

@@ -18,9 +18,9 @@ def test_roundtrip_bit_exact(tmp_path):
     q = load_weights(path)
     assert q.layer_sizes == p.layer_sizes
     assert q.activation == p.activation
-    for a, b in zip(p.flat_arrays(), q.flat_arrays()):
-        assert np.array_equal(a, b)
-        assert np.array_equal(np.signbit(a), np.signbit(b))
+    # bit-exact: the same bytes, so -0.0 and subnormal-adjacent values survive
+    assert q.theta.tobytes() == p.theta.tobytes()
+    assert all(np.shares_memory(a, q.theta) for a in q.weights + q.biases)
 
 
 def test_text_is_versioned_and_commentable():
