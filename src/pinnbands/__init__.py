@@ -10,21 +10,9 @@ head or mean-field variational inference over all weights.
 
 __version__ = "0.1.0"
 
-from .bands import PredictiveBand, band_to_csv
-from .bounds import (
-    PseudoAleatoricProfile,
-    ResidualEnvelope,
-    bound_first_order,
-    bound_second_order_distinct,
-    bound_second_order_equal_limit,
-    bound_second_order_zero,
-    burgers_pseudo_sigma,
-    envelope_from_function,
-    estimate_envelope,
-    pseudo_profile,
-    pseudo_sigma,
-    uniform_knots,
-)
+# the names the README quick start, the demos and the CLI use; everything
+# else is imported from its module
+from .bounds import estimate_envelope, pseudo_profile, pseudo_sigma, uniform_knots
 from .errors import (
     ConditioningError,
     ConfigurationError,
@@ -37,71 +25,24 @@ from .errors import (
 )
 from .harness import (
     ExperimentConfig,
-    ExperimentReport,
     coverage_metrics,
     emit_outputs,
+    preset_configs,
     run_experiment,
-    run_preset,
-)
-from .jets import Jet2
-from .network import (
-    Gradients,
-    JetBatch,
-    NetworkParameters,
-    backward,
-    forward,
-    forward_jet,
-    forward_jets_batch,
-    forward_values,
-    hidden_features,
-    init_network,
+    save_artifacts,
 )
 from .nlm import (
-    FeatureMatrix,
-    NLMPosterior,
-    SimulatedDataset,
     build_simulated_dataset,
     default_candidate_sigmas,
-    extract_features,
     feature_matrix,
     nlm_band,
-    nlm_fit,
-    nlm_predict,
     optimize_prior,
 )
-from .optim import AdamState, adam_step, adam_step_arrays, init_adam
-from .problems import (
-    BurgersProblem,
-    ODEProblem,
-    SurrogateEvaluation,
-    analytic_solution,
-    burgers_surrogate,
-    evaluate_surrogate,
-    get_problem,
-    problem_ids,
-    reparameterize,
-    residual,
-    residual_values,
-    surrogate_values,
-)
+from .problems import analytic_solution, surrogate_values
 from .training import (
-    GridSpec,
-    TrainConfig,
-    TrainedPINN,
     default_train_config,
     load_trained,
     mse_residual_loss,
-    save_trained,
     train_deterministic,
 )
-from .vi import (
-    MeanFieldGaussian,
-    VIConfig,
-    VIRun,
-    gaussian_kl,
-    predictive_moments,
-    sample_posterior,
-    vi_init,
-    vi_train,
-)
-from .weights_io import load_weights, save_weights
+from .vi import VIConfig, predictive_moments, sample_posterior, vi_train

@@ -1,4 +1,5 @@
-"""Predictive uncertainty bands shared by the NLM and VI back ends."""
+"""Predictive uncertainty bands shared by the NLM and VI back ends, and the
+CSV writer every emitted table goes through."""
 
 from __future__ import annotations
 
@@ -41,18 +42,25 @@ class PredictiveBand:
         return np.sqrt(self.total_var)
 
 
+def write_csv(table: dict, path):
+    """One header line of the column names, then one row per entry; floats as
+    ``.17g`` (exact round trip), integer and boolean columns as integers."""
+    cols = list(table)
+    arrays = [np.asarray(table[c]) for c in cols]
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for i in range(len(arrays[0])):
+            cells = []
+            for arr in arrays:
+                v = arr[i]
+                cells.append(str(int(v)) if arr.dtype.kind in "ib" else f"{v:.17g}")
+            fh.write(",".join(cells) + "\n")
+
+
 def band_to_csv(band: PredictiveBand, path):
     """CSV export with columns x[,t], mean, epistemic_var, sigma_P2, total_var."""
-    two_d = band.grid.ndim == 2
-    with open(path, "w") as fh:
-        fh.write(("x,t" if two_d else "x") + ",mean,epistemic_var,sigma_P2,total_var\n")
-        for i in range(len(band.mean)):
-            coords = (
-                f"{band.grid[i, 0]:.17g},{band.grid[i, 1]:.17g}"
-                if two_d
-                else f"{band.grid[i]:.17g}"
-            )
-            fh.write(
-                f"{coords},{band.mean[i]:.17g},{band.epistemic_var[i]:.17g},"
-                f"{band.sigma_p2[i]:.17g},{band.total_var[i]:.17g}\n"
-            )
+    grid = band.grid
+    coords = {"x": grid[:, 0], "t": grid[:, 1]} if grid.ndim == 2 else {"x": grid}
+    columns = {"mean": band.mean, "epistemic_var": band.epistemic_var,
+               "sigma_P2": band.sigma_p2, "total_var": band.total_var}
+    write_csv({**coords, **columns}, path)

@@ -264,23 +264,9 @@ def pseudo_sigma(problem: ODEProblem, envelope: ResidualEnvelope, x):
     return bound_second_order_distinct(envelope, rates[0], rates[1], x)
 
 
-def burgers_pseudo_sigma(trained, x, t, n_time_samples: int = 64) -> float:
-    """Accumulated-|residual| heuristic: (t - t0) * mean_i |r(x, t_i)|."""
-    if n_time_samples < 1:
-        raise ConfigurationError("n_time_samples must be >= 1")
-    t = float(t)
-    if t < 0:
-        raise DomainError("Burgers pseudo sigma needs t >= 0")
-    if t == 0.0:
-        return 0.0
-    taus = np.linspace(0.0, t, int(n_time_samples))
-    pts = np.stack([np.full_like(taus, float(x)), taus], axis=1)
-    r = residual_values(trained.problem, trained.params, pts)
-    return float(t * np.mean(np.abs(r)))
-
-
 def burgers_sigma_grid(trained, points, n_time_samples: int = 64) -> np.ndarray:
-    """Vectorized accumulated-residual sigma for (x, t) rows of ``points``."""
+    """Accumulated-|residual| heuristic for the (x, t) rows of ``points``:
+    t * mean_i |r(x, t_i)| over ``n_time_samples`` equispaced t_i in [0, t]."""
     pts = np.asarray(points, dtype=float)
     n = int(n_time_samples)
     frac = np.linspace(0.0, 1.0, n)
@@ -307,16 +293,3 @@ def pseudo_profile(problem, trained, envelope, grid, n_time_samples: int = 64) -
     kind, _ = ode_bound_kind(problem)
     sig = pseudo_sigma(problem, envelope, grid)
     return PseudoAleatoricProfile(grid, np.asarray(sig, dtype=float), kind)
-
-
-def profile_to_csv(profile: PseudoAleatoricProfile, path):
-    """Write (x, sigma_P) columns; (x, t, sigma_P) for space-time grids."""
-    with open(path, "w") as fh:
-        if profile.grid.ndim == 2:
-            fh.write("x,t,sigma_P\n")
-            for (x, t), s in zip(profile.grid, profile.sigma_p):
-                fh.write(f"{x:.17g},{t:.17g},{s:.17g}\n")
-        else:
-            fh.write("x,sigma_P\n")
-            for x, s in zip(profile.grid, profile.sigma_p):
-                fh.write(f"{x:.17g},{s:.17g}\n")

@@ -18,6 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .bands import write_csv
 from .bounds import estimate_envelope, pseudo_sigma, uniform_knots
 from .errors import (
     ConditioningError,
@@ -104,7 +105,12 @@ def _solve(args) -> int:
         if value is None and key in file_values:
             value = file_values[key]
             if key in _INT_KEYS:
-                value = int(value)
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ConfigurationError(
+                        f"config-file value {key}={value!r} is not an integer"
+                    ) from None
         if value is not None:
             merged[key] = value
     unknown = set(file_values) - {"problem", "method", "preset", "out", *_INT_KEYS}
@@ -171,10 +177,7 @@ def _certify(args) -> int:
     grid = np.linspace(problem.x0, problem.test_domain[1], args.grid_points)
     bound = np.asarray(pseudo_sigma(problem, envelope, grid), dtype=float)
     u_det = surrogate_values(problem, trained.params, grid)
-    with open(args.out, "w") as fh:
-        fh.write("x,u_det,bound\n")
-        for x, u, b in zip(grid, u_det, bound):
-            fh.write(f"{x:.17g},{u:.17g},{b:.17g}\n")
+    write_csv({"x": grid, "u_det": u_det, "bound": bound}, args.out)
     print(args.out)
     return 0
 

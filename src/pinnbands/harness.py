@@ -23,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bands import PredictiveBand
+from .bands import PredictiveBand, write_csv
 from .bounds import (
     PseudoAleatoricProfile,
     burgers_sigma_grid,
@@ -34,6 +34,7 @@ from .bounds import (
 )
 from .errors import ConfigurationError, ShapeError
 from .nlm import (
+    PriorSearchResult,
     build_simulated_dataset,
     default_candidate_sigmas,
     export_posterior_json,
@@ -51,6 +52,7 @@ from .problems import (
 from .training import (
     GridSpec,
     TrainConfig,
+    TrainedPINN,
     default_train_config,
     save_trained,
     train_deterministic,
@@ -88,7 +90,7 @@ class ExperimentConfig:
         get_entry(self.problem)
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}; known: {METHODS}")
-        for name in ("det_epochs", "vi_epochs", "grid_points", "oversample"):
+        for name in ("det_epochs", "vi_epochs", "seed", "grid_points", "oversample"):
             if getattr(self, name) < 0 or (name == "grid_points" and self.grid_points < 2):
                 raise ConfigurationError(f"{name} out of range")
         return self
@@ -104,6 +106,9 @@ class ExperimentReport:
     metrics: dict
     provenance: dict
     band: PredictiveBand = None
+    config: ExperimentConfig = None
+    trained: TrainedPINN = None
+    nlm_search: PriorSearchResult = None  # error_aware_nlm cells only
 
 
 def _config_hash(config: ExperimentConfig) -> str:
@@ -169,7 +174,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
     bound = np.asarray(pseudo_sigma(problem, envelope, grid), dtype=float)
 
-    extras = {}
+    extras, search = {}, None
     if config.method == "deterministic":
         zeros = np.zeros_like(grid)
         band = PredictiveBand(grid, u_det, zeros, zeros, zeros)
@@ -185,7 +190,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             "prior_violations": search.n_violations,
             "prior_objective": search.objective,
         }
-        extras["_posterior"] = search
     else:
         likelihood = (
             "baseline_residual" if config.method == "baseline_vi" else "error_aware_simulated"
@@ -248,12 +252,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 "coverage_3sigma_full": float(np.mean(covered)),
             }
         )
-    metrics.update({k: v for k, v in extras.items() if not k.startswith("_")})
-
-    report = ExperimentReport(table, metrics, _provenance(config), band)
-    report._nlm_search = extras.get("_posterior")
-    report._trained = trained
-    return report
+    metrics.update(extras)
+    return ExperimentReport(table, metrics, _provenance(config), band, config, trained, search)
 
 
 def run_burgers(config: ExperimentConfig) -> ExperimentReport:
@@ -356,9 +356,7 @@ def run_burgers(config: ExperimentConfig) -> ExperimentReport:
         "max_bc_error": bc_err,
         **slice_means,
     }
-    report = ExperimentReport(table, metrics, _provenance(config), band)
-    report._trained = trained
-    return report
+    return ExperimentReport(table, metrics, _provenance(config), band, config, trained)
 
 
 # ---------------------------------------------------------------------------
@@ -366,37 +364,19 @@ def run_burgers(config: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(table: dict, path):
-    cols = list(table)
-    arrays = [np.asarray(table[c]) for c in cols]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(len(arrays[0])):
-            cells = []
-            for arr in arrays:
-                v = arr[i]
-                cells.append(str(int(v)) if arr.dtype.kind in "ib" else f"{v:.17g}")
-            fh.write(",".join(cells) + "\n")
-
-
-def emit_outputs(report: ExperimentReport, out_dir, formats=("csv", "json", "gnuplot")):
+def emit_outputs(report: ExperimentReport, out_dir):
     """Write the per-point table, metrics record, and band file; returns paths."""
     os.makedirs(out_dir, exist_ok=True)
-    stem = report.provenance["config"].get("label") or (
-        f"{report.metrics['problem']}_{report.metrics['method']}_det{report.metrics['det_epochs']}"
-    )
-    written = []
-    if "csv" in formats:
-        path = os.path.join(out_dir, f"{stem}.csv")
-        _write_csv(report.table, path)
-        written.append(path)
-    if "json" in formats:
-        path = os.path.join(out_dir, f"{stem}_metrics.json")
-        with open(path, "w") as fh:
-            json.dump({"metrics": report.metrics, "provenance": report.provenance}, fh,
-                      indent=2, sort_keys=True)
-        written.append(path)
-    if "gnuplot" in formats and report.band is not None and report.band.grid.ndim == 1:
+    stem = report.config.stem()
+    path = os.path.join(out_dir, f"{stem}.csv")
+    write_csv(report.table, path)
+    written = [path]
+    path = os.path.join(out_dir, f"{stem}_metrics.json")
+    with open(path, "w") as fh:
+        json.dump({"metrics": report.metrics, "provenance": report.provenance}, fh,
+                  indent=2, sort_keys=True)
+    written.append(path)
+    if report.band is not None and report.band.grid.ndim == 1:
         path = os.path.join(out_dir, f"{stem}_band.dat")
         sd = report.band.sd_total
         truth = report.table.get("u_true", np.full_like(report.band.mean, np.nan))
@@ -415,16 +395,13 @@ def emit_outputs(report: ExperimentReport, out_dir, formats=("csv", "json", "gnu
 def save_artifacts(report: ExperimentReport, out_dir):
     """Optional extras: trained weights + NLM posterior, when present."""
     os.makedirs(out_dir, exist_ok=True)
-    stem = report.provenance["config"].get("label") or (
-        f"{report.metrics['problem']}_{report.metrics['method']}_det{report.metrics['det_epochs']}"
-    )
+    stem = report.config.stem()
     paths = []
-    trained = getattr(report, "_trained", None)
-    if trained is not None:
+    if report.trained is not None:
         prefix = os.path.join(out_dir, stem)
-        save_trained(trained, prefix)
+        save_trained(report.trained, prefix)
         paths += [f"{prefix}.weights", f"{prefix}.meta.json"]
-    search = getattr(report, "_nlm_search", None)
+    search = report.nlm_search
     if search is not None:
         path = os.path.join(out_dir, f"{stem}_posterior.json")
         export_posterior_json(
@@ -503,13 +480,3 @@ def preset_configs(name: str, base: ExperimentConfig = None):
         cfg.label = f"{problem}_{method}_det{cfg.det_epochs}"
         configs.append(cfg)
     return configs
-
-
-def run_preset(name: str, out_dir, base: ExperimentConfig = None, emit=True):
-    reports = []
-    for cfg in preset_configs(name, base):
-        report = run_experiment(cfg)
-        if emit:
-            emit_outputs(report, out_dir)
-        reports.append(report)
-    return reports

@@ -38,7 +38,6 @@ from .errors import (
     TapeMismatchError,
     UnsupportedOrderError,
 )
-from .jets import Jet2
 
 ACTIVATIONS = ("tanh", "sigmoid")
 
@@ -402,34 +401,6 @@ def forward_values(params, X) -> np.ndarray:
     """Batched scalar outputs, no derivative tracking."""
     out, _ = forward_jets_batch(params, X)
     return out.value
-
-
-def forward(params, x) -> float:
-    """Scalar network output at a single input point."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(forward_values(params, x[None, :])[0])
-
-
-def forward_jet(params, x, tracked=(0,)) -> Jet2:
-    """Network output with exact first/second derivatives w.r.t. ``tracked``.
-
-    Every first and second slot of the tracked coordinates is propagated,
-    mixed ones included, and assembled into a full ``Jet2``.  The value entry
-    is computed by the same operations as :func:`forward`.
-    """
-    tracked = tuple(int(i) for i in tracked)
-    n = len(tracked)
-    if n not in (1, 2):
-        raise UnsupportedOrderError(f"forward_jet tracks 1 or 2 coordinates, got {n}")
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    derivs = tuple((i,) for i in tracked) + tuple((tracked[a], tracked[b]) for a, b in pairs)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out, _ = forward_jets_batch(params, x[None, :], derivs)
-    d1 = out.slots[:n, 0]
-    d2 = np.empty((n, n))
-    for s, (a, b) in enumerate(pairs, start=n):
-        d2[a, b] = d2[b, a] = out.slots[s, 0]
-    return Jet2(out.value[0], d1, d2)
 
 
 def hidden_features(params, X) -> np.ndarray:

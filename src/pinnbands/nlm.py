@@ -95,13 +95,6 @@ class PriorSearchResult:
     posterior: NLMPosterior
 
 
-def extract_features(trained, x) -> np.ndarray:
-    """Feature vector at one point: last hidden activations plus bias 1."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    hidden = hidden_features(trained.params, x[None, :])
-    return np.concatenate([hidden[0], [1.0]])
-
-
 def feature_matrix(trained, points) -> FeatureMatrix:
     pts = np.asarray(points, dtype=float)
     X = pts[:, None] if pts.ndim == 1 else pts
@@ -164,16 +157,6 @@ def nlm_fit(features: FeatureMatrix, data: SimulatedDataset, prior_sigma: float)
     cov = 0.5 * (cov + cov.T)
     mean = cho_solve(chol, weighted.T @ data.targets)
     return NLMPosterior(mean, cov, float(prior_sigma))
-
-
-def nlm_predict(posterior: NLMPosterior, feature_vector, sigma_p_at_x: float):
-    """Raw-head predictive mean and variance at one point (pre-transform)."""
-    phi = np.asarray(feature_vector, dtype=float)
-    if phi.shape != posterior.mean.shape:
-        raise ShapeError("feature vector does not match posterior dimension")
-    mean = float(phi @ posterior.mean)
-    var = float(sigma_p_at_x) ** 2 + float(phi @ posterior.covariance @ phi)
-    return mean, var
 
 
 def _grid_moments(posterior: NLMPosterior, features: np.ndarray):

@@ -34,8 +34,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConfigurationError, DomainError, ShapeError
-from .jets import Jet2
-from .network import forward_jet, forward_jets_batch, forward_values
+from .network import forward_jets_batch, forward_values
 
 
 def sin_pi(x):
@@ -142,83 +141,13 @@ class BurgersProblem:
         return ((0,), (1,), (0, 0))
 
 
-@dataclass
-class SurrogateEvaluation:
-    """Transformed surrogate jet and the equation residual at one point."""
-
-    u: Jet2
-    r: float
-
-
 # ---------------------------------------------------------------------------
-# hard-IC transforms
+# hard-IC transforms and batched evaluation
 # ---------------------------------------------------------------------------
-
-
-def _mask_jet(x, x0):
-    s = Jet2.variable(float(x), 0, 1) - x0
-    return 1.0 - (-s).exp()
-
-
-def reparameterize(raw_jet: Jet2, problem: ODEProblem, x) -> Jet2:
-    """Apply the hard initial-condition transform to a raw network jet.
-
-    Order 1 pins u~(x0) = u0; order 2 additionally pins u~'(x0) = u0'.
-    """
-    m = _mask_jet(x, problem.x0)
-    if problem.order == 1:
-        return problem.u0 + m * raw_jet
-    return problem.u0 + problem.u0_prime * m + m * m * raw_jet
 
 
 def burgers_initial_condition(x):
     return -sin_pi(x)
-
-
-def burgers_surrogate(params, x, t) -> Jet2:
-    """Jet of the Burgers surrogate u~(x,t); exact IC at t=0, exact zero walls.
-
-    u~(x,t) = -sin(pi x) e^(-t) + (1-x^2)(1-e^(-t)) net(x,t).
-    """
-    xj = Jet2.variable(float(x), 0, 2)
-    tj = Jet2.variable(float(t), 1, 2)
-    pi = math.pi
-    sin_j = Jet2(
-        float(sin_pi(x)), pi * float(cos_pi(x)) * xj.d1, -pi * pi * float(sin_pi(x)) * np.outer(xj.d1, xj.d1)
-    )
-    exp_neg_t = (-tj).exp()
-    a = -1.0 * sin_j * exp_neg_t
-    b = (1.0 - xj * xj) * (1.0 - exp_neg_t)
-    net = forward_jet(params, [float(x), float(t)], tracked=(0, 1))
-    return a + b * net
-
-
-def residual(problem, jet: Jet2, x) -> float:
-    """Differential-operator residual of a transformed surrogate jet."""
-    if isinstance(problem, BurgersProblem):
-        u_x = jet.d1[0]
-        u_t = jet.d1[1]
-        u_xx = jet.d2[0, 0]
-        return float(u_t + jet.value * u_x - problem.nu * u_xx)
-    f = float(problem.source(np.asarray(x, dtype=float)))
-    if problem.order == 1:
-        return float(jet.d1[0] + problem.lam * jet.value - f)
-    return float(jet.d2[0, 0] + problem.c1 * jet.d1[0] + problem.c0 * jet.value - f)
-
-
-def evaluate_surrogate(problem, params, x) -> SurrogateEvaluation:
-    """Transformed surrogate jet plus residual at a single point."""
-    if isinstance(problem, BurgersProblem):
-        u = burgers_surrogate(params, x[0], x[1])
-        return SurrogateEvaluation(u, residual(problem, u, x))
-    raw = forward_jet(params, [float(x)], tracked=(0,))
-    u = reparameterize(raw, problem, x)
-    return SurrogateEvaluation(u, residual(problem, u, x))
-
-
-# ---------------------------------------------------------------------------
-# batched evaluation (training / envelope / prediction paths)
-# ---------------------------------------------------------------------------
 
 
 def _ode_masks(problem, x):

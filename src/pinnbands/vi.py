@@ -2,8 +2,8 @@
 
 The variational family is a diagonal Gaussian with standard deviations
 parameterized through a softplus, sigma = log(1 + exp(rho)).  Means are
-initialized from the deterministically trained network and frozen by
-default; training adjusts only rho via reparameterized single-sample
+initialized from the deterministically trained network and frozen;
+training adjusts only rho via single-sample reparameterization-trick
 gradient steps on the negative ELBO (closed-form KL minus a Monte Carlo
 log-likelihood).
 
@@ -64,7 +64,6 @@ class MeanFieldGaussian:
     activation: str
     mu: np.ndarray
     rho: np.ndarray
-    means_frozen: bool = True
 
     def sigmas(self) -> np.ndarray:
         return softplus(self.rho)
@@ -114,9 +113,7 @@ def vi_init(trained: TrainedPINN, seed: int = 0) -> MeanFieldGaussian:
     params.validate()
     rng = np.random.default_rng(seed)
     rho = rng.uniform(-5.0, -4.0, size=params.theta.shape)
-    return MeanFieldGaussian(
-        list(params.layer_sizes), params.activation, params.theta.copy(), rho, True
-    )
+    return MeanFieldGaussian(list(params.layer_sizes), params.activation, params.theta.copy(), rho)
 
 
 def gaussian_kl(q: MeanFieldGaussian, prior_sigma: float, sigma=None) -> float:
@@ -215,21 +212,15 @@ def eval_elbo(ctx, q: MeanFieldGaussian, prior_sigma: float, offsets) -> float:
     return float(np.mean(logliks) - kl)
 
 
-def _adam_vector(q: MeanFieldGaussian) -> np.ndarray:
-    """The vector Adam moves: rho, followed by mu unless the means are frozen."""
-    return q.rho if q.means_frozen else np.concatenate([q.rho, q.mu])
-
-
 def _step(ctx, q, config, rng, adam_state):
-    """One reparameterized gradient step on the negative ELBO, averaged over
-    ``config.mc_samples_per_step`` draws."""
+    """One reparameterization-trick gradient step on the negative ELBO in rho
+    (the means stay frozen), averaged over ``config.mc_samples_per_step`` draws."""
     prior_sigma = config.prior_sigma
     sp2 = prior_sigma * prior_sigma
     sigma, dsigma = softplus(q.rho), expit(q.rho)
     kl = gaussian_kl(q, prior_sigma, sigma)
     kl_rho = (-1.0 / sigma + sigma / sp2) * dsigma
-    kl_mu = q.mu / sp2
-    acc_rho = acc_mu = None
+    acc_rho = None
     elbo_acc = 0.0
     for _ in range(config.mc_samples_per_step):
         z = rng.standard_normal(q.mu.size)
@@ -237,20 +228,13 @@ def _step(ctx, q, config, rng, adam_state):
         elbo_acc += loglik - kl
         # minimize -ELBO = KL - loglik;  d theta / d rho = zeta * sigmoid(rho)
         g_rho = kl_rho - dl * z * dsigma
-        g_mu = kl_mu - dl
-        if acc_rho is None:
-            acc_rho, acc_mu = g_rho, g_mu
-        else:
-            acc_rho, acc_mu = acc_rho + g_rho, acc_mu + g_mu
+        acc_rho = g_rho if acc_rho is None else acc_rho + g_rho
     k = float(config.mc_samples_per_step)
     elbo_val = elbo_acc / k
     if not np.isfinite(elbo_val):
         raise TrainingDivergedError("non-finite ELBO estimate")
-    grad = acc_rho if q.means_frozen else np.concatenate([acc_rho, acc_mu])
-    values, adam_state = adam_step_arrays(_adam_vector(q), grad / k, adam_state)
-    n = q.mu.size
-    mu = q.mu if q.means_frozen else values[n:]
-    return replace(q, rho=values[:n], mu=mu), elbo_val, adam_state
+    rho, adam_state = adam_step_arrays(q.rho, acc_rho / k, adam_state)
+    return replace(q, rho=rho), elbo_val, adam_state
 
 
 @dataclass
@@ -269,7 +253,7 @@ def vi_train(trained: TrainedPINN, config: VIConfig, profile=None, q0=None) -> V
     q = q0.copy() if q0 is not None else vi_init(trained, seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
     eval_offsets = rng.standard_normal((config.n_eval_draws, q.mu.size))
-    adam_state = init_adam(_adam_vector(q), config.learning_rate)
+    adam_state = init_adam(q.rho, config.learning_rate)
 
     steps = np.empty(config.epochs)
     evals = np.empty(config.epochs)

@@ -23,7 +23,7 @@ from pinnbands.bounds import (
     pseudo_sigma,
 )
 from pinnbands.harness import ExperimentConfig, emit_outputs, run_experiment
-from pinnbands.network import backward, forward_jet, forward_jets_batch, init_network
+from pinnbands.network import backward, forward_jets_batch, forward_values, init_network
 from pinnbands.nlm import (
     SimulatedDataset,
     build_simulated_dataset,
@@ -96,14 +96,14 @@ def test_c01_autodiff_matches_finite_differences():
         assert params.n_params() <= 100
 
         if two_input:
-            # jets only (space-time style input)
+            # jets only (space-time style input): the full Hessian, mixed slot included
             x = np.array([0.3 + 0.05 * k, 0.6])
-            jet = forward_jet(params, x, (0, 1))
+            out, _ = forward_jets_batch(params, x[None, :], ((0,), (1,), (0, 0), (0, 1), (1, 1)))
+            d1 = out.slots[:2, 0]
+            hxx, hxt, htt = out.slots[2:, 0]
 
             def f(a, b):
-                from pinnbands.network import forward
-
-                return forward(params, [a, b])
+                return forward_values(params, np.array([[a, b]]))[0]
 
             fd1 = np.array(
                 [
@@ -120,9 +120,9 @@ def test_c01_autodiff_matches_finite_differences():
                 + f(x[0] - h, x[1] - h)
             ) / (4 * h**2)
             fd2 = np.array([[fxx, fxt], [fxt, ftt]])
-            jet1_ad.extend(jet.d1)
+            jet1_ad.extend(d1)
             jet1_fd.extend(fd1)
-            jet2_ad.extend(jet.d2.ravel())
+            jet2_ad.extend([hxx, hxt, hxt, htt])
             jet2_fd.extend(fd2.ravel())
             continue
 
@@ -156,11 +156,11 @@ def test_c01_autodiff_matches_finite_differences():
         grad_errs.append(np.linalg.norm(ad - fd) / np.linalg.norm(fd))
 
         x0 = 0.4 + 0.07 * k
-        jet = forward_jet(params, [x0], (0,))
+        out, _ = forward_jets_batch(params, np.array([[x0]]), ((0,), (0, 0)))
         fp, f0, fm = (loss_scalar(params, x0 + h), loss_scalar(params, x0), loss_scalar(params, x0 - h))
-        jet1_ad.append(jet.d1[0])
+        jet1_ad.append(out.slot((0,))[0])
         jet1_fd.append((fp - fm) / (2 * h))
-        jet2_ad.append(jet.d2[0, 0])
+        jet2_ad.append(out.slot((0, 0))[0])
         jet2_fd.append((fp - 2 * f0 + fm) / h**2)
 
     elapsed = time.perf_counter() - start
@@ -178,9 +178,7 @@ def test_c01_autodiff_matches_finite_differences():
 
 
 def loss_scalar(params, x):
-    from pinnbands.network import forward
-
-    return forward(params, [x])
+    return forward_values(params, np.array([[x]]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +418,7 @@ def test_c08_vi_mechanics(models_10000, envelopes_10000):
     rng = np.random.default_rng(5)
     mus = rng.normal(size=8)
     sigmas = rng.uniform(0.2, 1.2, 8)
-    q = MeanFieldGaussian(
-        [1, 1], "tanh", mus, np.log(np.expm1(sigmas)), True
-    )
+    q = MeanFieldGaussian([1, 1], "tanh", mus, np.log(np.expm1(sigmas)))
     prior_sigma = 0.6
     exact = gaussian_kl(q, prior_sigma)
     n = 1_000_000

@@ -13,7 +13,6 @@ from pinnbands.bounds import (
     bound_second_order_distinct,
     bound_second_order_equal_limit,
     bound_second_order_zero,
-    burgers_pseudo_sigma,
     burgers_sigma_grid,
     envelope_from_function,
     estimate_envelope,
@@ -23,7 +22,13 @@ from pinnbands.bounds import (
     uniform_knots,
 )
 from pinnbands.errors import ConfigurationError, DomainError
-from pinnbands.problems import ODEProblem, analytic_solution, get_problem, surrogate_values
+from pinnbands.problems import (
+    ODEProblem,
+    analytic_solution,
+    get_problem,
+    residual_values,
+    surrogate_values,
+)
 from pinnbands.training import TrainConfig, GridSpec, train_deterministic
 
 
@@ -247,7 +252,7 @@ def tiny_burgers():
 class TestBurgersSigma:
 
     def test_zero_at_time_origin(self, tiny_burgers):
-        assert burgers_pseudo_sigma(tiny_burgers, 0.3, 0.0) == 0.0
+        assert burgers_sigma_grid(tiny_burgers, np.array([[0.3, 0.0]]))[0] == 0.0
 
     def test_constant_residual_riemann_sum(self):
         # sigma(t) = t * mean(|r|); constant residual c gives exactly c*t
@@ -264,9 +269,11 @@ class TestBurgersSigma:
         pts = np.array([[0.2, 0.5], [-0.4, 1.5], [0.0, 0.0]])
         grid_sig = burgers_sigma_grid(tiny_burgers, pts, 32)
         for k, (x, t) in enumerate(pts):
-            assert grid_sig[k] == pytest.approx(
-                burgers_pseudo_sigma(tiny_burgers, x, t, 32), rel=1e-12, abs=1e-15
-            )
+            # one row at a time: t * mean |r| over 32 equispaced times in [0, t]
+            taus = np.linspace(0.0, t, 32)
+            row = np.stack([np.full_like(taus, x), taus], axis=1)
+            r = residual_values(tiny_burgers.problem, tiny_burgers.params, row)
+            assert grid_sig[k] == pytest.approx(t * np.mean(np.abs(r)), rel=1e-12, abs=1e-15)
 
     def test_profile_dispatch(self, tiny_burgers):
         grid = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -281,14 +288,14 @@ def test_uniform_knots_cover_test_domain():
 
 
 def test_profile_csv_export(tmp_path, models_10, envelopes_10):
-    from pinnbands.bounds import profile_to_csv
+    from pinnbands.bands import write_csv
 
     trained = models_10["ode1.exp"]
     profile = pseudo_profile(
         trained.problem, trained, envelopes_10["ode1.exp"], np.linspace(0, 4, 5)
     )
     path = tmp_path / "profile.csv"
-    profile_to_csv(profile, path)
+    write_csv({"x": profile.grid, "sigma_P": profile.sigma_p}, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,sigma_P"
     assert len(lines) == 6

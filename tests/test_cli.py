@@ -67,6 +67,20 @@ class TestSolve:
         cfg.write_text("problem=ode1.cos\nmystery=1\n")
         assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path)) == 2
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        code = run_cli(
+            "solve", "--problem", "ode1.exp", "--method", "deterministic",
+            "--seed", "-1", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "configuration error:" in capsys.readouterr().err
+
+    def test_non_integer_config_value_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem=ode1.cos\nmethod=deterministic\ndet_epochs=abc\n")
+        assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path)) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
 
 class TestCertify:
     def test_bound_only_mode(self, tmp_path, capsys, models_10):

@@ -1,4 +1,4 @@
-"""Network engine: initialization, forward/jet evaluation, reverse mode."""
+"""Network engine: initialization, forward/slot evaluation, reverse mode."""
 
 import numpy as np
 import pytest
@@ -14,8 +14,6 @@ from pinnbands.network import (
     Gradients,
     NetworkParameters,
     backward,
-    forward,
-    forward_jet,
     forward_jets_batch,
     forward_values,
     hidden_features,
@@ -38,6 +36,17 @@ def naive_forward(params, x):
             nxt.append(act(z) if l < n_layers - 1 else z)
         values = nxt
     return values[0]
+
+
+def value_at(params, x):
+    """Network output at one input point, through the batched values pass."""
+    return forward_values(params, np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0]
+
+
+def slots_at(params, x, derivs):
+    """(value, {multi-index: derivative}) at one input point."""
+    out, _ = forward_jets_batch(params, np.atleast_1d(np.asarray(x, dtype=float))[None, :], derivs)
+    return out.value[0], {k: out.slot(k)[0] for k in out.derivs}
 
 
 class TestInit:
@@ -74,86 +83,88 @@ class TestForward:
         p = init_network([1, 8, 1], "tanh", seed=0)
         for w in p.weights:
             w[:] = 0.0
-        assert forward(p, [0.37]) == 0.0
-        assert forward(p, [-2.0]) == 0.0
+        assert value_at(p, [0.37]) == 0.0
+        assert value_at(p, [-2.0]) == 0.0
 
     def test_single_linear_layer_at_zero(self):
         p = init_network([1, 1], "tanh", seed=0)
         p.weights[0][:] = 1.0
-        assert forward(p, [0.0]) == 0.0
+        assert value_at(p, [0.0]) == 0.0
 
     def test_matches_naive_loop_oracle(self):
         for act in ("tanh", "sigmoid"):
             p = init_network([1, 5, 4, 1], act, seed=0)
-            assert forward(p, [0.5]) == pytest.approx(naive_forward(p, [0.5]), rel=1e-14)
+            assert value_at(p, [0.5]) == pytest.approx(naive_forward(p, [0.5]), rel=1e-14)
 
     def test_dimension_mismatch(self):
         p = init_network([2, 4, 1], "tanh", seed=0)
         with pytest.raises(ShapeError):
-            forward(p, [1.0])
+            value_at(p, [1.0])
 
     def test_batched_values_match_pointwise(self):
         p = init_network([1, 6, 1], "tanh", seed=4)
         xs = np.linspace(-1, 1, 9)
         batch = forward_values(p, xs[:, None])
-        single = np.array([forward(p, [x]) for x in xs])
+        single = np.array([value_at(p, [x]) for x in xs])
         assert np.allclose(batch, single, rtol=1e-14, atol=0)
 
 
 class TestForwardJet:
+    """Derivative slots of forward_jets_batch at single points."""
+
     def test_zero_network_zero_jet(self):
         p = init_network([1, 8, 1], "tanh", seed=0)
         for w in p.weights:
             w[:] = 0.0
-        j = forward_jet(p, [0.2], (0,))
-        assert j.value == 0.0 and np.all(j.d1 == 0.0) and np.all(j.d2 == 0.0)
+        v, d = slots_at(p, [0.2], ((0,), (0, 0)))
+        assert v == 0.0 and d[(0,)] == 0.0 and d[(0, 0)] == 0.0
 
     def test_hand_derivative_tanh_2x(self):
         # network value tanh(2x): hidden weight 2, identity output layer
         p = init_network([1, 1, 1], "tanh", seed=0)
         p.weights[0][:] = 2.0
         p.weights[1][:] = 1.0
-        j = forward_jet(p, [0.3], (0,))
+        v, d = slots_at(p, [0.3], ((0,), (0, 0)))
         t = np.tanh(0.6)
-        assert j.value == pytest.approx(t, abs=1e-15)
-        assert j.d1[0] == pytest.approx(2.0 * (1.0 - t * t), abs=1e-14)
-        assert j.d2[0, 0] == pytest.approx(-8.0 * t * (1.0 - t * t), abs=1e-13)
+        assert v == pytest.approx(t, abs=1e-15)
+        assert d[(0,)] == pytest.approx(2.0 * (1.0 - t * t), abs=1e-14)
+        assert d[(0, 0)] == pytest.approx(-8.0 * t * (1.0 - t * t), abs=1e-13)
 
     def test_value_equals_forward_bitwise(self):
         p = init_network([2, 7, 5, 1], "sigmoid", seed=9)
         x = np.array([0.4, -0.3])
-        v = forward(p, x)
-        assert forward_jet(p, x, (0,)).value == v
-        assert forward_jet(p, x, (1,)).value == v
-        assert forward_jet(p, x, (0, 1)).value == v
+        v = value_at(p, x)
+        assert slots_at(p, x, ((0,),))[0] == v
+        assert slots_at(p, x, ((1,),))[0] == v
+        assert slots_at(p, x, ((0,), (1,), (0, 1)))[0] == v
 
     def test_jets_match_finite_differences(self):
         h = 1e-4
         for seed in range(3):
             p = init_network([1, 6, 5, 1], "tanh", seed=seed)
             x = 0.3 + 0.2 * seed
-            j = forward_jet(p, [x], (0,))
-            fp, f0, fm = (forward(p, [x + h]), forward(p, [x]), forward(p, [x - h]))
+            _, d = slots_at(p, [x], ((0,), (0, 0)))
+            fp, f0, fm = (value_at(p, [x + h]), value_at(p, [x]), value_at(p, [x - h]))
             fd1 = (fp - fm) / (2 * h)
             fd2 = (fp - 2 * f0 + fm) / h**2
-            assert abs(j.d1[0] - fd1) / max(abs(fd1), 1e-12) < 1e-5
-            assert abs(j.d2[0, 0] - fd2) / max(abs(fd2), 1e-12) < 1e-5
+            assert abs(d[(0,)] - fd1) / max(abs(fd1), 1e-12) < 1e-5
+            assert abs(d[(0, 0)] - fd2) / max(abs(fd2), 1e-12) < 1e-5
 
     def test_two_coordinate_jets_symmetric(self):
         p = init_network([2, 6, 1], "sigmoid", seed=3)
-        j = forward_jet(p, [0.1, 0.9], (0, 1))
-        assert j.d2.shape == (2, 2)
-        assert j.d2[0, 1] == j.d2[1, 0]
+        _, d = slots_at(p, [0.1, 0.9], ((0,), (1,), (0, 1), (1, 0)))
+        assert d[(0, 1)] == d[(1, 0)]
 
     def test_too_many_tracked(self):
+        # a slot tracking three coordinates is a third derivative
         p = init_network([3, 4, 1], "tanh", seed=0)
         with pytest.raises(UnsupportedOrderError):
-            forward_jet(p, [0.0, 0.0, 0.0], (0, 1, 2))
+            slots_at(p, [0.0, 0.0, 0.0], ((0,), (1,), (2,), (0, 1, 2)))
 
     def test_tracked_out_of_range(self):
         p = init_network([1, 4, 1], "tanh", seed=0)
         with pytest.raises(ShapeError):
-            forward_jet(p, [0.0], (1,))
+            slots_at(p, [0.0], ((1,),))
 
 
 class TestBackward:

@@ -6,22 +6,23 @@ import math
 import numpy as np
 import pytest
 
+from pinnbands.bounds import ResidualEnvelope
 from pinnbands.errors import ConfigurationError
 from pinnbands.nlm import (
     FeatureMatrix,
+    NLMPosterior,
     SimulatedDataset,
     build_simulated_dataset,
     default_candidate_sigmas,
     export_posterior_json,
-    extract_features,
     feature_matrix,
     make_prior_eval_grid,
     nlm_band,
     nlm_fit,
-    nlm_predict,
     optimize_prior,
 )
-from pinnbands.network import init_network
+from pinnbands.network import NetworkParameters, init_network
+from pinnbands.problems import get_problem
 from pinnbands.training import TrainedPINN, training_grid
 
 
@@ -40,9 +41,21 @@ def brute_force_posterior(phi, y, variances, prior_sigma):
     return cov @ b, cov
 
 
+def features_at(trained, x):
+    """Feature row at one point: last hidden activations plus bias 1."""
+    return feature_matrix(trained, np.array([x])).matrix[0]
+
+
+def one_feature_model(hidden_bias):
+    """ode1.exp with a 1-1-1 tanh net whose hidden feature is tanh(hidden_bias)."""
+    params = NetworkParameters.zeros([1, 1, 1])
+    params.biases[0][:] = hidden_bias
+    return TrainedPINN(params, get_problem("ode1.exp"), np.empty(0), None)
+
+
 class TestFeatures:
     def test_dimension_is_width_plus_bias(self, models_10):
-        feats = extract_features(models_10["ode1.exp"], 0.5)
+        feats = features_at(models_10["ode1.exp"], 0.5)
         assert feats.shape == (33,)
         assert feats[-1] == 1.0
 
@@ -51,7 +64,7 @@ class TestFeatures:
         for w in params.weights:
             w[:] = 0.0
         trained = TrainedPINN(params, None, np.empty(0), None)
-        feats = extract_features(trained, 0.7)
+        feats = features_at(trained, 0.7)
         assert np.array_equal(feats, np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
 
     def test_matches_straight_loop(self, models_10):
@@ -60,7 +73,7 @@ class TestFeatures:
         v = np.array([x])
         for w, b in zip(trained.params.weights[:-1], trained.params.biases[:-1]):
             v = np.tanh(w @ v + b)
-        feats = extract_features(trained, x)
+        feats = features_at(trained, x)
         assert np.allclose(feats[:-1], v, rtol=1e-15)
 
     def test_head_reproduces_network_output(self, models_10):
@@ -145,26 +158,26 @@ class TestFit:
 
 class TestPredict:
     def test_zero_posterior_zero_variance(self):
-        post = nlm_fit(
-            FeatureMatrix(np.array([0.0]), np.array([[1.0]])),
-            SimulatedDataset(np.array([0.0]), np.array([0.0]), np.array([1.0])),
-            1.0,
-        )
-        post.covariance[:] = 0.0
-        mean, var = nlm_predict(post, np.array([1.0]), 0.0)
-        assert var == 0.0
+        trained = one_feature_model(0.3)
+        post = NLMPosterior(np.array([1.0, 2.0]), np.zeros((2, 2)), 1.0)
+        zero_env = ResidualEnvelope(np.array([0.0, 4.0]), np.array([0.0]))
+        band = nlm_band(trained, post, zero_env, np.linspace(0, 4, 9))
+        assert np.all(band.total_var == 0.0)
 
     def test_hand_arithmetic(self):
-        post = nlm_fit(
-            FeatureMatrix(np.array([0.0]), np.array([[1.0]])),
-            SimulatedDataset(np.array([0.0]), np.array([0.0]), np.array([1.0])),
-            1.0,
-        )
-        post.mean = np.array([2.0])
-        post.covariance = np.array([[0.5]])
-        mean, var = nlm_predict(post, np.array([3.0]), 0.5)
-        assert mean == pytest.approx(6.0)
-        assert var == pytest.approx(0.25 + 4.5)
+        # u0 = 2, mask m = 1 - e^-x, lam = 3; one constant envelope eps on [0, 4]
+        trained = one_feature_model(0.5)
+        post = NLMPosterior(np.array([2.0, 1.0]), np.array([[0.5, 0.1], [0.1, 0.2]]), 1.0)
+        eps = 0.5
+        env = ResidualEnvelope(np.array([0.0, 4.0]), np.array([eps]))
+        band = nlm_band(trained, post, env, np.array([1.0]))
+        phi = np.array([np.tanh(0.5), 1.0])
+        m = 1.0 - np.exp(-1.0)
+        sigma_p = eps * (1.0 - np.exp(-3.0)) / 3.0
+        epistemic = m * m * (0.5 * phi[0] ** 2 + 2 * 0.1 * phi[0] + 0.2)
+        assert band.mean[0] == pytest.approx(2.0 + m * (2.0 * phi[0] + 1.0), rel=1e-14)
+        assert band.epistemic_var[0] == pytest.approx(epistemic, rel=1e-13)
+        assert band.total_var[0] == pytest.approx(sigma_p**2 + epistemic, rel=1e-13)
 
     def test_variance_floor_is_sigma_p2(self, models_10000, envelopes_10000):
         trained = models_10000["ode1.poly"]

@@ -1,8 +1,11 @@
 """Problem registry, hard-IC transforms, residuals, analytic oracles.
 
 The residual-at-truth checks build exact jets of each analytic solution by
-hand (independent symbolic differentiation) and require the residual to
-vanish on them.  Analytic solutions are cross-checked against RK45.
+hand (independent symbolic differentiation) and require the operator, written
+out in the test from each problem's coefficients and source, to vanish on
+them.  Analytic solutions are cross-checked against RK45.  Surrogate values,
+slopes and residuals of the batched engine are checked against hand
+arithmetic, the chain rule written out here, and central differences.
 """
 
 import numpy as np
@@ -10,18 +13,14 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from pinnbands.errors import ConfigurationError, DomainError
-from pinnbands.jets import Jet2
-from pinnbands.network import forward_jet, init_network
+from pinnbands.network import NetworkParameters, forward_jets_batch, init_network
 from pinnbands.problems import (
     ODEProblem,
     analytic_solution,
     burgers_initial_condition,
-    burgers_surrogate,
     get_entry,
     get_problem,
     problem_ids,
-    reparameterize,
-    residual,
     residual_values,
     surrogate_values,
     sin_pi,
@@ -113,6 +112,48 @@ TRUE_JETS = {
 }
 
 
+def ode_residual(problem, x, u, du, ddu=0.0):
+    """u' + lam u - f, or u'' + c1 u' + c0 u - f, from the problem's fields."""
+    f = float(problem.source(np.asarray(x, dtype=float)))
+    if problem.order == 1:
+        return du + problem.lam * u - f
+    return ddu + problem.c1 * du + problem.c0 * u - f
+
+
+def linear_net(value, slope=0.0):
+    """One-input network value + slope * x (a single linear layer)."""
+    net = NetworkParameters.zeros([1, 1])
+    net.weights[0][:] = slope
+    net.biases[0][:] = value
+    return net
+
+
+def ode2_slope(problem, net, x):
+    """d/dx of u0 + u0' m + m^2 net with m = 1 - e^-(x - x0), from the slots."""
+    out, _ = forward_jets_batch(net, np.array([[x]]), ((0,),))
+    v, g = out.value[0], out.slot((0,))[0]
+    mp = np.exp(-(x - problem.x0))
+    m = 1.0 - mp
+    return problem.u0_prime * mp + 2.0 * m * mp * v + m * m * g
+
+
+def burgers_jets(net, x, t):
+    """(u, u_x, u_t, u_xx) of -sin(pi x) e^-t + (1 - x^2)(1 - e^-t) net(x, t),
+    by the chain rule over the network's slots."""
+    out, _ = forward_jets_batch(net, np.array([[x, t]]), ((0,), (1,), (0, 0)))
+    v = out.value[0]
+    gx, gt, hxx = out.slots[:, 0]
+    e, s, c = np.exp(-t), np.sin(np.pi * x), np.cos(np.pi * x)
+    a, a_x, a_t, a_xx = -s * e, -np.pi * c * e, s * e, np.pi**2 * s * e
+    b, b_x, b_t, b_xx = (1 - x * x) * (1 - e), -2 * x * (1 - e), (1 - x * x) * e, -2 * (1 - e)
+    return (
+        a + b * v,
+        a_x + b_x * v + b * gx,
+        a_t + b_t * v + b * gt,
+        a_xx + b_xx * v + 2 * b_x * gx + b * hxx,
+    )
+
+
 class TestRegistry:
     def test_all_ids_present(self):
         ids = problem_ids()
@@ -141,45 +182,46 @@ class TestRegistry:
 class TestReparameterize:
     def test_order1_pins_value_exactly(self):
         problem = get_problem("ode1.poly")
-        raw = Jet2(13.7, np.array([2.0]), np.array([[5.0]]))
-        j = reparameterize(raw, problem, problem.x0)
-        assert j.value == problem.u0
+        net = linear_net(13.7, 2.0)
+        assert surrogate_values(problem, net, np.array([problem.x0]))[0] == problem.u0
 
     def test_order1_asymptotic_value(self):
         problem = get_problem("ode1.poly")
-        raw = Jet2.constant(0.75)
-        j = reparameterize(raw, problem, 40.0)
-        assert j.value == pytest.approx(2.0 + 0.75, abs=1e-15)
+        u = surrogate_values(problem, linear_net(0.75), np.array([40.0]))[0]
+        assert u == pytest.approx(2.0 + 0.75, abs=1e-15)
 
     def test_order2_pins_value_and_slope(self):
         problem = get_problem("ode2.damped.exp")  # u(0)=3, u'(0)=-3
-        raw = Jet2(4.2, np.array([-1.3]), np.array([[0.8]]))
-        j = reparameterize(raw, problem, problem.x0)
-        assert j.value == 3.0
-        assert j.d1[0] == pytest.approx(-3.0, abs=1e-12)
+        net = linear_net(4.2, -1.3)
+        assert surrogate_values(problem, net, np.array([problem.x0]))[0] == 3.0
+        assert ode2_slope(problem, net, problem.x0) == pytest.approx(-3.0, abs=1e-12)
 
     def test_hard_enforcement_100_random_networks(self):
         p1 = get_problem("ode1.cos")
         p2 = get_problem("ode2.harmonic.log")  # u(0)=1, u'(0)=2
+        x0 = np.array([p1.x0])
         for seed in range(100):
             net = init_network([1, 6, 1], "tanh", seed=seed)
-            raw = forward_jet(net, [p1.x0], (0,))
-            assert reparameterize(raw, p1, p1.x0).value == p1.u0
-            j2 = reparameterize(raw, p2, p2.x0)
-            assert j2.value == p2.u0
-            assert abs(j2.d1[0] - p2.u0_prime) < 1e-12
+            assert surrogate_values(p1, net, x0)[0] == p1.u0
+            assert surrogate_values(p2, net, x0)[0] == p2.u0
+            assert abs(ode2_slope(p2, net, p2.x0) - p2.u0_prime) < 1e-12
 
 
 class TestResidual:
     def test_hand_arithmetic_cancellation(self):
+        # zero network: u~ = u0 = 2 everywhere, so u' + 3u - 6 = 0 exactly
         problem = ODEProblem(order=1, lam=3.0, source=lambda t: np.full_like(np.asarray(t, dtype=float), 6.0), u0=2.0)
-        jet = Jet2(2.0, np.array([0.0]), np.array([[0.0]]))
-        assert residual(problem, jet, 1.3) == 0.0
+        net = NetworkParameters.zeros([1, 4, 1])
+        assert residual_values(problem, net, np.array([1.3]))[0] == 0.0
 
     def test_hand_arithmetic_exp_source(self):
-        problem = get_problem("ode1.exp")  # f = 4 e^t
-        jet = Jet2(0.0, np.array([0.0]), np.array([[0.0]]))
-        assert residual(problem, jet, 0.0) == pytest.approx(-4.0, abs=1e-15)
+        # constant net c: u~ = 2 + (1 - e^-x) c, u~' = e^-x c, f = 4 e^x
+        problem = get_problem("ode1.exp")
+        c = 0.5
+        r = residual_values(problem, linear_net(c), np.array([0.0, 1.0]))
+        assert r[0] == pytest.approx(c + 3.0 * 2.0 - 4.0, abs=1e-15)
+        hand = np.exp(-1.0) * c + 3.0 * (2.0 + (1.0 - np.exp(-1.0)) * c) - 4.0 * np.e
+        assert r[1] == pytest.approx(hand, abs=1e-14)
 
     @pytest.mark.parametrize("pid", sorted(TRUE_JETS))
     def test_residual_vanishes_on_true_jets(self, pid):
@@ -187,12 +229,7 @@ class TestResidual:
         grid = np.linspace(problem.x0, problem.test_domain[1], 200)
         worst = 0.0
         for x in grid:
-            parts = TRUE_JETS[pid](x)
-            if problem.order == 1:
-                jet = Jet2(parts[0], np.array([parts[1]]), np.array([[0.0]]))
-            else:
-                jet = Jet2(parts[0], np.array([parts[1]]), np.array([[parts[2]]]))
-            worst = max(worst, abs(residual(problem, jet, x)))
+            worst = max(worst, abs(ode_residual(problem, x, *TRUE_JETS[pid](x))))
         assert worst < 1e-10
 
     def test_residual_vanishes_damped_log_quadrature_jets(self):
@@ -200,17 +237,14 @@ class TestResidual:
         # so the bar sits just above the closed-form rows
         problem = get_problem("ode2.damped.log")
         for x in np.linspace(0.0, 4.0, 50):
-            u, du, ddu = damped_log_jets(x)
-            jet = Jet2(u, np.array([du]), np.array([[ddu]]))
-            assert abs(residual(problem, jet, x)) < 1e-9
+            assert abs(ode_residual(problem, x, *damped_log_jets(x))) < 1e-9
 
     def test_logsing_consistency_before_singularity(self):
         problem = get_problem("ode1.logsing")
         for x in np.linspace(0.0, 0.9, 20):
             u = analytic_solution("ode1.logsing", x)
             du = float(problem.source(np.asarray(x))) - 3.0 * u
-            jet = Jet2(u, np.array([du]), np.array([[0.0]]))
-            assert abs(residual(problem, jet, x)) < 1e-10
+            assert abs(ode_residual(problem, x, u, du)) < 1e-10
 
 
 class TestAnalytic:
@@ -251,48 +285,57 @@ class TestAnalytic:
 class TestBurgersSurrogate:
     def test_initial_condition_any_network(self):
         net = init_network([2, 8, 1], "sigmoid", seed=5)
-        for x in (-0.8, -0.3, 0.0, 0.4, 0.9):
-            j = burgers_surrogate(net, x, 0.0)
-            assert j.value == burgers_initial_condition(x)
+        problem = get_problem("burgers")
+        xs = np.array([-0.8, -0.3, 0.0, 0.4, 0.9])
+        u = surrogate_values(problem, net, np.stack([xs, np.zeros_like(xs)], axis=1))
+        assert np.array_equal(u, burgers_initial_condition(xs))
 
     def test_walls_exactly_zero(self):
         net = init_network([2, 8, 1], "sigmoid", seed=5)
+        problem = get_problem("burgers")
         for t in (0.0, 0.5, 1.7):
-            assert burgers_surrogate(net, 1.0, t).value == 0.0
-            assert burgers_surrogate(net, -1.0, t).value == 0.0
+            u = surrogate_values(problem, net, np.array([[1.0, t], [-1.0, t]]))
+            assert np.all(u == 0.0)
 
     def test_zero_network_closed_form(self):
         net = init_network([2, 8, 1], "sigmoid", seed=0)
         for w in net.weights:
             w[:] = 0.0
-        j = burgers_surrogate(net, 0.5, 1.0)
-        assert j.value == pytest.approx(-np.exp(-1.0), abs=1e-15)
+        u = surrogate_values(get_problem("burgers"), net, np.array([[0.5, 1.0]]))[0]
+        assert u == pytest.approx(-np.exp(-1.0), abs=1e-15)
 
     def test_jet_matches_batched_residual_path(self):
+        # u_t + u u_x - nu u_xx from central differences of the surrogate; the
+        # bar adds the difference bars of the derivative checks below
         net = init_network([2, 8, 1], "sigmoid", seed=11)
         problem = get_problem("burgers")
         pts = np.array([[0.3, 0.7], [-0.6, 1.4]])
         r_batch = residual_values(problem, net, pts)
+
+        def u(x, t):
+            return surrogate_values(problem, net, np.array([[x, t]]))[0]
+
+        h = 1e-5
         for k, (x, t) in enumerate(pts):
-            j = burgers_surrogate(net, x, t)
-            assert residual(problem, j, (x, t)) == pytest.approx(r_batch[k], rel=1e-12, abs=1e-12)
-            assert surrogate_values(problem, net, pts[k : k + 1])[0] == pytest.approx(
-                j.value, rel=1e-14, abs=1e-15
-            )
+            u_x = (u(x + h, t) - u(x - h, t)) / (2 * h)
+            u_t = (u(x, t + h) - u(x, t - h)) / (2 * h)
+            u_xx = (u(x + h, t) - 2 * u(x, t) + u(x - h, t)) / h**2
+            fd = u_t + u(x, t) * u_x - problem.nu * u_xx
+            assert r_batch[k] == pytest.approx(fd, abs=1e-6)
 
     def test_jets_match_finite_differences(self):
         net = init_network([2, 6, 1], "sigmoid", seed=2)
+        problem = get_problem("burgers")
 
         def u(x, t):
-            return burgers_surrogate(net, x, t).value
+            return surrogate_values(problem, net, np.array([[x, t]]))[0]
 
         x, t, h = 0.25, 0.8, 1e-5
-        j = burgers_surrogate(net, x, t)
-        assert j.d1[0] == pytest.approx((u(x + h, t) - u(x - h, t)) / (2 * h), abs=1e-7)
-        assert j.d1[1] == pytest.approx((u(x, t + h) - u(x, t - h)) / (2 * h), abs=1e-7)
-        assert j.d2[0, 0] == pytest.approx(
-            (u(x + h, t) - 2 * u(x, t) + u(x - h, t)) / h**2, abs=1e-4
-        )
+        value, u_x, u_t, u_xx = burgers_jets(net, x, t)
+        assert value == pytest.approx(u(x, t), rel=1e-14, abs=1e-15)
+        assert u_x == pytest.approx((u(x + h, t) - u(x - h, t)) / (2 * h), abs=1e-7)
+        assert u_t == pytest.approx((u(x, t + h) - u(x, t - h)) / (2 * h), abs=1e-7)
+        assert u_xx == pytest.approx((u(x + h, t) - 2 * u(x, t) + u(x - h, t)) / h**2, abs=1e-4)
 
 
 def test_sin_pi_exact_at_integers():
@@ -310,6 +353,6 @@ def test_surrogate_values_match_jet_path_ode(models_10000):
     xs = np.linspace(0, 4, 17)
     batch = surrogate_values(problem, trained.params, xs)
     for k, x in enumerate(xs):
-        raw = forward_jet(trained.params, [x], (0,))
-        j = reparameterize(raw, problem, x)
-        assert batch[k] == pytest.approx(j.value, rel=1e-13, abs=1e-14)
+        out, _ = forward_jets_batch(trained.params, np.array([[x]]), ((0,),))
+        u = problem.u0 + (1.0 - np.exp(-(x - problem.x0))) * out.value[0]
+        assert batch[k] == pytest.approx(u, rel=1e-13, abs=1e-14)

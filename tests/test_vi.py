@@ -20,16 +20,15 @@ from pinnbands.vi import (
 )
 
 
-def scalar_q(mu, sigma, prior_frozen=True):
+def scalar_q(mu, sigma):
     rho = np.log(np.expm1(sigma))
-    return MeanFieldGaussian([1, 1], "tanh", np.array([mu]), np.array([rho]), prior_frozen)
+    return MeanFieldGaussian([1, 1], "tanh", np.array([mu]), np.array([rho]))
 
 
 class TestInit:
     def test_means_copied_and_frozen(self, models_10):
         trained = models_10["ode1.exp"]
         q = vi_init(trained, seed=0)
-        assert q.means_frozen
         assert np.array_equal(q.mu, trained.params.theta)
 
     def test_initial_sigmas_in_softplus_window(self, models_10):
@@ -63,9 +62,7 @@ class TestKL:
         rng = np.random.default_rng(0)
         mus = rng.normal(size=6)
         sigmas = rng.uniform(0.3, 1.5, 6)
-        q = MeanFieldGaussian(
-            [1, 1], "tanh", mus, np.log(np.expm1(sigmas)), True
-        )
+        q = MeanFieldGaussian([1, 1], "tanh", mus, np.log(np.expm1(sigmas)))
         prior_sigma = 0.8
         exact = gaussian_kl(q, prior_sigma)
         n = 1_000_000
