@@ -16,18 +16,10 @@ import numpy as np
 from pinnbands import surrogate_values
 from pinnbands.bounds import burgers_sigma_grid
 from pinnbands.problems import burgers_initial_condition, get_problem
-from pinnbands.training import GridSpec, TrainConfig, train_deterministic
+from pinnbands.training import default_train_config, train_deterministic
 
 nx = nt = 50
-cell = 2.0 / (nx - 1)
-config = TrainConfig(
-    epochs=2000,
-    batch_size=nx * nt,
-    learning_rate=1e-3,
-    collocation=GridSpec((nx, nt), ((-1.0, 1.0), (0.0, 1.0)), jitter=cell / 2.0),
-    seed=0,
-    activation="sigmoid",
-)
+config = default_train_config("burgers", epochs=2000, seed=0, grid=(nx, nt))
 print(f"training Burgers (nu = 0.01/pi) on a {nx}x{nt} jittered grid, "
       f"{config.epochs} epochs ...")
 trained = train_deterministic("burgers", config)

@@ -72,13 +72,9 @@ class ResidualEnvelope:
         return float(self.knots[-1])
 
 
-def uniform_knots(problem, n_intervals: int = 40) -> np.ndarray:
-    """Equispaced partition of [x0, test_end] (or the Burgers time window)."""
-    if isinstance(problem, BurgersProblem):
-        a, b = problem.test_time
-    else:
-        a, b = problem.x0, problem.test_domain[1]
-    return np.linspace(a, b, int(n_intervals) + 1)
+def uniform_knots(problem: ODEProblem, n_intervals: int = 40) -> np.ndarray:
+    """Equispaced partition of [x0, test_end]."""
+    return np.linspace(problem.x0, problem.test_domain[1], int(n_intervals) + 1)
 
 
 def envelope_from_function(residual_fn, knots, oversample=10, safety_factor=1.1) -> ResidualEnvelope:

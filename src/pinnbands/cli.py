@@ -16,10 +16,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .bands import write_csv
-from .bounds import estimate_envelope, pseudo_sigma, uniform_knots
 from .errors import (
     ConditioningError,
     ConfigurationError,
@@ -33,12 +30,14 @@ from .harness import (
     METHODS,
     ExperimentConfig,
     emit_outputs,
+    error_profile,
+    evaluation_grid,
     preset_configs,
     resolve_preset,
     run_experiment,
     save_artifacts,
 )
-from .problems import REGISTRY, get_entry, surrogate_values
+from .problems import REGISTRY, BurgersProblem, surrogate_values
 from .training import load_trained
 
 _CONFIG_EXIT = 2
@@ -164,20 +163,24 @@ def _list_problems() -> int:
 
 
 def _certify(args) -> int:
-    entry = get_entry(args.problem)
+    config = ExperimentConfig(
+        problem=args.problem,
+        grid_points=args.grid_points,
+        oversample=args.oversample,
+        safety_factor=args.safety_factor,
+    ).validate()
     trained = load_trained(args.weights)
     if trained.problem_id and trained.problem_id != args.problem:
         raise ConfigurationError(
             f"weights were trained for {trained.problem_id!r}, not {args.problem!r}"
         )
-    problem = entry.problem
-    envelope = estimate_envelope(
-        trained, uniform_knots(problem), args.oversample, args.safety_factor
-    )
-    grid = np.linspace(problem.x0, problem.test_domain[1], args.grid_points)
-    bound = np.asarray(pseudo_sigma(problem, envelope, grid), dtype=float)
+    problem = trained.problem
+    if isinstance(problem, BurgersProblem):
+        raise ConfigurationError("certify needs an ODE problem; Burgers has no error bound")
+    grid = evaluation_grid(problem, config)
+    _, profile = error_profile(trained, config, grid)
     u_det = surrogate_values(problem, trained.params, grid)
-    write_csv({"x": grid, "u_det": u_det, "bound": bound}, args.out)
+    write_csv({"x": grid, "u_det": u_det, "bound": profile.sigma_p}, args.out)
     print(args.out)
     return 0
 

@@ -6,6 +6,8 @@ residual envelope, pseudo-aleatoric profile, Bayesian head (exact linear
 model or variational inference), posterior sampling, predictive moments.
 The deterministic method stops after training; the baseline VI method skips
 the pseudo-aleatoric term and places the likelihood on the residuals.
+Burgers cells run the same pipeline without an envelope: their sigma_P is
+the accumulated-residual heuristic, and the NLM head is not defined for them.
 
 Reports are written as CSV (fixed column contract), a JSON metrics record,
 and a gnuplot-style band file.  Identical configurations produce
@@ -24,14 +26,7 @@ import scipy
 
 from . import __version__
 from .bands import PredictiveBand, write_csv
-from .bounds import (
-    PseudoAleatoricProfile,
-    burgers_sigma_grid,
-    estimate_envelope,
-    pseudo_profile,
-    pseudo_sigma,
-    uniform_knots,
-)
+from .bounds import burgers_sigma_grid, estimate_envelope, pseudo_profile, uniform_knots
 from .errors import ConfigurationError, ShapeError
 from .nlm import (
     PriorSearchResult,
@@ -51,8 +46,8 @@ from .problems import (
 )
 from .training import (
     GridSpec,
-    TrainConfig,
     TrainedPINN,
+    collocation_points,
     default_train_config,
     save_trained,
     train_deterministic,
@@ -67,6 +62,17 @@ REPORT_COLUMNS = "x,u_true,u_det,mean,sd_total,sigma_P,bound,covered_3sigma"
 # seed offsets for the pipeline stages, derived from the master seed
 _SEED_VI = 1
 _SEED_SAMPLES = 2
+
+# smallest accepted value of each integer ExperimentConfig field
+_LOWEST = {
+    "det_epochs": 0,
+    "vi_epochs": 0,
+    "seed": 0,
+    "grid_points": 2,
+    "oversample": 0,
+    "envelope_intervals": 1,
+    "burgers_time_samples": 1,
+}
 
 
 @dataclass
@@ -87,12 +93,18 @@ class ExperimentConfig:
     label: str = ""
 
     def validate(self):
-        get_entry(self.problem)
+        problem = get_entry(self.problem).problem
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}; known: {METHODS}")
-        for name in ("det_epochs", "vi_epochs", "seed", "grid_points", "oversample"):
-            if getattr(self, name) < 0 or (name == "grid_points" and self.grid_points < 2):
+        if self.method == "error_aware_nlm" and isinstance(problem, BurgersProblem):
+            raise ConfigurationError(
+                "error_aware_nlm is not defined for Burgers; use deterministic or a VI method"
+            )
+        for name, lowest in _LOWEST.items():
+            if getattr(self, name) < lowest:
                 raise ConfigurationError(f"{name} out of range")
+        if len(self.burgers_grid) != 2 or min(self.burgers_grid) < 2:
+            raise ConfigurationError("burgers_grid needs two entries >= 2")
         return self
 
     def stem(self) -> str:
@@ -151,32 +163,45 @@ def _prior_sigma_for(problem) -> float:
     return 1.0
 
 
+def evaluation_grid(problem, config: ExperimentConfig) -> np.ndarray:
+    """Report grid: ``grid_points`` over [x0, test end] for an ODE; for
+    Burgers the ``burgers_grid`` over space x test time, rows x-major."""
+    if isinstance(problem, BurgersProblem):
+        spec = GridSpec(config.burgers_grid, (problem.space_domain, problem.test_time))
+    else:
+        spec = GridSpec(config.grid_points, (problem.x0, problem.test_domain[1]))
+    return collocation_points(spec)
+
+
+def error_profile(trained: TrainedPINN, config: ExperimentConfig, grid):
+    """(residual envelope, sigma_P profile on ``grid``); the envelope is None
+    for Burgers, whose sigma_P is the accumulated-residual heuristic."""
+    problem = trained.problem
+    envelope = None
+    if not isinstance(problem, BurgersProblem):
+        knots = uniform_knots(problem, config.envelope_intervals)
+        envelope = estimate_envelope(trained, knots, config.oversample, config.safety_factor)
+    return envelope, pseudo_profile(problem, trained, envelope, grid, config.burgers_time_samples)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Execute one experiment cell; Burgers cells get their own report shape."""
+    """Execute one experiment cell: train, sigma_P on the report grid, head
+    (deterministic, NLM or VI), then the table and metrics of the problem kind."""
     config.validate()
     entry = get_entry(config.problem)
-    if isinstance(entry.problem, BurgersProblem):
-        return run_burgers(config)
-
     problem = entry.problem
-    det_cfg = default_train_config(config.problem, epochs=config.det_epochs, seed=config.seed)
+    det_cfg = default_train_config(
+        config.problem, epochs=config.det_epochs, seed=config.seed, grid=config.burgers_grid
+    )
     trained = train_deterministic(config.problem, det_cfg)
 
-    grid = np.linspace(problem.x0, problem.test_domain[1], config.grid_points)
+    grid = evaluation_grid(problem, config)
     u_det = surrogate_values(problem, trained.params, grid)
-    u_true = np.asarray(entry.analytic(grid), dtype=float) if entry.analytic and not entry.singular else np.full_like(grid, np.nan)
-
-    envelope = estimate_envelope(
-        trained,
-        uniform_knots(problem, config.envelope_intervals),
-        config.oversample,
-        config.safety_factor,
-    )
-    bound = np.asarray(pseudo_sigma(problem, envelope, grid), dtype=float)
+    envelope, profile = error_profile(trained, config, grid)
 
     extras, search = {}, None
     if config.method == "deterministic":
-        zeros = np.zeros_like(grid)
+        zeros = np.zeros_like(u_det)
         band = PredictiveBand(grid, u_det, zeros, zeros, zeros)
     elif config.method == "error_aware_nlm":
         dataset = build_simulated_dataset(trained, envelope)
@@ -191,37 +216,49 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             "prior_objective": search.objective,
         }
     else:
-        likelihood = (
-            "baseline_residual" if config.method == "baseline_vi" else "error_aware_simulated"
-        )
-        profile = None
-        if likelihood == "error_aware_simulated":
-            profile = pseudo_profile(problem, trained, envelope, training_grid(trained))
+        error_aware = config.method == "error_aware_vi"
         vi_cfg = VIConfig(
             prior_sigma=_prior_sigma_for(problem),
             epochs=config.vi_epochs,
-            likelihood=likelihood,
-            sigma_d=1.0,
+            likelihood="error_aware_simulated" if error_aware else "baseline_residual",
             n_posterior_samples=config.n_posterior_samples,
             learning_rate=det_cfg.learning_rate,
             seed=config.seed + _SEED_VI,
         )
-        run = vi_train(trained, vi_cfg, profile=profile)
+        train_profile = None
+        if error_aware:
+            train_profile = pseudo_profile(
+                problem, trained, envelope, training_grid(trained), config.burgers_time_samples
+            )
+        run = vi_train(trained, vi_cfg, profile=train_profile)
         samples = sample_posterior(run.q, vi_cfg.n_posterior_samples, seed=config.seed + _SEED_SAMPLES)
-        grid_profile = (
-            pseudo_profile(problem, trained, envelope, grid)
-            if likelihood == "error_aware_simulated"
-            else None
-        )
-        band = predictive_moments(samples, problem, grid, grid_profile)
+        band = predictive_moments(samples, problem, grid, profile if error_aware else None)
         extras = {"elbo_final": float(run.elbo_history[-1]) if len(run.elbo_history) else None}
 
-    sd = band.sd_total
-    covered = (
-        np.abs(u_true - band.mean) <= 3.0 * sd
-        if np.all(np.isfinite(u_true))
-        else np.zeros_like(grid, dtype=bool)
+    if isinstance(problem, BurgersProblem):
+        table, metrics = _burgers_table(config, trained, grid, u_det, profile, band)
+    else:
+        table, metrics = _ode_table(entry, grid, u_det, profile, band)
+    metrics.update(
+        problem=config.problem,
+        method=config.method,
+        det_epochs=config.det_epochs,
+        final_train_loss=float(trained.loss_history[-1]) if len(trained.loss_history) else None,
+        **extras,
     )
+    return ExperimentReport(table, metrics, _provenance(config), band, config, trained, search)
+
+
+def _ode_table(entry, grid, u_det, profile, band):
+    """ODE table and metrics: truth, the bound, and 3-sigma coverage in the
+    training and extrapolation regions (when a finite truth exists)."""
+    if entry.analytic and not entry.singular:
+        u_true = np.asarray(entry.analytic(grid), dtype=float)
+    else:
+        u_true = np.full_like(grid, np.nan)
+    has_truth = bool(np.all(np.isfinite(u_true)))
+    sd = band.sd_total
+    covered = np.abs(u_true - band.mean) <= 3.0 * sd if has_truth else np.zeros_like(grid, dtype=bool)
     table = {
         "x": grid,
         "u_true": u_true,
@@ -229,20 +266,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "mean": band.mean,
         "sd_total": sd,
         "sigma_P": np.sqrt(band.sigma_p2),
-        "bound": bound,
+        "bound": profile.sigma_p,
         "covered_3sigma": covered.astype(int),
     }
-
-    train_end = problem.train_domain[1]
-    in_train = grid <= train_end
-    metrics = {
-        "problem": config.problem,
-        "method": config.method,
-        "det_epochs": config.det_epochs,
-        "final_train_loss": float(trained.loss_history[-1]) if len(trained.loss_history) else None,
-        "mean_band_width_3sigma": float(np.mean(6.0 * sd)),
-    }
-    if np.all(np.isfinite(u_true)):
+    metrics = {"mean_band_width_3sigma": float(np.mean(6.0 * sd))}
+    if has_truth:
+        in_train = grid <= entry.problem.train_domain[1]
         metrics.update(
             {
                 "max_abs_error_det": float(np.max(np.abs(u_true - u_det))),
@@ -252,77 +281,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 "coverage_3sigma_full": float(np.mean(covered)),
             }
         )
-    metrics.update(extras)
-    return ExperimentReport(table, metrics, _provenance(config), band, config, trained, search)
+    return table, metrics
 
 
-def run_burgers(config: ExperimentConfig) -> ExperimentReport:
-    """Burgers cell: (x, t) table with the accumulated-residual sigma.
-
-    No analytic truth or coverage columns exist here; the report carries the
-    surrogate, the heuristic sigma_P, and hard-constraint diagnostics.
-    """
-    config.validate()
-    problem = get_entry(config.problem).problem
-    if not isinstance(problem, BurgersProblem):
-        raise ConfigurationError("run_burgers needs the burgers problem")
-    if config.method == "error_aware_nlm":
-        raise ConfigurationError(
-            "error_aware_nlm is not defined for Burgers; use deterministic or a VI method"
-        )
-
-    nx, nt = config.burgers_grid
-    cell = (problem.space_domain[1] - problem.space_domain[0]) / (nx - 1)
-    det_cfg = TrainConfig(
-        epochs=config.det_epochs,
-        batch_size=nx * nt,
-        learning_rate=1e-3,
-        collocation=GridSpec(
-            (nx, nt), (problem.space_domain, problem.train_time), jitter=cell / 2.0
-        ),
-        seed=config.seed,
-        activation="sigmoid",
-    )
-    trained = train_deterministic(config.problem, det_cfg)
-
-    xs = np.linspace(*problem.space_domain, nx)
-    ts = np.linspace(*problem.test_time, nt)
-    gx, gt = np.meshgrid(xs, ts, indexing="ij")
-    grid = np.stack([gx.ravel(), gt.ravel()], axis=1)
-
-    u_det = surrogate_values(problem, trained.params, grid)
-    sigma = burgers_sigma_grid(trained, grid, config.burgers_time_samples)
-
-    if config.method == "deterministic":
-        zeros = np.zeros_like(u_det)
-        band = PredictiveBand(grid, u_det, zeros, zeros, zeros)
-    else:
-        likelihood = (
-            "baseline_residual" if config.method == "baseline_vi" else "error_aware_simulated"
-        )
-        coll = training_grid(trained)
-        profile = (
-            pseudo_profile(problem, trained, None, coll, config.burgers_time_samples)
-            if likelihood == "error_aware_simulated"
-            else None
-        )
-        vi_cfg = VIConfig(
-            prior_sigma=1.0,
-            epochs=config.vi_epochs,
-            likelihood=likelihood,
-            n_posterior_samples=config.n_posterior_samples,
-            learning_rate=det_cfg.learning_rate,
-            seed=config.seed + _SEED_VI,
-        )
-        run = vi_train(trained, vi_cfg, profile=profile)
-        samples = sample_posterior(run.q, vi_cfg.n_posterior_samples, seed=config.seed + _SEED_SAMPLES)
-        grid_profile = (
-            PseudoAleatoricProfile(grid, sigma, "burgers_heuristic")
-            if likelihood == "error_aware_simulated"
-            else None
-        )
-        band = predictive_moments(samples, problem, grid, grid_profile)
-
+def _burgers_table(config, trained, grid, u_det, profile, band):
+    """Burgers table and metrics: no truth exists, so the metrics are the
+    hard-constraint errors and the mean sigma_P on five time slices."""
+    problem = trained.problem
+    nt = config.burgers_grid[1]
+    xs, ts = grid[::nt, 0], grid[:nt, 1]
     ic_pts = np.stack([xs, np.zeros_like(xs)], axis=1)
     ic_err = float(
         np.max(np.abs(surrogate_values(problem, trained.params, ic_pts) - burgers_initial_condition(xs)))
@@ -331,32 +298,21 @@ def run_burgers(config: ExperimentConfig) -> ExperimentReport:
     for xb in problem.space_domain:
         pts = np.stack([np.full_like(ts, xb), ts], axis=1)
         bc_err = max(bc_err, float(np.max(np.abs(surrogate_values(problem, trained.params, pts)))))
-
-    slice_means = {}
+    metrics = {"max_ic_error": ic_err, "max_bc_error": bc_err}
     for t in (0.0, 0.5, 1.0, 1.5, 2.0):
         pts = np.stack([xs, np.full_like(xs, t)], axis=1)
-        slice_means[f"mean_sigma_P_t{t:g}"] = float(
+        metrics[f"mean_sigma_P_t{t:g}"] = float(
             np.mean(burgers_sigma_grid(trained, pts, config.burgers_time_samples))
         )
-
     table = {
         "x": grid[:, 0],
         "t": grid[:, 1],
         "u_det": u_det,
         "mean": band.mean,
         "sd_total": band.sd_total,
-        "sigma_P": sigma,
+        "sigma_P": profile.sigma_p,
     }
-    metrics = {
-        "problem": config.problem,
-        "method": config.method,
-        "det_epochs": config.det_epochs,
-        "final_train_loss": float(trained.loss_history[-1]) if len(trained.loss_history) else None,
-        "max_ic_error": ic_err,
-        "max_bc_error": bc_err,
-        **slice_means,
-    }
-    return ExperimentReport(table, metrics, _provenance(config), band, config, trained)
+    return table, metrics
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Deterministic residual training: minimize mean squared residual with Adam.
 
-One epoch is one full-batch Adam step over the fixed collocation grid
-(the grid is small enough that batching below the full set is only used
-when explicitly configured).  Runs are bit-reproducible for a fixed seed.
+One epoch is one full-batch Adam step over the collocation grid.  Runs are
+bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -29,7 +28,8 @@ from .weights_io import load_weights, save_weights
 
 @dataclass
 class GridSpec:
-    """Collocation grid: ``count`` points (or (nx, nt) for space-time grids).
+    """Equally spaced collocation grid: ``count`` points (or (nx, nt) for
+    space-time grids).
 
     ``jitter`` > 0 adds per-epoch uniform coordinate noise of that amplitude,
     clipped to the domain; 0 keeps the grid fixed.
@@ -37,14 +37,12 @@ class GridSpec:
 
     count: object = 32
     domain: object = (0.0, 2.0)
-    equally_spaced: bool = True
     jitter: float = 0.0
 
 
 @dataclass
 class TrainConfig:
     epochs: int = 10000
-    batch_size: int = 32
     learning_rate: float = 0.01
     collocation: GridSpec = field(default_factory=GridSpec)
     seed: int = 0
@@ -61,46 +59,36 @@ class TrainedPINN:
     problem_id: str = ""
 
 
-def default_train_config(problem_id: str, epochs: Optional[int] = None, seed: int = 0) -> TrainConfig:
+def default_train_config(
+    problem_id: str, epochs: Optional[int] = None, seed: int = 0, grid: tuple = (100, 100)
+) -> TrainConfig:
     """Benchmark defaults: 2x32 tanh, lr 0.01, 32 equally spaced points for
-    ODEs; 2x32 sigmoid, lr 1e-3, jittered 100x100 grid for Burgers."""
-    entry = get_entry(problem_id)
-    if isinstance(entry.problem, BurgersProblem):
-        pr = entry.problem
-        nx = nt = 100
+    ODEs; 2x32 sigmoid, lr 1e-3, a jittered ``grid`` = (nx, nt) for Burgers."""
+    pr = get_entry(problem_id).problem
+    if isinstance(pr, BurgersProblem):
+        nx, nt = grid
         cell = (pr.space_domain[1] - pr.space_domain[0]) / (nx - 1)
-        grid = GridSpec(
-            count=(nx, nt),
-            domain=(pr.space_domain, pr.train_time),
-            jitter=cell / 2.0,
-        )
         return TrainConfig(
             epochs=20000 if epochs is None else epochs,
-            batch_size=nx * nt,
             learning_rate=1e-3,
-            collocation=grid,
+            collocation=GridSpec((nx, nt), (pr.space_domain, pr.train_time), jitter=cell / 2.0),
             seed=seed,
             activation="sigmoid",
         )
-    pr = entry.problem
-    grid = GridSpec(count=32, domain=tuple(pr.train_domain))
     return TrainConfig(
         epochs=10000 if epochs is None else epochs,
-        batch_size=32,
         learning_rate=0.01,
-        collocation=grid,
+        collocation=GridSpec(count=32, domain=tuple(pr.train_domain)),
         seed=seed,
         activation="tanh",
     )
 
 
-def collocation_points(spec: GridSpec, rng=None) -> np.ndarray:
+def collocation_points(spec: GridSpec) -> np.ndarray:
     """Materialize a GridSpec; 1-D -> (M,), 2-D -> (M, 2) with columns (x, t)."""
     if isinstance(spec.count, (tuple, list)):
         (nx, nt) = spec.count
         (xa, xb), (ta, tb) = spec.domain
-        if not spec.equally_spaced:
-            raise ConfigurationError("2-D collocation supports equally spaced grids only")
         xs = np.linspace(xa, xb, int(nx))
         ts = np.linspace(ta, tb, int(nt))
         gx, gt = np.meshgrid(xs, ts, indexing="ij")
@@ -109,11 +97,7 @@ def collocation_points(spec: GridSpec, rng=None) -> np.ndarray:
     n = int(spec.count)
     if n < 1:
         raise ConfigurationError("collocation count must be positive")
-    if spec.equally_spaced:
-        return np.linspace(a, b, n)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return np.sort(rng.uniform(a, b, size=n))
+    return np.linspace(a, b, n)
 
 
 def _check_collocation_domain(problem, spec: GridSpec):
@@ -181,11 +165,6 @@ def train_deterministic(problem_or_id, config: TrainConfig) -> TrainedPINN:
 
     _check_collocation_domain(problem, config.collocation)
     base_points = collocation_points(config.collocation)
-    n_points = len(base_points)
-    if config.batch_size > n_points:
-        raise ConfigurationError(
-            f"batch_size {config.batch_size} exceeds collocation count {n_points}"
-        )
 
     layer_sizes = [problem.input_dim, *config.hidden, 1]
     params = init_network(layer_sizes, config.activation, seed=config.seed)
@@ -195,22 +174,16 @@ def train_deterministic(problem_or_id, config: TrainConfig) -> TrainedPINN:
     history = np.empty(config.epochs)
     for epoch in range(config.epochs):
         pts = _jittered(base_points, config.collocation, rng)
-        epoch_loss = 0.0
-        for start in range(0, n_points, config.batch_size):
-            batch = pts[start : start + config.batch_size]
-            loss, grads = residual_loss_and_grads(problem, params, batch)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite residual loss at epoch {epoch}", epoch=epoch
-                )
-            try:
-                params, state = adam_step(params, grads, state)
-            except TrainingDivergedError as exc:
-                raise TrainingDivergedError(
-                    f"non-finite gradients at epoch {epoch}", epoch=epoch
-                ) from exc
-            epoch_loss += loss * len(batch)
-        history[epoch] = epoch_loss / n_points
+        loss, grads = residual_loss_and_grads(problem, params, pts)
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(f"non-finite residual loss at epoch {epoch}", epoch=epoch)
+        try:
+            params, state = adam_step(params, grads, state)
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(
+                f"non-finite gradients at epoch {epoch}", epoch=epoch
+            ) from exc
+        history[epoch] = loss
 
     return TrainedPINN(params, problem, history, config, problem_id=problem_id)
 
@@ -230,7 +203,6 @@ def save_trained(trained: TrainedPINN, path_prefix: str):
         "problem_id": trained.problem_id,
         "final_loss": float(trained.loss_history[-1]) if len(trained.loss_history) else None,
         "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
         "learning_rate": cfg.learning_rate,
         "seed": cfg.seed,
         "hidden": list(cfg.hidden),
@@ -239,7 +211,6 @@ def save_trained(trained: TrainedPINN, path_prefix: str):
             "count": cfg.collocation.count if not isinstance(cfg.collocation.count, tuple)
             else list(cfg.collocation.count),
             "domain": np.asarray(cfg.collocation.domain, dtype=float).tolist(),
-            "equally_spaced": cfg.collocation.equally_spaced,
             "jitter": cfg.collocation.jitter,
         },
     }
@@ -264,9 +235,8 @@ def load_trained(path_prefix: str) -> TrainedPINN:
         domain = tuple(domain)
     config = TrainConfig(
         epochs=meta["epochs"],
-        batch_size=meta["batch_size"],
         learning_rate=meta["learning_rate"],
-        collocation=GridSpec(count, domain, coll["equally_spaced"], coll["jitter"]),
+        collocation=GridSpec(count, domain, coll["jitter"]),
         seed=meta["seed"],
         hidden=tuple(meta["hidden"]),
         activation=meta["activation"],

@@ -471,7 +471,6 @@ def burgers_desk():
     cell = 2.0 / (nx - 1)
     cfg = TrainConfig(
         epochs=2000,
-        batch_size=nx * nt,
         learning_rate=1e-3,
         collocation=GridSpec((nx, nt), ((-1.0, 1.0), (0.0, 1.0)), jitter=cell / 2.0),
         seed=0,

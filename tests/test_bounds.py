@@ -242,7 +242,7 @@ class TestDispatch:
 @pytest.fixture(scope="module")
 def tiny_burgers():
     cfg = TrainConfig(
-        epochs=30, batch_size=100, learning_rate=1e-3,
+        epochs=30, learning_rate=1e-3,
         collocation=GridSpec((10, 10), ((-1.0, 1.0), (0.0, 1.0))),
         seed=0, activation="sigmoid",
     )

@@ -3,10 +3,11 @@
 import os
 
 import numpy as np
+import pytest
 
 from pinnbands.cli import main
 from pinnbands.problems import problem_ids
-from pinnbands.training import save_trained
+from pinnbands.training import default_train_config, save_trained, train_deterministic
 
 
 def run_cli(*argv):
@@ -106,6 +107,32 @@ class TestCertify:
             "--out", str(tmp_path / "c.csv"),
         )
         assert code == 2
+
+
+    @pytest.mark.parametrize("points", ["-3", "1"])
+    def test_bad_grid_points_exit_2(self, tmp_path, capsys, models_10, points):
+        prefix = str(tmp_path / "model")
+        save_trained(models_10["ode1.exp"], prefix)
+        code = run_cli(
+            "certify", "--weights", prefix, "--problem", "ode1.exp",
+            "--grid-points", points, "--out", str(tmp_path / "c.csv"),
+        )
+        assert code == 2
+        assert "configuration error:" in capsys.readouterr().err
+
+    def test_burgers_weights_exit_2(self, tmp_path, capsys):
+        trained = train_deterministic(
+            "burgers", default_train_config("burgers", epochs=1, seed=0, grid=(3, 3))
+        )
+        prefix = str(tmp_path / "model")
+        save_trained(trained, prefix)
+        code = run_cli(
+            "certify", "--weights", prefix, "--problem", "burgers",
+            "--out", str(tmp_path / "c.csv"),
+        )
+        assert code == 2
+        assert "configuration error:" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "c.csv")
 
 
 def test_numeric_failure_exit_3(tmp_path, monkeypatch, capsys):

@@ -112,6 +112,17 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("field,value", [
+        ("burgers_grid", (1, 6)),
+        ("burgers_grid", (6, 1)),
+        ("burgers_time_samples", 0),
+        ("envelope_intervals", 0),
+    ])
+    def test_out_of_range_field_rejected(self, field, value):
+        cfg = ExperimentConfig(problem="burgers", method="deterministic", **{field: value})
+        with pytest.raises(ConfigurationError):
+            cfg.validate()
+
 
 class TestEmitOutputs:
     def test_csv_header_contract(self, small_nlm_report, tmp_path):
@@ -144,6 +155,34 @@ class TestEmitOutputs:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         emit_outputs(run_experiment(cfg), out_a)
         emit_outputs(run_experiment(cfg), out_b)
+        for name in os.listdir(out_a):
+            with open(out_a / name, "rb") as fa, open(out_b / name, "rb") as fb:
+                assert fa.read() == fb.read(), name
+
+
+_TINY_BURGERS = dict(
+    problem="burgers", det_epochs=2, vi_epochs=2, burgers_grid=(6, 6),
+    burgers_time_samples=4, n_posterior_samples=5,
+)
+
+
+class TestBurgersCell:
+    @pytest.mark.parametrize("method", ["deterministic", "baseline_vi", "error_aware_vi"])
+    def test_tiny_cell(self, method, tmp_path):
+        cfg = ExperimentConfig(method=method, **_TINY_BURGERS)
+        report = run_experiment(cfg)
+        assert report.trained.config.collocation.count == cfg.burgers_grid
+        assert report.metrics["max_ic_error"] == report.metrics["max_bc_error"] == 0.0
+        at_origin = report.table["t"] == 0.0
+        assert np.count_nonzero(at_origin) == 6
+        assert np.all(report.table["sigma_P"][at_origin] == 0.0)
+
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        paths = emit_outputs(report, out_a)
+        csv_path = [p for p in paths if p.endswith(".csv")][0]
+        assert open(csv_path).readline().strip() == "x,t,u_det,mean,sd_total,sigma_P"
+        emit_outputs(run_experiment(cfg), out_b)
+        assert sorted(os.listdir(out_a)) == sorted(os.listdir(out_b))
         for name in os.listdir(out_a):
             with open(out_a / name, "rb") as fa, open(out_b / name, "rb") as fb:
                 assert fa.read() == fb.read(), name

@@ -5,6 +5,7 @@ import pytest
 
 from pinnbands.errors import ConfigurationError, TrainingDivergedError
 from pinnbands.network import forward_jets_batch, init_network
+from pinnbands.weights_io import save_weights
 from pinnbands.problems import (
     NONSINGULAR_FIRST_ORDER_IDS,
     analytic_solution,
@@ -187,12 +188,6 @@ class TestTrainDeterministic:
             train_deterministic("ode1.exp", cfg)
         assert err.value.epoch == 2
 
-    def test_batch_larger_than_grid_rejected(self):
-        cfg = default_train_config("ode1.exp", epochs=1, seed=0)
-        cfg.batch_size = 64
-        with pytest.raises(ConfigurationError):
-            train_deterministic("ode1.exp", cfg)
-
 
 class TestCollocation:
     def test_equally_spaced_grid(self):
@@ -215,6 +210,33 @@ def test_save_load_roundtrip(tmp_path, models_10):
     assert back.problem_id == "ode1.exp"
     assert np.array_equal(trained.params.theta, back.params.theta)
     assert back.config.epochs == trained.config.epochs
+
+
+# sidecars written by earlier versions carry batch_size and equally_spaced;
+# loading ignores both
+_OLD_META = {
+    "ode1.exp": '{"activation": "tanh", "batch_size": 32, "collocation": {"count": 32, '
+                '"domain": [0.0, 2.0], "equally_spaced": true, "jitter": 0.0}, "epochs": 50, '
+                '"final_loss": 4.180962743752857, "hidden": [32, 32], "learning_rate": 0.01, '
+                '"problem_id": "ode1.exp", "seed": 0}',
+    "burgers": '{"activation": "sigmoid", "batch_size": 120, "collocation": {"count": [12, 10], '
+               '"domain": [[-1.0, 1.0], [0.0, 1.0]], "equally_spaced": true, '
+               '"jitter": 0.09090909090909091}, "epochs": 50, "final_loss": 0.5138509802974497, '
+               '"hidden": [32, 32], "learning_rate": 0.001, "problem_id": "burgers", "seed": 0}',
+}
+
+
+@pytest.mark.parametrize("pid", sorted(_OLD_META))
+def test_load_sidecar_with_removed_keys(tmp_path, pid):
+    problem = get_problem(pid)
+    prefix = str(tmp_path / "model")
+    save_weights(init_network([problem.input_dim, 32, 32, 1], "tanh", seed=0), f"{prefix}.weights")
+    with open(f"{prefix}.meta.json", "w") as fh:
+        fh.write(_OLD_META[pid])
+    back = load_trained(prefix)
+    assert back.problem_id == pid
+    assert back.config.epochs == 50 and back.loss_history.shape == (1,)
+    assert back.config == default_train_config(pid, epochs=50, seed=0, grid=(12, 10))
 
 
 def test_collocation_outside_training_domain_rejected():
