@@ -23,6 +23,7 @@ from pinnbands import (
     feature_matrix,
     nlm_band,
     optimize_prior,
+    pseudo_profile,
     train_deterministic,
 )
 from pinnbands.bands import band_to_csv
@@ -42,7 +43,8 @@ print(f"prior scan: sigma* = {search.sigma:.3f}, feasible = {search.feasible}, "
       f"objective = {search.objective:.4f}")
 
 grid = np.linspace(0.0, 4.0, 401)
-band = nlm_band(trained, search.posterior, envelope, grid)
+profile = pseudo_profile(trained.problem, trained, envelope, grid)
+band = nlm_band(trained, search.posterior, profile)
 truth = analytic_solution(PROBLEM, grid)
 fraction, width = coverage_metrics(band, truth, k=3.0)
 print(f"3-sigma coverage on [0,4]: {fraction:.4f}   mean band width: {width:.4f}")

@@ -8,7 +8,7 @@ outside the training window.  The error-aware run instead treats the
 network's own outputs as data with the error bound as noise, so the band
 inflates exactly where the bound says the surrogate cannot be trusted.
 
-Run:  python demos/04_vi_bands.py     (about a minute)
+Run:  python demos/04_vi_bands.py     (about ten seconds)
 """
 
 import numpy as np

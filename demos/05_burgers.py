@@ -5,8 +5,8 @@ back to the accumulated absolute residual over time,
 sigma_P(x, t) = t * mean_{tau <= t} |r(x, tau)|.  It vanishes at t = 0
 (where the initial condition is exact by construction) and can only grow
 with t, mirroring how trust in the surrogate decays as it integrates its
-own errors forward.  Desk-scale settings keep this demo around four
-minutes; the benchmark scale is a 100x100 grid for 20000 epochs.
+own errors forward.  Desk-scale settings keep this demo around a minute;
+the benchmark scale is a 100x100 grid for 20000 epochs.
 
 Run:  python demos/05_burgers.py
 """

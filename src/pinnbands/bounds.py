@@ -29,6 +29,9 @@ from .problems import BurgersProblem, ODEProblem, residual_values
 
 EQUAL_RATE_TOL = 1e-8
 
+# residual rows per block in burgers_sigma_grid
+BURGERS_BLOCK_ROWS = 16384
+
 PROFILE_KINDS = (
     "first_order",
     "second_order_distinct",
@@ -262,16 +265,24 @@ def pseudo_sigma(problem: ODEProblem, envelope: ResidualEnvelope, x):
 
 def burgers_sigma_grid(trained, points, n_time_samples: int = 64) -> np.ndarray:
     """Accumulated-|residual| heuristic for the (x, t) rows of ``points``:
-    t * mean_i |r(x, t_i)| over ``n_time_samples`` equispaced t_i in [0, t]."""
+    t * mean_i |r(x, t_i)| over ``n_time_samples`` equispaced t_i in [0, t].
+
+    Points are evaluated in blocks of about ``BURGERS_BLOCK_ROWS`` residual
+    rows, which bounds the memory of the jets; each point's value depends
+    only on its own rows.
+    """
     pts = np.asarray(points, dtype=float)
     n = int(n_time_samples)
     frac = np.linspace(0.0, 1.0, n)
-    taus = pts[:, 1][:, None] * frac[None, :]
-    flat = np.stack(
-        [np.repeat(pts[:, 0], n), taus.ravel()], axis=1
-    )
-    r = residual_values(trained.problem, trained.params, flat).reshape(len(pts), n)
-    return pts[:, 1] * np.mean(np.abs(r), axis=1)
+    block = max(1, BURGERS_BLOCK_ROWS // n)
+    out = np.empty(len(pts))
+    for start in range(0, len(pts), block):
+        chunk = pts[start:start + block]
+        taus = chunk[:, 1][:, None] * frac[None, :]
+        flat = np.stack([np.repeat(chunk[:, 0], n), taus.ravel()], axis=1)
+        r = residual_values(trained.problem, trained.params, flat).reshape(len(chunk), n)
+        out[start:start + len(chunk)] = chunk[:, 1] * np.mean(np.abs(r), axis=1)
+    return out
 
 
 def pseudo_profile(problem, trained, envelope, grid, n_time_samples: int = 64) -> PseudoAleatoricProfile:

@@ -208,7 +208,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         features = feature_matrix(trained, dataset.points)
         eval_grid = make_prior_eval_grid(trained, envelope)
         search = optimize_prior(features, dataset, eval_grid, default_candidate_sigmas())
-        band = nlm_band(trained, search.posterior, envelope, grid)
+        band = nlm_band(trained, search.posterior, profile)
         extras = {
             "prior_sigma": search.sigma,
             "prior_feasible": search.feasible,

@@ -17,8 +17,10 @@ with pre-activation z and pre-activation slots g_i, h_ij:
 The backward pass differentiates any scalar function of the output value and
 slots with respect to all weights and biases, along the reverse of the same
 rules.  Activation derivatives are computed only to the order a pass needs.
-Everything is plain numpy in double precision; there is no graph framework
-underneath.
+Activations are computed in place: each hidden layer's pre-activation array
+is overwritten by its activation value, and the sigmoid is evaluated as
+0.5 tanh(z / 2) + 0.5.  Everything is plain numpy in double precision; there
+is no graph framework underneath.
 
 Layer convention: ``layer_sizes = [d_in, h_1, ..., h_k, d_out]``; hidden
 layers apply the configured activation, the output layer is linear.
@@ -30,7 +32,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     ConfigurationError,
@@ -43,19 +44,36 @@ ACTIVATIONS = ("tanh", "sigmoid")
 
 
 def _act_with_derivs(name, z, order):
-    """Activation value and its first ``order`` (0, 1 or 2) derivatives at ``z``."""
+    """Activation value and its first ``order`` (0, 1 or 2) derivatives at ``z``.
+
+    The value is written over ``z``, which is returned as the first entry.
+    """
     if name == "tanh":
-        a = np.tanh(z)
+        a = np.tanh(z, out=z)
         if order == 0:
             return (a,)
-        f1 = 1.0 - a * a
-        return (a, f1) if order == 1 else (a, f1, -2.0 * a * f1)
+        f1 = a * a
+        np.subtract(1.0, f1, out=f1)
+        if order == 1:
+            return (a, f1)
+        f2 = a * -2.0
+        f2 *= f1
+        return (a, f1, f2)
     if name == "sigmoid":
-        s = expit(z)
+        z *= 0.5
+        s = np.tanh(z, out=z)
+        s *= 0.5
+        s += 0.5
         if order == 0:
             return (s,)
-        f1 = s * (1.0 - s)
-        return (s, f1) if order == 1 else (s, f1, f1 * (1.0 - 2.0 * s))
+        f1 = np.subtract(1.0, s)
+        f1 *= s
+        if order == 1:
+            return (s, f1)
+        f2 = s * 2.0
+        np.subtract(1.0, f2, out=f2)
+        f2 *= f1
+        return (s, f1, f2)
     raise ConfigurationError(f"unknown activation {name!r}")
 
 
@@ -303,12 +321,14 @@ def forward_jets_batch(params, X, derivs=(), need_tape=False):
         if need_tape:
             a_in = (v, G)
         n_out = W.shape[0]
-        v = v @ W.T + b
+        v = v @ W.T
+        v += b
         if S:
             G = (G.reshape(S * M, -1) @ W.T).reshape(S, M, n_out)
         z_G = G
         act = None
         if l < n_layers - 1:
+            # overwrites v: nothing reads the pre-activation value
             act = _act_with_derivs(params.activation, v, order)
             if S:
                 # the tape keeps the pre-activation slots; otherwise overwrite
@@ -413,5 +433,7 @@ def hidden_features(params, X) -> np.ndarray:
         raise ConfigurationError("network has no hidden layer to extract features from")
     v = X
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
-        v = _act_with_derivs(params.activation, v @ W.T + b, 0)[0]
+        v = v @ W.T
+        v += b
+        _act_with_derivs(params.activation, v, 0)
     return v

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .bands import PredictiveBand
-from .bounds import ResidualEnvelope, pseudo_sigma
+from .bounds import PseudoAleatoricProfile, ResidualEnvelope, pseudo_sigma
 from .errors import ConditioningError, ConfigurationError, ShapeError
 from .network import forward_values, hidden_features
 from .problems import surrogate_values, transform_offset_scale
@@ -236,21 +236,21 @@ def optimize_prior(
     return best
 
 
-def nlm_band(trained, posterior: NLMPosterior, envelope: ResidualEnvelope, grid) -> PredictiveBand:
-    """Predictive band on ``grid`` with the transform applied.
+def nlm_band(
+    trained, posterior: NLMPosterior, profile: PseudoAleatoricProfile
+) -> PredictiveBand:
+    """Predictive band on the grid of ``profile`` with the transform applied.
 
     Mean and epistemic spread go through the hard-IC transform (the mask
-    multiplies the head); sigma_P is added untransformed since it already
-    bounds the transformed error.
+    multiplies the head); the profile's sigma_P is added untransformed since
+    it already bounds the transformed error.
     """
-    grid = np.asarray(grid, dtype=float)
-    problem = trained.problem
+    grid = profile.grid
     phi = feature_matrix(trained, grid).matrix
     mean_raw, epi_raw = _grid_moments(posterior, phi)
-    offset, scale = transform_offset_scale(problem, grid)
-    sig = np.asarray(pseudo_sigma(problem, envelope, grid), dtype=float)
+    offset, scale = transform_offset_scale(trained.problem, grid)
     epi = scale**2 * epi_raw
-    sigma_p2 = sig * sig
+    sigma_p2 = profile.sigma_p * profile.sigma_p
     return PredictiveBand(
         grid=grid,
         mean=offset + scale * mean_raw,

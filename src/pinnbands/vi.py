@@ -269,14 +269,6 @@ def vi_train(trained: TrainedPINN, config: VIConfig, profile=None, q0=None) -> V
     return VIRun(q, evals, steps, config)
 
 
-def moving_average(trace, window: int) -> np.ndarray:
-    trace = np.asarray(trace, dtype=float)
-    if window < 1 or window > len(trace):
-        raise ConfigurationError("moving-average window outside trace length")
-    kernel = np.ones(window) / window
-    return np.convolve(trace, kernel, mode="valid")
-
-
 def predictive_moments(samples, problem, grid, profile=None) -> PredictiveBand:
     """Sample mean and population variance of the transformed surrogate.
 
@@ -287,11 +279,18 @@ def predictive_moments(samples, problem, grid, profile=None) -> PredictiveBand:
         raise ConfigurationError("need at least one posterior sample")
     grid = np.asarray(grid, dtype=float)
     X = grid[:, None] if grid.ndim == 1 else grid
-    # u~ = offset + scale * net, with the transform evaluated once for all draws
+    # u~ = offset + scale * net, with the transform evaluated once for all
+    # draws; one (n, M) buffer is filled and then worked on in place
     offset, scale = transform_offset_scale(problem, grid)
-    values = offset + scale * np.stack([forward_values(p, X) for p in samples])
+    values = np.empty((len(samples), len(X)))
+    for row, p in zip(values, samples):
+        row[...] = forward_values(p, X)
+    values *= scale
+    values += offset
     mean = values.mean(axis=0)
-    epi = np.mean((values - mean) ** 2, axis=0)
+    values -= mean
+    values *= values
+    epi = values.mean(axis=0)
     if profile is not None:
         pgrid = np.asarray(profile.grid, dtype=float)
         if not np.array_equal(pgrid, grid):

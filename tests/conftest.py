@@ -6,12 +6,22 @@ import numpy as np
 import pytest
 
 from pinnbands.bounds import estimate_envelope
+from pinnbands.errors import ConfigurationError
 from pinnbands.problems import NONSINGULAR_FIRST_ORDER_IDS
 from pinnbands.training import default_train_config, train_deterministic
 
 BENCH_SEED = 0
 
 TRAIN_SECONDS = {}
+
+
+def moving_average(trace, window: int) -> np.ndarray:
+    """Means of every ``window`` consecutive entries of ``trace``."""
+    trace = np.asarray(trace, dtype=float)
+    if window < 1 or window > len(trace):
+        raise ConfigurationError("moving-average window outside trace length")
+    kernel = np.ones(window) / window
+    return np.convolve(trace, kernel, mode="valid")
 
 
 @pytest.fixture(scope="session")

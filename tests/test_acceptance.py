@@ -52,7 +52,6 @@ from pinnbands.training import (
 from pinnbands.vi import (
     MeanFieldGaussian,
     gaussian_kl,
-    moving_average,
     sample_posterior,
     vi_init,
     vi_train,
@@ -60,7 +59,7 @@ from pinnbands.vi import (
 )
 from pinnbands.bounds import estimate_envelope, pseudo_profile
 
-from conftest import TRAIN_SECONDS
+from conftest import TRAIN_SECONDS, moving_average
 
 EVAL_GRID = np.linspace(0.0, 4.0, 401)
 
@@ -336,7 +335,8 @@ def test_c05_nlm_exactness(models_10000, envelopes_10000):
         make_prior_eval_grid(trained, env),
         default_candidate_sigmas(),
     )
-    band = nlm_band(trained, search.posterior, env, EVAL_GRID)
+    profile = pseudo_profile(trained.problem, trained, env, EVAL_GRID)
+    band = nlm_band(trained, search.posterior, profile)
     assert np.all(band.total_var >= band.sigma_p2)
 
     candidates = default_candidate_sigmas()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pinnbands.bounds import (
+    BURGERS_BLOCK_ROWS,
     PseudoAleatoricProfile,
     ResidualEnvelope,
     bound_first_order,
@@ -274,6 +275,19 @@ class TestBurgersSigma:
             row = np.stack([np.full_like(taus, x), taus], axis=1)
             r = residual_values(tiny_burgers.problem, tiny_burgers.params, row)
             assert grid_sig[k] == pytest.approx(t * np.mean(np.abs(r)), rel=1e-12, abs=1e-15)
+
+    def test_blocks_match_one_shot_bitwise(self, tiny_burgers):
+        n = 64
+        block = max(1, BURGERS_BLOCK_ROWS // n)
+        m = 2 * block + 37  # two full blocks and a partial one
+        rng = np.random.default_rng(3)
+        pts = np.stack([rng.uniform(-1.0, 1.0, m), rng.uniform(0.0, 1.0, m)], axis=1)
+        # every residual row in one evaluation
+        taus = pts[:, 1][:, None] * np.linspace(0.0, 1.0, n)[None, :]
+        flat = np.stack([np.repeat(pts[:, 0], n), taus.ravel()], axis=1)
+        r = residual_values(tiny_burgers.problem, tiny_burgers.params, flat).reshape(m, n)
+        one_shot = pts[:, 1] * np.mean(np.abs(r), axis=1)
+        assert np.array_equal(burgers_sigma_grid(tiny_burgers, pts, n), one_shot)
 
     def test_profile_dispatch(self, tiny_burgers):
         grid = np.array([[0.0, 0.0], [0.0, 1.0]])

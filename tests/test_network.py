@@ -13,6 +13,8 @@ from pinnbands.errors import (
 from pinnbands.network import (
     Gradients,
     NetworkParameters,
+    _act_third_deriv,
+    _act_with_derivs,
     backward,
     forward_jets_batch,
     forward_values,
@@ -271,6 +273,48 @@ def test_evaluation_thread_safe_on_shared_params():
         parallel = list(pool.map(lambda x: forward_values(p, x), xs))
     for a, b in zip(serial, parallel):
         assert np.array_equal(a, b)
+
+
+class TestInPlaceActivations:
+    Z = np.linspace(-40.0, 40.0, 80001)
+
+    def test_sigmoid_matches_expit_formulas(self):
+        s_ref = expit(self.Z)
+        f1_ref = s_ref * (1.0 - s_ref)
+        f2_ref = f1_ref * (1.0 - 2.0 * s_ref)
+        f3_ref = f1_ref * ((1.0 - 2.0 * s_ref) ** 2 - 2.0 * f1_ref)
+        s, f1, f2 = _act_with_derivs("sigmoid", self.Z.copy(), 2)
+        f3 = _act_third_deriv("sigmoid", s, f1)
+        # 0.5 tanh(z/2) + 0.5 and expit round differently: allow two ulps of 1
+        tol = 2.0 * np.finfo(float).eps
+        for got, ref in ((s, s_ref), (f1, f1_ref), (f2, f2_ref), (f3, f3_ref)):
+            assert np.max(np.abs(got - ref)) <= tol
+
+    def test_tanh_matches_out_of_place_formulas_bitwise(self):
+        a_ref = np.tanh(self.Z)
+        f1_ref = 1.0 - a_ref * a_ref
+        z = self.Z.copy()
+        a, f1, f2 = _act_with_derivs("tanh", z, 2)
+        assert a is z
+        assert np.array_equal(a, a_ref)
+        assert np.array_equal(f1, f1_ref)
+        assert np.array_equal(f2, -2.0 * a_ref * f1_ref)
+
+    @pytest.mark.parametrize("act", ["tanh", "sigmoid"])
+    def test_inputs_and_parameters_untouched(self, act):
+        rng = np.random.default_rng(8)
+        X = rng.uniform(-1.0, 1.0, size=(23, 2))
+        p = init_network([2, 6, 5, 1], act, seed=3)
+        p.biases[0][:] = 0.3
+        X0, theta0 = X.copy(), p.theta.copy()
+        forward_values(p, X)
+        hidden_features(p, X)
+        for need_tape in (False, True):
+            forward_jets_batch(p, X, ((0,), (1,), (0, 0)), need_tape=need_tape)
+            forward_jets_batch(p, X, (), need_tape=need_tape)
+        forward_values(init_network([2, 1], act, seed=3), X)
+        assert np.array_equal(X, X0)
+        assert np.array_equal(p.theta, theta0)
 
 
 class TestFlatLayout:

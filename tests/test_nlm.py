@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from pinnbands.bounds import ResidualEnvelope
+from pinnbands.bounds import ResidualEnvelope, pseudo_profile
 from pinnbands.errors import ConfigurationError
 from pinnbands.nlm import (
     FeatureMatrix,
@@ -161,7 +161,8 @@ class TestPredict:
         trained = one_feature_model(0.3)
         post = NLMPosterior(np.array([1.0, 2.0]), np.zeros((2, 2)), 1.0)
         zero_env = ResidualEnvelope(np.array([0.0, 4.0]), np.array([0.0]))
-        band = nlm_band(trained, post, zero_env, np.linspace(0, 4, 9))
+        profile = pseudo_profile(trained.problem, trained, zero_env, np.linspace(0, 4, 9))
+        band = nlm_band(trained, post, profile)
         assert np.all(band.total_var == 0.0)
 
     def test_hand_arithmetic(self):
@@ -170,7 +171,8 @@ class TestPredict:
         post = NLMPosterior(np.array([2.0, 1.0]), np.array([[0.5, 0.1], [0.1, 0.2]]), 1.0)
         eps = 0.5
         env = ResidualEnvelope(np.array([0.0, 4.0]), np.array([eps]))
-        band = nlm_band(trained, post, env, np.array([1.0]))
+        profile = pseudo_profile(trained.problem, trained, env, np.array([1.0]))
+        band = nlm_band(trained, post, profile)
         phi = np.array([np.tanh(0.5), 1.0])
         m = 1.0 - np.exp(-1.0)
         sigma_p = eps * (1.0 - np.exp(-3.0)) / 3.0
@@ -185,7 +187,8 @@ class TestPredict:
         fm = feature_matrix(trained, training_grid(trained))
         data = build_simulated_dataset(trained, env)
         post = nlm_fit(fm, data, 0.5)
-        band = nlm_band(trained, post, env, np.linspace(0, 4, 101))
+        profile = pseudo_profile(trained.problem, trained, env, np.linspace(0, 4, 101))
+        band = nlm_band(trained, post, profile)
         assert np.all(band.total_var >= band.sigma_p2)
 
     def test_band_pinned_at_origin(self, models_10000, envelopes_10000):
@@ -197,8 +200,9 @@ class TestPredict:
                 build_simulated_dataset(trained, envelopes_10000["ode1.cos"]),
                 0.5,
             ),
-            envelopes_10000["ode1.cos"],
-            np.linspace(0, 4, 51),
+            pseudo_profile(
+                trained.problem, trained, envelopes_10000["ode1.cos"], np.linspace(0, 4, 51)
+            ),
         )
         assert band.mean[0] == trained.problem.u0
         assert band.epistemic_var[0] == 0.0

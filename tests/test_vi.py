@@ -6,18 +6,21 @@ from scipy.special import expit
 
 from pinnbands.bounds import pseudo_profile
 from pinnbands.errors import ConfigurationError, ShapeError
+from pinnbands.network import forward_values, init_network
+from pinnbands.problems import get_problem, transform_offset_scale
 from pinnbands.training import training_grid
 from pinnbands.vi import (
     MeanFieldGaussian,
     VIConfig,
     gaussian_kl,
-    moving_average,
     predictive_moments,
     sample_posterior,
     softplus,
     vi_init,
     vi_train,
 )
+
+from conftest import moving_average
 
 
 def scalar_q(mu, sigma):
@@ -193,6 +196,29 @@ class TestPredictiveMoments:
         assert band.mean[0] == pytest.approx(2.0)
         assert band.epistemic_var[0] == pytest.approx(2.0 / 3.0)
         assert band.total_var[0] == pytest.approx(2.0 / 3.0 + 0.5)
+
+    @pytest.mark.parametrize("problem_id", ["ode1.exp", "burgers"])
+    def test_matches_stacked_formula_bitwise(self, models_10, problem_id):
+        if problem_id == "burgers":
+            problem = get_problem("burgers")
+            params = init_network([2, 8, 8, 1], "sigmoid", seed=4)
+            grid = np.stack(np.meshgrid(np.linspace(-1, 1, 7), np.linspace(0, 1, 5)), -1)
+            grid = grid.reshape(-1, 2)
+            q = MeanFieldGaussian([2, 8, 8, 1], "sigmoid", params.theta.copy(),
+                                  np.full(params.theta.shape, -3.0))
+        else:
+            trained = models_10[problem_id]
+            problem, grid = trained.problem, np.linspace(0, 4, 31)
+            q = vi_init(trained, seed=0)
+        samples = sample_posterior(q, 64, seed=11)
+        X = grid[:, None] if grid.ndim == 1 else grid
+        offset, scale = transform_offset_scale(problem, grid)
+        values = offset + scale * np.stack([forward_values(p, X) for p in samples])
+        mean = values.mean(axis=0)
+        epi = np.mean((values - mean) ** 2, axis=0)
+        band = predictive_moments(samples, problem, grid)
+        assert np.array_equal(band.mean, mean)
+        assert np.array_equal(band.epistemic_var, epi)
 
     def test_grid_mismatch_rejected(self, models_10, envelopes_10):
         trained = models_10["ode1.exp"]
