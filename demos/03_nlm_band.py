@@ -28,13 +28,15 @@ from pinnbands import (
 )
 from pinnbands.bands import band_to_csv
 from pinnbands.nlm import make_prior_eval_grid
+from pinnbands.training import training_grid
 
 PROBLEM = "ode1.cos"
 
 trained = train_deterministic(PROBLEM, default_train_config(PROBLEM, epochs=10000, seed=0))
 envelope = estimate_envelope(trained)
 
-dataset = build_simulated_dataset(trained, envelope)
+train_profile = pseudo_profile(trained.problem, trained, envelope, training_grid(trained))
+dataset = build_simulated_dataset(trained, train_profile)
 features = feature_matrix(trained, dataset.points)
 search = optimize_prior(
     features, dataset, make_prior_eval_grid(trained, envelope), default_candidate_sigmas()

@@ -16,6 +16,7 @@ import numpy as np
 from pinnbands import (
     VIConfig,
     analytic_solution,
+    build_simulated_dataset,
     default_train_config,
     estimate_envelope,
     predictive_moments,
@@ -35,21 +36,18 @@ print(f"{PROBLEM}: 10-epoch underfit network, residual MSE "
 grid = np.linspace(0.0, 4.0, 201)
 truth = analytic_solution(PROBLEM, grid)
 envelope = estimate_envelope(trained)
-coll = training_grid(trained)
+dataset = build_simulated_dataset(
+    trained, pseudo_profile(trained.problem, trained, envelope, training_grid(trained))
+)
 
 runs = {}
 for label, likelihood in (("baseline", "baseline_residual"),
                           ("error-aware", "error_aware_simulated")):
-    profile = (
-        pseudo_profile(trained.problem, trained, envelope, coll)
-        if likelihood == "error_aware_simulated"
-        else None
-    )
     config = VIConfig(
         prior_sigma=float(np.sqrt(0.1)), epochs=5000, likelihood=likelihood,
         sigma_d=1.0, seed=0,
     )
-    run = vi_train(trained, config, profile=profile)
+    run = vi_train(trained, config, dataset if likelihood == "error_aware_simulated" else None)
     samples = sample_posterior(run.q, 1000, seed=2)
     grid_profile = (
         pseudo_profile(trained.problem, trained, envelope, grid)

@@ -83,7 +83,6 @@ class ExperimentConfig:
     vi_epochs: int = 50000
     seed: int = 0
     grid_points: int = 401
-    out_dir: str = ""
     envelope_intervals: int = 40
     oversample: int = 10
     safety_factor: float = 1.1
@@ -103,6 +102,10 @@ class ExperimentConfig:
         for name, lowest in _LOWEST.items():
             if getattr(self, name) < lowest:
                 raise ConfigurationError(f"{name} out of range")
+        # below 1 the envelope undercuts the sampled maximum of |r| and is
+        # no longer a majorant
+        if not (np.isfinite(self.safety_factor) and self.safety_factor >= 1.0):
+            raise ConfigurationError("safety_factor must be finite and >= 1")
         if len(self.burgers_grid) != 2 or min(self.burgers_grid) < 2:
             raise ConfigurationError("burgers_grid needs two entries >= 2")
         return self
@@ -199,12 +202,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     u_det = surrogate_values(problem, trained.params, grid)
     envelope, profile = error_profile(trained, config, grid)
 
-    extras, search = {}, None
+    extras, search, dataset = {}, None, None
+    if config.method in ("error_aware_nlm", "error_aware_vi"):
+        # one simulated dataset on the training grid for either Bayesian head
+        train_profile = pseudo_profile(
+            problem, trained, envelope, training_grid(trained), config.burgers_time_samples
+        )
+        dataset = build_simulated_dataset(trained, train_profile)
     if config.method == "deterministic":
         zeros = np.zeros_like(u_det)
         band = PredictiveBand(grid, u_det, zeros, zeros, zeros)
     elif config.method == "error_aware_nlm":
-        dataset = build_simulated_dataset(trained, envelope)
         features = feature_matrix(trained, dataset.points)
         eval_grid = make_prior_eval_grid(trained, envelope)
         search = optimize_prior(features, dataset, eval_grid, default_candidate_sigmas())
@@ -225,12 +233,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             learning_rate=det_cfg.learning_rate,
             seed=config.seed + _SEED_VI,
         )
-        train_profile = None
-        if error_aware:
-            train_profile = pseudo_profile(
-                problem, trained, envelope, training_grid(trained), config.burgers_time_samples
-            )
-        run = vi_train(trained, vi_cfg, profile=train_profile)
+        run = vi_train(trained, vi_cfg, dataset)
         samples = sample_posterior(run.q, vi_cfg.n_posterior_samples, seed=config.seed + _SEED_SAMPLES)
         band = predictive_moments(samples, problem, grid, profile if error_aware else None)
         extras = {"elbo_final": float(run.elbo_history[-1]) if len(run.elbo_history) else None}

@@ -30,22 +30,8 @@ from .problems import surrogate_values, transform_offset_scale
 
 VAR_FLOOR = 1e-10
 
-
-@dataclass
-class FeatureMatrix:
-    """Last-hidden-layer activations plus a constant bias column, one row
-    per collocation point."""
-
-    points: np.ndarray
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        if self.matrix.shape[0] != self.points.shape[0]:
-            raise ShapeError("one feature row per point required")
-        if not np.all(np.isfinite(self.matrix)):
-            raise ShapeError("non-finite feature entries")
+# points of the prior-selection grid over [x0, test end]
+PRIOR_EVAL_POINTS = 200
 
 
 @dataclass
@@ -78,7 +64,6 @@ class NLMPosterior:
 class PriorEvalGrid:
     """Everything prior selection needs on the evaluation grid."""
 
-    points: np.ndarray
     features: np.ndarray
     u_mse: np.ndarray
     sigma_p: np.ndarray
@@ -95,47 +80,47 @@ class PriorSearchResult:
     posterior: NLMPosterior
 
 
-def feature_matrix(trained, points) -> FeatureMatrix:
+def feature_matrix(trained, points) -> np.ndarray:
+    """Last-hidden-layer activations plus a constant bias column: the
+    ``(M, width + 1)`` design matrix of the linear head, one row per point."""
     pts = np.asarray(points, dtype=float)
     X = pts[:, None] if pts.ndim == 1 else pts
     hidden = hidden_features(trained.params, X)
     mat = np.concatenate([hidden, np.ones((len(X), 1))], axis=1)
-    return FeatureMatrix(pts, mat)
+    if not np.all(np.isfinite(mat)):
+        raise ShapeError("non-finite feature entries")
+    return mat
 
 
-def build_simulated_dataset(
-    trained, envelope: ResidualEnvelope, points=None, var_floor: float = VAR_FLOOR
-) -> SimulatedDataset:
-    """Simulated observations at the collocation points of ``trained``.
+def build_simulated_dataset(trained, profile: PseudoAleatoricProfile) -> SimulatedDataset:
+    """Simulated observations on the grid of ``profile``: the network's raw
+    outputs, each with the squared sigma_P of the profile as its variance.
 
-    sigma_P vanishes at x0, so variances are floored to keep the noise
-    matrix invertible; the transform pins the prediction there regardless.
-    Points with an infinite bound (singular sources) carry zero information
-    and are dropped.
+    This is the one dataset both Bayesian heads fit.  sigma_P vanishes at
+    x0, so variances are floored to keep the noise matrix invertible; the
+    transform pins the prediction there regardless.  Points with an
+    infinite bound (singular sources) carry zero information and are dropped.
     """
-    from .training import training_grid
-
-    if points is None:
-        points = training_grid(trained)
-    pts = np.asarray(points, dtype=float)
-    targets = forward_values(trained.params, pts[:, None])
-    sig = np.asarray(pseudo_sigma(trained.problem, envelope, pts), dtype=float)
-    variances = np.maximum(sig * sig, var_floor)
+    pts = profile.grid
+    targets = forward_values(trained.params, pts[:, None] if pts.ndim == 1 else pts)
+    sig = profile.sigma_p
+    variances = np.maximum(sig * sig, VAR_FLOOR)
     keep = np.isfinite(variances)
     if not np.any(keep):
         raise ConfigurationError("no collocation point has a finite error bound")
     return SimulatedDataset(pts[keep], targets[keep], variances[keep])
 
 
-def nlm_fit(features: FeatureMatrix, data: SimulatedDataset, prior_sigma: float) -> NLMPosterior:
-    """Exact posterior of the linear head under the heteroscedastic likelihood.
+def nlm_fit(features: np.ndarray, data: SimulatedDataset, prior_sigma: float) -> NLMPosterior:
+    """Exact posterior of the linear head under the heteroscedastic likelihood;
+    ``features`` holds one :func:`feature_matrix` row per dataset point.
 
     Solves (Phi^T S^-1 Phi + sigma^-2 I) via Cholesky; never forms an
     explicit inverse of the noise matrix.
     """
     if prior_sigma <= 0:
         raise ConfigurationError("prior_sigma must be positive")
-    phi = features.matrix
+    phi = features
     if phi.shape[0] != len(data.targets):
         raise ShapeError("feature rows and dataset length differ")
     weighted = phi / data.variances[:, None]
@@ -170,13 +155,12 @@ def default_candidate_sigmas() -> np.ndarray:
     return np.linspace(0.1, 1.0, 100)
 
 
-def make_prior_eval_grid(trained, envelope: ResidualEnvelope, n_points: int = 200) -> PriorEvalGrid:
+def make_prior_eval_grid(trained, envelope: ResidualEnvelope) -> PriorEvalGrid:
     problem = trained.problem
-    pts = np.linspace(problem.x0, problem.test_domain[1], int(n_points))
+    pts = np.linspace(problem.x0, problem.test_domain[1], PRIOR_EVAL_POINTS)
     offset, scale = transform_offset_scale(problem, pts)
     return PriorEvalGrid(
-        points=pts,
-        features=feature_matrix(trained, pts).matrix,
+        features=feature_matrix(trained, pts),
         u_mse=surrogate_values(problem, trained.params, pts),
         sigma_p=np.asarray(pseudo_sigma(problem, envelope, pts), dtype=float),
         offset=offset,
@@ -185,7 +169,7 @@ def make_prior_eval_grid(trained, envelope: ResidualEnvelope, n_points: int = 20
 
 
 def optimize_prior(
-    features: FeatureMatrix,
+    features: np.ndarray,
     data: SimulatedDataset,
     eval_grid: PriorEvalGrid,
     candidate_sigmas=None,
@@ -246,7 +230,7 @@ def nlm_band(
     it already bounds the transformed error.
     """
     grid = profile.grid
-    phi = feature_matrix(trained, grid).matrix
+    phi = feature_matrix(trained, grid)
     mean_raw, epi_raw = _grid_moments(posterior, phi)
     offset, scale = transform_offset_scale(trained.problem, grid)
     epi = scale**2 * epi_raw

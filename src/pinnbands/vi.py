@@ -13,7 +13,7 @@ Two likelihoods are supported:
   with a fixed homoscedastic variance (the plain B-PINN construction).
 * ``error_aware_simulated``: Gaussian over simulated observations — the
   trained network's own outputs — with the heteroscedastic pseudo-aleatoric
-  variances from the error bound.
+  variances from the error bound; the same dataset the NLM head fits.
 
 For monitoring, the ELBO is also evaluated every epoch with a fixed set of
 common-random-number draws, which makes the recorded trace a deterministic
@@ -29,10 +29,9 @@ import numpy as np
 from scipy.special import expit
 
 from .bands import PredictiveBand
-from .bounds import PseudoAleatoricProfile
 from .errors import ConfigurationError, ShapeError, TrainingDivergedError
 from .network import NetworkParameters, backward, forward_jets_batch, forward_values
-from .nlm import VAR_FLOOR
+from .nlm import SimulatedDataset
 from .optim import adam_step_arrays, init_adam
 from .problems import (
     residual_from_jets,
@@ -137,46 +136,36 @@ class _VIContext:
     likelihood: str
     sigma_d: float = 1.0
     pieces: Optional[tuple] = None             # baseline: residual_pieces(points)
-    raw_targets: Optional[np.ndarray] = None   # error-aware: det net raw outputs
-    variances: Optional[np.ndarray] = None     # error-aware: floored sigma_P^2
+    raw_targets: Optional[np.ndarray] = None   # error-aware: dataset targets
+    variances: Optional[np.ndarray] = None     # error-aware: dataset variances
     scale: Optional[np.ndarray] = None         # error-aware: transform mask
     const_term: float = 0.0
 
 
-def _make_context(trained: TrainedPINN, config: VIConfig, profile) -> _VIContext:
+def _make_context(
+    trained: TrainedPINN, config: VIConfig, data: Optional[SimulatedDataset]
+) -> _VIContext:
     problem = trained.problem
-    points = training_grid(trained)
-    X = points[:, None] if points.ndim == 1 else points
     if config.likelihood == "baseline_residual":
+        points = training_grid(trained)
+        X = points[:, None] if points.ndim == 1 else points
         m = len(points)
         const = -0.5 * m * (LOG_2PI + 2.0 * np.log(config.sigma_d))
         return _VIContext(
             problem, points, X, problem.derivs, config.likelihood,
             sigma_d=config.sigma_d, pieces=residual_pieces(problem, points), const_term=const,
         )
-    if profile is None:
-        raise ConfigurationError("error-aware likelihood needs a pseudo-aleatoric profile")
-    sig = profile.sigma_p if isinstance(profile, PseudoAleatoricProfile) else np.asarray(profile)
-    if isinstance(profile, PseudoAleatoricProfile) and not np.array_equal(
-        np.asarray(profile.grid), points
-    ):
-        raise ShapeError("profile grid must match the training collocation points")
-    variances = np.maximum(np.asarray(sig, dtype=float) ** 2, VAR_FLOOR)
-    if len(variances) != len(points):
-        raise ShapeError("one sigma_P per collocation point required")
-    # infinite-variance observations (singular sources) carry no information
-    keep = np.isfinite(variances)
-    if not np.any(keep):
-        raise ConfigurationError("no collocation point has a finite error bound")
-    points, X, variances = points[keep], X[keep], variances[keep]
+    if data is None:
+        raise ConfigurationError("error-aware likelihood needs a simulated dataset")
+    points = data.points
+    X = points[:, None] if points.ndim == 1 else points
     # the transform offset is shared by target and prediction, so the
     # deviation reduces to scale * (raw_det - raw_sample)
-    raw_targets = forward_values(trained.params, X)
     _, scale = transform_offset_scale(problem, points)
-    const = float(-0.5 * np.sum(LOG_2PI + np.log(variances)))
+    const = float(-0.5 * np.sum(LOG_2PI + np.log(data.variances)))
     return _VIContext(
         problem, points, X, (), config.likelihood,
-        raw_targets=raw_targets, variances=variances, scale=scale, const_term=const,
+        raw_targets=data.targets, variances=data.variances, scale=scale, const_term=const,
     )
 
 
@@ -229,12 +218,11 @@ def _step(ctx, q, config, rng, adam_state):
         # minimize -ELBO = KL - loglik;  d theta / d rho = zeta * sigmoid(rho)
         g_rho = kl_rho - dl * z * dsigma
         acc_rho = g_rho if acc_rho is None else acc_rho + g_rho
-    k = float(config.mc_samples_per_step)
-    elbo_val = elbo_acc / k
-    if not np.isfinite(elbo_val):
+    if not np.isfinite(elbo_acc):
         raise TrainingDivergedError("non-finite ELBO estimate")
+    k = float(config.mc_samples_per_step)
     rho, adam_state = adam_step_arrays(q.rho, acc_rho / k, adam_state)
-    return replace(q, rho=rho), elbo_val, adam_state
+    return replace(q, rho=rho), adam_state
 
 
 @dataclass
@@ -242,31 +230,38 @@ class VIRun:
     """Result of variational training."""
 
     q: MeanFieldGaussian
-    elbo_history: np.ndarray        # fixed-draw evaluation, one entry per epoch
-    elbo_step_history: np.ndarray   # per-step single-sample estimates
+    elbo_history: np.ndarray   # fixed-draw evaluation, one entry per epoch
     config: VIConfig
 
 
-def vi_train(trained: TrainedPINN, config: VIConfig, profile=None, q0=None) -> VIRun:
-    """Optimize the variational distribution for ``config.epochs`` steps."""
-    ctx = _make_context(trained, config, profile)
+def vi_train(
+    trained: TrainedPINN,
+    config: VIConfig,
+    data: Optional[SimulatedDataset] = None,
+    q0=None,
+) -> VIRun:
+    """Optimize the variational distribution for ``config.epochs`` steps.
+
+    The error-aware likelihood fits ``data``, the simulated observations of
+    :func:`pinnbands.nlm.build_simulated_dataset`; the baseline likelihood
+    reads the residuals on the training grid and ignores it.
+    """
+    ctx = _make_context(trained, config, data)
     q = q0.copy() if q0 is not None else vi_init(trained, seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
     eval_offsets = rng.standard_normal((config.n_eval_draws, q.mu.size))
     adam_state = init_adam(q.rho, config.learning_rate)
 
-    steps = np.empty(config.epochs)
     evals = np.empty(config.epochs)
     for epoch in range(config.epochs):
         try:
-            q, elbo, adam_state = _step(ctx, q, config, rng, adam_state)
+            q, adam_state = _step(ctx, q, config, rng, adam_state)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(
                 f"VI diverged at epoch {epoch}: {exc}", epoch=epoch
             ) from exc
-        steps[epoch] = elbo
         evals[epoch] = eval_elbo(ctx, q, config.prior_sigma, eval_offsets)
-    return VIRun(q, evals, steps, config)
+    return VIRun(q, evals, config)
 
 
 def predictive_moments(samples, problem, grid, profile=None) -> PredictiveBand:

@@ -5,10 +5,11 @@ import time
 import numpy as np
 import pytest
 
-from pinnbands.bounds import estimate_envelope
+from pinnbands.bounds import estimate_envelope, pseudo_profile
 from pinnbands.errors import ConfigurationError
+from pinnbands.nlm import build_simulated_dataset
 from pinnbands.problems import NONSINGULAR_FIRST_ORDER_IDS
-from pinnbands.training import default_train_config, train_deterministic
+from pinnbands.training import default_train_config, train_deterministic, training_grid
 
 BENCH_SEED = 0
 
@@ -22,6 +23,12 @@ def moving_average(trace, window: int) -> np.ndarray:
         raise ConfigurationError("moving-average window outside trace length")
     kernel = np.ones(window) / window
     return np.convolve(trace, kernel, mode="valid")
+
+
+def training_dataset(trained, envelope):
+    """The simulated dataset on the training grid, as run_experiment builds it."""
+    profile = pseudo_profile(trained.problem, trained, envelope, training_grid(trained))
+    return build_simulated_dataset(trained, profile)
 
 
 @pytest.fixture(scope="session")

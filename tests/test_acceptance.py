@@ -315,20 +315,20 @@ def test_c05_nlm_exactness(models_10000, envelopes_10000):
     env = envelopes_10000["ode1.exp"]
     pts = training_grid(trained)
     fm = feature_matrix(trained, pts)
-    assert fm.matrix.shape == (32, 33)
+    assert fm.shape == (32, 33)
 
     # exact-algebra check on a well-conditioned heteroscedastic system
     rng = np.random.default_rng(7)
     variances = rng.uniform(0.5, 2.0, 32)
     data = SimulatedDataset(pts, rng.normal(size=32), variances)
     post = nlm_fit(fm, data, 0.7)
-    mean_bf, cov_bf = _brute_force_posterior(fm.matrix, data.targets, variances, 0.7)
+    mean_bf, cov_bf = _brute_force_posterior(fm, data.targets, variances, 0.7)
     mean_err = np.linalg.norm(post.mean - mean_bf) / np.linalg.norm(mean_bf)
     cov_err = np.linalg.norm(post.covariance - cov_bf) / np.linalg.norm(cov_bf)
     assert mean_err < 1e-8 and cov_err < 1e-8
 
     # pipeline fit: predictive variance never falls below sigma_P^2
-    dataset = build_simulated_dataset(trained, env)
+    dataset = build_simulated_dataset(trained, pseudo_profile(trained.problem, trained, env, pts))
     search = optimize_prior(
         feature_matrix(trained, dataset.points),
         dataset,
@@ -435,7 +435,7 @@ def test_c08_vi_mechanics(models_10000, envelopes_10000):
     pts = training_grid(trained)
     profile = pseudo_profile(trained.problem, trained, envelopes_10000["ode1.exp"], pts)
     config = VIConfig(prior_sigma=float(np.sqrt(0.1)), epochs=5000, seed=0)
-    run = vi_train(trained, config, profile=profile)
+    run = vi_train(trained, config, build_simulated_dataset(trained, profile))
     ma = moving_average(run.elbo_history, 1000)
     skip = int(0.05 * config.epochs)
     tail = ma[skip:]
@@ -536,8 +536,8 @@ def test_c10_bit_reproducibility(tmp_path):
     env = estimate_envelope(a)
     profile = pseudo_profile(a.problem, a, env, training_grid(a))
     vcfg = VIConfig(prior_sigma=0.5, epochs=60, seed=2)
-    ra = vi_train(a, vcfg, profile=profile)
-    rb = vi_train(b, vcfg, profile=profile)
+    ra = vi_train(a, vcfg, build_simulated_dataset(a, profile))
+    rb = vi_train(b, vcfg, build_simulated_dataset(b, profile))
     assert np.array_equal(ra.elbo_history, rb.elbo_history)
     for sa, sb in zip(sample_posterior(ra.q, 16, 3), sample_posterior(rb.q, 16, 3)):
         assert np.array_equal(sa.theta, sb.theta)

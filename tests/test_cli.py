@@ -120,6 +120,19 @@ class TestCertify:
         assert code == 2
         assert "configuration error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("factor", ["0", "0.5", "nan", "inf"])
+    def test_bad_safety_factor_exit_2(self, tmp_path, capsys, models_10, factor):
+        prefix = str(tmp_path / "model")
+        save_trained(models_10["ode1.exp"], prefix)
+        out_csv = tmp_path / "c.csv"
+        code = run_cli(
+            "certify", "--weights", prefix, "--problem", "ode1.exp",
+            "--safety-factor", factor, "--out", str(out_csv),
+        )
+        assert code == 2
+        assert "safety_factor" in capsys.readouterr().err
+        assert not os.path.exists(out_csv)
+
     def test_burgers_weights_exit_2(self, tmp_path, capsys):
         trained = train_deterministic(
             "burgers", default_train_config("burgers", epochs=1, seed=0, grid=(3, 3))

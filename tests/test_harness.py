@@ -117,6 +117,10 @@ class TestRunExperiment:
         ("burgers_grid", (6, 1)),
         ("burgers_time_samples", 0),
         ("envelope_intervals", 0),
+        ("safety_factor", 0.0),
+        ("safety_factor", 0.5),
+        ("safety_factor", float("nan")),
+        ("safety_factor", float("inf")),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         cfg = ExperimentConfig(problem="burgers", method="deterministic", **{field: value})

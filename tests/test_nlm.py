@@ -9,10 +9,9 @@ import pytest
 from pinnbands.bounds import ResidualEnvelope, pseudo_profile
 from pinnbands.errors import ConfigurationError
 from pinnbands.nlm import (
-    FeatureMatrix,
     NLMPosterior,
+    PriorEvalGrid,
     SimulatedDataset,
-    build_simulated_dataset,
     default_candidate_sigmas,
     export_posterior_json,
     feature_matrix,
@@ -24,6 +23,8 @@ from pinnbands.nlm import (
 from pinnbands.network import NetworkParameters, init_network
 from pinnbands.problems import get_problem
 from pinnbands.training import TrainedPINN, training_grid
+
+from conftest import training_dataset
 
 
 def brute_force_posterior(phi, y, variances, prior_sigma):
@@ -43,7 +44,7 @@ def brute_force_posterior(phi, y, variances, prior_sigma):
 
 def features_at(trained, x):
     """Feature row at one point: last hidden activations plus bias 1."""
-    return feature_matrix(trained, np.array([x])).matrix[0]
+    return feature_matrix(trained, np.array([x]))[0]
 
 
 def one_feature_model(hidden_bias):
@@ -84,19 +85,19 @@ class TestFeatures:
         head = np.concatenate([trained.params.weights[-1][0], trained.params.biases[-1]])
         from pinnbands.network import forward_values
 
-        assert np.allclose(fm.matrix @ head, forward_values(trained.params, pts[:, None]), rtol=1e-13)
+        assert np.allclose(fm @ head, forward_values(trained.params, pts[:, None]), rtol=1e-13)
 
 
 class TestFit:
     def test_single_point_flat_prior(self):
-        fm = FeatureMatrix(np.array([0.0]), np.array([[1.0]]))
+        fm = np.array([[1.0]])
         data = SimulatedDataset(np.array([0.0]), np.array([4.0]), np.array([1.0]))
         post = nlm_fit(fm, data, prior_sigma=1e8)
         assert post.mean[0] == pytest.approx(4.0, abs=1e-6)
         assert post.covariance[0, 0] == pytest.approx(1.0, abs=1e-6)
 
     def test_single_point_unit_prior(self):
-        fm = FeatureMatrix(np.array([0.0]), np.array([[1.0]]))
+        fm = np.array([[1.0]])
         data = SimulatedDataset(np.array([0.0]), np.array([4.0]), np.array([1.0]))
         post = nlm_fit(fm, data, prior_sigma=1.0)
         assert post.covariance[0, 0] == pytest.approx(0.5, rel=1e-12)
@@ -104,7 +105,7 @@ class TestFit:
 
     def test_zero_targets_zero_mean(self):
         rng = np.random.default_rng(0)
-        fm = FeatureMatrix(np.zeros(8), rng.normal(size=(8, 3)))
+        fm = rng.normal(size=(8, 3))
         data = SimulatedDataset(np.zeros(8), np.zeros(8), rng.uniform(0.5, 2.0, 8))
         for sigma in (0.1, 1.0, 10.0):
             post = nlm_fit(fm, data, sigma)
@@ -115,7 +116,7 @@ class TestFit:
         phi = rng.normal(size=(m, dim))
         y = rng.normal(size=m)
         variances = rng.uniform(0.5, 2.0, m)
-        post = nlm_fit(FeatureMatrix(np.zeros(m), phi), SimulatedDataset(np.zeros(m), y, variances), 0.7)
+        post = nlm_fit(phi, SimulatedDataset(np.zeros(m), y, variances), 0.7)
         mean_bf, cov_bf = brute_force_posterior(phi, y, variances, 0.7)
         assert np.linalg.norm(post.mean - mean_bf) / np.linalg.norm(mean_bf) < 1e-8
         assert np.linalg.norm(post.covariance - cov_bf) / np.linalg.norm(cov_bf) < 1e-8
@@ -126,9 +127,9 @@ class TestFit:
         y = rng.normal(size=m)
         var = rng.uniform(0.5, 2.0, m)
         perm = rng.permutation(m)
-        a = nlm_fit(FeatureMatrix(np.zeros(m), phi), SimulatedDataset(np.zeros(m), y, var), 0.5)
+        a = nlm_fit(phi, SimulatedDataset(np.zeros(m), y, var), 0.5)
         b = nlm_fit(
-            FeatureMatrix(np.zeros(m), phi[perm]),
+            phi[perm],
             SimulatedDataset(np.zeros(m), y[perm], var[perm]),
             0.5,
         )
@@ -138,7 +139,7 @@ class TestFit:
     def test_shrinkage_monotone_in_prior(self, models_10000, envelopes_10000):
         trained = models_10000["ode1.exp"]
         fm = feature_matrix(trained, training_grid(trained))
-        data = build_simulated_dataset(trained, envelopes_10000["ode1.exp"])
+        data = training_dataset(trained, envelopes_10000["ode1.exp"])
         norms = [
             np.linalg.norm(nlm_fit(fm, data, s).mean)
             for s in (1.0, 0.5, 0.2, 0.1, 0.05, 0.01, 1e-3, 1e-4)
@@ -150,7 +151,7 @@ class TestFit:
             SimulatedDataset(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))
 
     def test_prior_sigma_positive(self):
-        fm = FeatureMatrix(np.array([0.0]), np.array([[1.0]]))
+        fm = np.array([[1.0]])
         data = SimulatedDataset(np.array([0.0]), np.array([1.0]), np.array([1.0]))
         with pytest.raises(ConfigurationError):
             nlm_fit(fm, data, 0.0)
@@ -185,7 +186,7 @@ class TestPredict:
         trained = models_10000["ode1.poly"]
         env = envelopes_10000["ode1.poly"]
         fm = feature_matrix(trained, training_grid(trained))
-        data = build_simulated_dataset(trained, env)
+        data = training_dataset(trained, env)
         post = nlm_fit(fm, data, 0.5)
         profile = pseudo_profile(trained.problem, trained, env, np.linspace(0, 4, 101))
         band = nlm_band(trained, post, profile)
@@ -197,7 +198,7 @@ class TestPredict:
             trained,
             nlm_fit(
                 feature_matrix(trained, training_grid(trained)),
-                build_simulated_dataset(trained, envelopes_10000["ode1.cos"]),
+                training_dataset(trained, envelopes_10000["ode1.cos"]),
                 0.5,
             ),
             pseudo_profile(
@@ -220,7 +221,7 @@ class TestPriorSearch:
         trained = models_10000["ode1.exp"]
         env = envelopes_10000["ode1.exp"]
         fm = feature_matrix(trained, training_grid(trained))
-        data = build_simulated_dataset(trained, env)
+        data = training_dataset(trained, env)
         grid = make_prior_eval_grid(trained, env)
         res = optimize_prior(fm, data, grid, [0.3])
         assert res.sigma == 0.3
@@ -232,19 +233,15 @@ class TestPriorSearch:
         phi = np.array([[1.0, 0.0], [0.0, 1.0]])
         y = np.array([1.0, -1.0])
         var = np.array([0.04, 0.04])
-        fm = FeatureMatrix(np.array([0.0, 1.0]), phi)
         data = SimulatedDataset(np.array([0.0, 1.0]), y, var)
-        from pinnbands.nlm import PriorEvalGrid
-
         grid = PriorEvalGrid(
-            points=np.array([0.0, 1.0]),
             features=phi,
             u_mse=y.copy(),
             sigma_p=np.sqrt(var),
             offset=np.zeros(2),
             scale=np.ones(2),
         )
-        res = optimize_prior(fm, data, grid, [0.05, 10.0])
+        res = optimize_prior(phi, data, grid, [0.05, 10.0])
         assert res.feasible
         assert res.sigma == 10.0
 
@@ -252,7 +249,7 @@ class TestPriorSearch:
         for pid, trained in models_10000.items():
             env = envelopes_10000[pid]
             fm = feature_matrix(trained, training_grid(trained))
-            data = build_simulated_dataset(trained, env)
+            data = training_dataset(trained, env)
             grid = make_prior_eval_grid(trained, env)
             res = optimize_prior(fm, data, grid)
             assert res.feasible, pid
@@ -261,7 +258,7 @@ class TestPriorSearch:
         trained = models_10000["ode1.exp"]
         env = envelopes_10000["ode1.exp"]
         fm = feature_matrix(trained, training_grid(trained))
-        data = build_simulated_dataset(trained, env)
+        data = training_dataset(trained, env)
         grid = make_prior_eval_grid(trained, env)
         with pytest.raises(ConfigurationError):
             optimize_prior(fm, data, grid, [])
@@ -271,7 +268,7 @@ def test_posterior_json_roundtrip(tmp_path, models_10, envelopes_10):
     trained = models_10["ode1.exp"]
     post = nlm_fit(
         feature_matrix(trained, training_grid(trained)),
-        build_simulated_dataset(trained, envelopes_10["ode1.exp"]),
+        training_dataset(trained, envelopes_10["ode1.exp"]),
         0.4,
     )
     path = tmp_path / "posterior.json"

@@ -1,14 +1,17 @@
 """Variational inference: init, KL, ELBO steps, sampling, predictive moments."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from pinnbands.bounds import pseudo_profile
+from pinnbands.bounds import estimate_envelope, pseudo_profile
 from pinnbands.errors import ConfigurationError, ShapeError
 from pinnbands.network import forward_values, init_network
-from pinnbands.problems import get_problem, transform_offset_scale
-from pinnbands.training import training_grid
+from pinnbands.nlm import VAR_FLOOR, build_simulated_dataset, feature_matrix, nlm_fit
+from pinnbands.problems import get_problem, surrogate_values, transform_offset_scale
+from pinnbands.training import default_train_config, train_deterministic, training_grid
 from pinnbands.vi import (
     MeanFieldGaussian,
     VIConfig,
@@ -20,7 +23,7 @@ from pinnbands.vi import (
     vi_train,
 )
 
-from conftest import moving_average
+from conftest import moving_average, training_dataset
 
 
 def scalar_q(mu, sigma):
@@ -101,12 +104,11 @@ class TestElboStep:
 
     def test_single_step_runs_and_updates_rho_only(self, models_10, envelopes_10):
         trained = models_10["ode1.exp"]
-        pts = training_grid(trained)
-        profile = pseudo_profile(trained.problem, trained, envelopes_10["ode1.exp"], pts)
+        data = training_dataset(trained, envelopes_10["ode1.exp"])
         config = VIConfig(prior_sigma=0.5, epochs=1, seed=0)
         q = vi_init(trained, seed=0)
-        run = vi_train(trained, config, profile=profile, q0=q)
-        q2, elbo = run.q, run.elbo_step_history[0]
+        run = vi_train(trained, config, data, q0=q)
+        q2, elbo = run.q, run.elbo_history[0]
         assert np.isfinite(elbo)
         assert np.array_equal(q.mu, q2.mu)
         assert not np.array_equal(q.rho, q2.rho)
@@ -115,7 +117,7 @@ class TestElboStep:
         trained = models_10["ode1.exp"]
         config = VIConfig(prior_sigma=0.5, epochs=1, likelihood="error_aware_simulated")
         with pytest.raises(ConfigurationError):
-            vi_train(trained, config, profile=None, q0=vi_init(trained, 0))
+            vi_train(trained, config, None, q0=vi_init(trained, 0))
 
     def test_unknown_likelihood_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -238,11 +240,10 @@ class TestPredictiveMoments:
 class TestTraining:
     def test_short_run_reproducible(self, models_10, envelopes_10):
         trained = models_10["ode1.exp"]
-        pts = training_grid(trained)
-        profile = pseudo_profile(trained.problem, trained, envelopes_10["ode1.exp"], pts)
+        data = training_dataset(trained, envelopes_10["ode1.exp"])
         config = VIConfig(prior_sigma=0.5, epochs=40, seed=4)
-        a = vi_train(trained, config, profile=profile)
-        b = vi_train(trained, config, profile=profile)
+        a = vi_train(trained, config, data)
+        b = vi_train(trained, config, data)
         assert np.array_equal(a.elbo_history, b.elbo_history)
         assert np.array_equal(a.q.rho, b.q.rho)
 
@@ -302,10 +303,9 @@ class TestFlatLayoutOracles:
         from pinnbands.vi import _loglik_and_grads, _make_context
 
         trained = models_10["ode1.exp"]
-        pts = training_grid(trained)
-        profile = pseudo_profile(trained.problem, trained, envelopes_10["ode1.exp"], pts)
+        data = training_dataset(trained, envelopes_10["ode1.exp"])
         config = VIConfig(prior_sigma=0.5, epochs=1, seed=3, likelihood=likelihood)
-        run = vi_train(trained, config, profile=profile)
+        run = vi_train(trained, config, data)
 
         # the step written array by array, as one list entry per weight/bias
         params = trained.params
@@ -322,7 +322,7 @@ class TestFlatLayoutOracles:
         sigmas = [np.log1p(np.exp(r)) for r in rhos]
         theta = np.concatenate([(m + s * z).ravel() for m, s, z in zip(mus, sigmas, zs)])
         sampled = NetworkParameters(params.layer_sizes, theta, params.activation)
-        _, dl = _loglik_and_grads(_make_context(trained, config, profile), sampled)
+        _, dl = _loglik_and_grads(_make_context(trained, config, data), sampled)
         sp2 = config.prior_sigma**2
         lr, b1, b2, eps = config.learning_rate, 0.9, 0.999, 1e-8
         new_rhos = []
@@ -333,6 +333,60 @@ class TestFlatLayoutOracles:
             new_rhos.append(r - lr * (m / (1.0 - b1**1)) / (np.sqrt(v / (1.0 - b2**1)) + eps))
         assert np.array_equal(run.q.rho, np.concatenate([r.ravel() for r in new_rhos]))
         assert np.array_equal(run.q.mu, params.theta)
+
+
+@pytest.fixture(scope="module")
+def logsing_10():
+    """ode1.logsing at 10 epochs and its sigma_P on the training grid, which
+    is infinite from the pole's subinterval on."""
+    trained = train_deterministic(
+        "ode1.logsing", default_train_config("ode1.logsing", epochs=10, seed=0)
+    )
+    envelope = estimate_envelope(trained, oversample=10, safety_factor=1.1)
+    return trained, pseudo_profile(trained.problem, trained, envelope, training_grid(trained))
+
+
+class TestInfiniteBoundDataset:
+    def test_drops_exactly_the_infinite_bound_points(self, logsing_10):
+        trained, profile = logsing_10
+        data = build_simulated_dataset(trained, profile)
+        finite = np.isfinite(profile.sigma_p)
+        assert 0 < np.sum(finite) < len(finite)
+        assert np.array_equal(data.points, profile.grid[finite])
+        full = forward_values(trained.params, profile.grid[:, None])
+        assert np.array_equal(data.targets, full[finite])
+
+    def test_both_heads_fit_it(self, logsing_10):
+        trained, profile = logsing_10
+        data = build_simulated_dataset(trained, profile)
+        post = nlm_fit(feature_matrix(trained, data.points), data, 0.5)
+        assert np.all(np.isfinite(post.mean)) and np.all(np.isfinite(post.covariance))
+        run = vi_train(trained, VIConfig(prior_sigma=0.5, epochs=2, seed=0), data)
+        assert np.all(np.isfinite(run.elbo_history)) and np.all(np.isfinite(run.q.rho))
+
+    def test_loglik_matches_oracle_over_kept_points(self, logsing_10):
+        from pinnbands.vi import _loglik_and_grads, _make_context
+
+        trained, profile = logsing_10
+        problem = trained.problem
+        ctx = _make_context(trained, VIConfig(epochs=1), build_simulated_dataset(trained, profile))
+        kept = [(x, s) for x, s in zip(profile.grid, profile.sigma_p) if math.isfinite(s)]
+        xs = np.array([x for x, _ in kept])
+        u_det = surrogate_values(problem, trained.params, xs)
+
+        def oracle(params):
+            u = surrogate_values(problem, params, xs)
+            return math.fsum(
+                -0.5 * (math.log(2.0 * math.pi) + math.log(v) + (a - b) ** 2 / v)
+                for a, b, v in zip(u_det, u, (max(s * s, VAR_FLOOR) for _, s in kept))
+            )
+
+        q = vi_init(trained, seed=0)
+        z = np.random.default_rng(5).standard_normal(q.mu.size)
+        for offsets in (np.zeros_like(q.mu), z):
+            params = q.materialize(offsets)
+            loglik, _ = _loglik_and_grads(ctx, params, need_grads=False)
+            assert loglik == pytest.approx(oracle(params), rel=1e-12)
 
 
 def test_band_csv_header(tmp_path, models_10):
