@@ -32,27 +32,15 @@ EQUAL_RATE_TOL = 1e-8
 # residual rows per block in burgers_sigma_grid
 BURGERS_BLOCK_ROWS = 16384
 
-PROFILE_KINDS = (
-    "first_order",
-    "second_order_distinct",
-    "second_order_equal_limit",
-    "second_order_zero",
-    "burgers_heuristic",
-)
-
-
 @dataclass
 class ResidualEnvelope:
     """Piecewise-constant majorant of |residual| over a knot partition.
 
-    ``epsilons[k]`` bounds |r| on ``[knots[k], knots[k+1]]``; it is the
-    sampled maximum over ``oversample`` points scaled by ``safety_factor``.
+    ``epsilons[k]`` bounds |r| on ``[knots[k], knots[k+1]]``.
     """
 
     knots: np.ndarray
     epsilons: np.ndarray
-    oversample: int = 0
-    safety_factor: float = 1.0
 
     def __post_init__(self):
         self.knots = np.asarray(self.knots, dtype=float)
@@ -85,6 +73,10 @@ def envelope_from_function(residual_fn, knots, oversample=10, safety_factor=1.1)
     knots = np.asarray(knots, dtype=float)
     if int(oversample) < 1:
         raise ConfigurationError("oversample must be >= 1")
+    # below 1 the envelope undercuts the sampled maximum of |r| and is no
+    # longer a majorant
+    if not (np.isfinite(safety_factor) and safety_factor >= 1.0):
+        raise ConfigurationError("safety_factor must be finite and >= 1")
     eps = np.empty(len(knots) - 1)
     with np.errstate(divide="ignore"):  # singular sources hit inf at a pole
         for k in range(len(knots) - 1):
@@ -94,7 +86,7 @@ def envelope_from_function(residual_fn, knots, oversample=10, safety_factor=1.1)
         raise ConfigurationError("residual samples contain NaN; model state is broken")
     # eps = inf is kept: a singular source makes |r| genuinely unbounded on
     # that subinterval, and the bound honestly diverges there
-    return ResidualEnvelope(knots, eps, int(oversample), float(safety_factor))
+    return ResidualEnvelope(knots, eps)
 
 
 def estimate_envelope(trained, knots=None, oversample=10, safety_factor=1.1) -> ResidualEnvelope:
@@ -121,92 +113,72 @@ def estimate_envelope(trained, knots=None, oversample=10, safety_factor=1.1) -> 
 
 
 # ---------------------------------------------------------------------------
-# closed-form kernels
+# closed-form bound
 # ---------------------------------------------------------------------------
 
 
-def _segment_limits(envelope: ResidualEnvelope, x):
-    """Clip each subinterval to [knots[k], min(knots[k+1], x)] per point.
+def _segment_integral(problem: ODEProblem):
+    """The operator kernel k of ``problem`` as a segment integral
+    ``(xs, lo, hi) -> integral_lo^hi k(xs - xi) d xi``, chosen once from the
+    order and the decay rates."""
+    if problem.order == 1:
+        lam = problem.lam
+        return lambda xs, lo, hi: (np.exp(-lam * (xs - hi)) - np.exp(-lam * (xs - lo))) / lam
+    lam1, lam2 = problem.real_parts()
+    if abs(lam1) <= EQUAL_RATE_TOL and abs(lam2) <= EQUAL_RATE_TOL:
+        # k(s) = s, e.g. the harmonic oscillator
+        return lambda xs, lo, hi: xs * (hi - lo) - 0.5 * (hi * hi - lo * lo)
+    if abs(lam2 - lam1) <= EQUAL_RATE_TOL:
+        if lam1 <= 0:
+            raise ConfigurationError("error bounds need nonnegative decay rates")
+        # k(s) = s exp(-lam s): the lam2 -> lam1 limit of the distinct-rate
+        # kernel; it also covers complex-conjugate roots with positive real
+        # part, where |sin(w s)/w| <= s makes it a valid majorant
+        lam = 0.5 * (lam1 + lam2)
 
-    Subintervals entirely beyond x collapse to zero length, so one
-    vectorized formula covers full, partial, and untouched segments.
+        def anti(s):
+            return np.exp(-lam * s) * (s / lam + 1.0 / (lam * lam))
+
+        return lambda xs, lo, hi: anti(xs - hi) - anti(xs - lo)
+    if lam1 > 0 and lam2 > 0:
+        # k(s) = (exp(-lam1 s) - exp(-lam2 s)) / (lam2 - lam1)
+        def distinct(xs, lo, hi):
+            seg1 = (np.exp(-lam1 * (xs - hi)) - np.exp(-lam1 * (xs - lo))) / lam1
+            seg2 = (np.exp(-lam2 * (xs - hi)) - np.exp(-lam2 * (xs - lo))) / lam2
+            return (seg1 - seg2) / (lam2 - lam1)
+
+        return distinct
+    raise ConfigurationError(
+        f"no bound kernel for decay rates ({lam1}, {lam2}); "
+        "supported: both positive or both zero"
+    )
+
+
+def pseudo_sigma(problem: ODEProblem, envelope: ResidualEnvelope, x):
+    """sigma_P(x) for a linear ODE: the closed-form error bound at x.
+
+    Each subinterval is clipped to ``[knots[k], min(knots[k+1], x)]``, so
+    subintervals beyond x collapse to zero length and one vectorized formula
+    covers full, partial and untouched segments.
     """
-    x = np.asarray(x, dtype=float)
+    segment = _segment_integral(problem)
+    scalar = np.ndim(x) == 0
+    x = np.asarray(np.atleast_1d(x), dtype=float)
     if np.any(x < envelope.start - 1e-12) or np.any(x > envelope.end + 1e-12):
         raise DomainError(
             f"evaluation points outside envelope coverage [{envelope.start}, {envelope.end}]"
         )
     xs = x[:, None]
-    lo = np.minimum(envelope.knots[None, :-1], xs)
-    hi = np.minimum(envelope.knots[None, 1:], xs)
-    return x, xs, lo, hi
-
-
-def _accumulate(seg, epsilons):
-    """Sum seg * eps per point, keeping zero-length segments at exactly zero.
-
-    An infinite envelope bound (singular source) must not poison segments
-    the integral never touches, so 0-weight segments contribute 0 even
-    against eps = inf.
-    """
+    seg = segment(
+        xs,
+        np.minimum(envelope.knots[None, :-1], xs),
+        np.minimum(envelope.knots[None, 1:], xs),
+    )
+    # an infinite envelope bound (singular source) must not poison segments
+    # the integral never touches, so zero-length segments contribute exactly 0
     with np.errstate(invalid="ignore"):
-        contrib = seg * epsilons[None, :]
-    return np.where(seg > 0.0, contrib, 0.0).sum(axis=1)
-
-
-def bound_first_order(envelope: ResidualEnvelope, lam: float, x):
-    """Error bound for u' + lam u = f: integral of exp(-lam (x-xi)) * env."""
-    if lam <= 0:
-        raise ConfigurationError("first-order bound requires lam > 0")
-    scalar = np.ndim(x) == 0
-    x, xs, lo, hi = _segment_limits(envelope, np.atleast_1d(x))
-    seg = (np.exp(-lam * (xs - hi)) - np.exp(-lam * (xs - lo))) / lam
-    out = _accumulate(seg, envelope.epsilons)
-    return float(out[0]) if scalar else out
-
-
-def bound_second_order_distinct(envelope: ResidualEnvelope, lam1: float, lam2: float, x):
-    """Error bound for distinct positive decay rates lam1 != lam2."""
-    if lam1 <= 0 or lam2 <= 0:
-        raise ConfigurationError("distinct-rate bound requires lam1, lam2 > 0")
-    if abs(lam2 - lam1) <= EQUAL_RATE_TOL:
-        raise ConfigurationError(
-            "decay rates too close; use bound_second_order_equal_limit"
-        )
-    scalar = np.ndim(x) == 0
-    x, xs, lo, hi = _segment_limits(envelope, np.atleast_1d(x))
-    seg1 = (np.exp(-lam1 * (xs - hi)) - np.exp(-lam1 * (xs - lo))) / lam1
-    seg2 = (np.exp(-lam2 * (xs - hi)) - np.exp(-lam2 * (xs - lo))) / lam2
-    out = _accumulate((seg1 - seg2) / (lam2 - lam1), envelope.epsilons)
-    return float(out[0]) if scalar else out
-
-
-def bound_second_order_equal_limit(envelope: ResidualEnvelope, lam: float, x):
-    """Equal-rate limit: integral of (x-xi) exp(-lam (x-xi)) * env.
-
-    This is the lam2 -> lam1 limit of the distinct-rate bound; it covers
-    complex-conjugate characteristic roots with positive real part, where
-    |sin(w s)/w| <= s makes the limit kernel a valid majorant.
-    """
-    if lam <= 0:
-        raise ConfigurationError("equal-limit bound requires lam > 0")
-    scalar = np.ndim(x) == 0
-    x, xs, lo, hi = _segment_limits(envelope, np.atleast_1d(x))
-
-    def anti(s):
-        return np.exp(-lam * s) * (s / lam + 1.0 / (lam * lam))
-
-    seg = anti(xs - hi) - anti(xs - lo)
-    out = _accumulate(seg, envelope.epsilons)
-    return float(out[0]) if scalar else out
-
-
-def bound_second_order_zero(envelope: ResidualEnvelope, x):
-    """Zero-rate case (e.g. u'' + u = f): integral of (x-xi) * env."""
-    scalar = np.ndim(x) == 0
-    x, xs, lo, hi = _segment_limits(envelope, np.atleast_1d(x))
-    seg = xs * (hi - lo) - 0.5 * (hi * hi - lo * lo)
-    out = _accumulate(seg, envelope.epsilons)
+        contrib = seg * envelope.epsilons[None, :]
+    out = np.where(seg > 0.0, contrib, 0.0).sum(axis=1)
     return float(out[0]) if scalar else out
 
 
@@ -221,46 +193,13 @@ class PseudoAleatoricProfile:
 
     grid: np.ndarray
     sigma_p: np.ndarray
-    kind: str
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
         self.sigma_p = np.asarray(self.sigma_p, dtype=float)
-        if self.kind not in PROFILE_KINDS:
-            raise ConfigurationError(f"unknown profile kind {self.kind!r}")
-        if np.any(self.sigma_p < 0):
-            raise ConfigurationError("sigma_p must be nonnegative")
-
-
-def ode_bound_kind(problem: ODEProblem):
-    """(kind, rates) the bound kernel dispatch resolves to for a problem."""
-    if problem.order == 1:
-        return "first_order", (problem.lam,)
-    lam1, lam2 = problem.real_parts()
-    if abs(lam1) <= EQUAL_RATE_TOL and abs(lam2) <= EQUAL_RATE_TOL:
-        return "second_order_zero", ()
-    if abs(lam2 - lam1) <= EQUAL_RATE_TOL:
-        if lam1 <= 0:
-            raise ConfigurationError("error bounds need nonnegative decay rates")
-        return "second_order_equal_limit", (0.5 * (lam1 + lam2),)
-    if lam1 > 0 and lam2 > 0:
-        return "second_order_distinct", (lam1, lam2)
-    raise ConfigurationError(
-        f"no bound kernel for decay rates ({lam1}, {lam2}); "
-        "supported: both positive or both zero"
-    )
-
-
-def pseudo_sigma(problem: ODEProblem, envelope: ResidualEnvelope, x):
-    """sigma_P(x) for a linear ODE: the closed-form error bound at x."""
-    kind, rates = ode_bound_kind(problem)
-    if kind == "first_order":
-        return bound_first_order(envelope, rates[0], x)
-    if kind == "second_order_zero":
-        return bound_second_order_zero(envelope, x)
-    if kind == "second_order_equal_limit":
-        return bound_second_order_equal_limit(envelope, rates[0], x)
-    return bound_second_order_distinct(envelope, rates[0], rates[1], x)
+        # +inf is a legal bound (singular source); NaN and negatives are not
+        if not np.all(self.sigma_p >= 0):
+            raise ConfigurationError("sigma_p must be nonnegative and not NaN")
 
 
 def burgers_sigma_grid(trained, points, n_time_samples: int = 64) -> np.ndarray:
@@ -292,11 +231,9 @@ def pseudo_profile(problem, trained, envelope, grid, n_time_samples: int = 64) -
         if grid.ndim != 2 or grid.shape[1] != 2:
             raise ConfigurationError("Burgers profiles need (x, t) grid rows")
         sig = burgers_sigma_grid(trained, grid, n_time_samples)
-        return PseudoAleatoricProfile(grid, sig, "burgers_heuristic")
+        return PseudoAleatoricProfile(grid, sig)
     if not isinstance(problem, ODEProblem):
         raise ConfigurationError(f"unsupported problem type {type(problem).__name__}")
     if envelope is None:
         raise ConfigurationError("ODE profiles need a residual envelope")
-    kind, _ = ode_bound_kind(problem)
-    sig = pseudo_sigma(problem, envelope, grid)
-    return PseudoAleatoricProfile(grid, np.asarray(sig, dtype=float), kind)
+    return PseudoAleatoricProfile(grid, pseudo_sigma(problem, envelope, grid))

@@ -39,6 +39,7 @@ from .nlm import (
     optimize_prior,
 )
 from .problems import (
+    FIRST_ORDER_IDS,
     BurgersProblem,
     burgers_initial_condition,
     get_entry,
@@ -71,6 +72,7 @@ _LOWEST = {
     "grid_points": 2,
     "oversample": 0,
     "envelope_intervals": 1,
+    "n_posterior_samples": 1,
     "burgers_time_samples": 1,
 }
 
@@ -229,12 +231,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             prior_sigma=_prior_sigma_for(problem),
             epochs=config.vi_epochs,
             likelihood="error_aware_simulated" if error_aware else "baseline_residual",
-            n_posterior_samples=config.n_posterior_samples,
             learning_rate=det_cfg.learning_rate,
             seed=config.seed + _SEED_VI,
         )
         run = vi_train(trained, vi_cfg, dataset)
-        samples = sample_posterior(run.q, vi_cfg.n_posterior_samples, seed=config.seed + _SEED_SAMPLES)
+        samples = sample_posterior(run.q, config.n_posterior_samples, seed=config.seed + _SEED_SAMPLES)
         band = predictive_moments(samples, problem, grid, profile if error_aware else None)
         extras = {"elbo_final": float(run.elbo_history[-1]) if len(run.elbo_history) else None}
 
@@ -380,18 +381,17 @@ def save_artifacts(report: ExperimentReport, out_dir):
 # presets
 # ---------------------------------------------------------------------------
 
-_FIRST_ORDER = ("ode1.poly", "ode1.cos", "ode1.exp", "ode1.logsing")
 _HARMONIC = tuple(f"ode2.harmonic.{s}" for s in ("exp", "poly", "log", "chirp"))
 _DAMPED = tuple(f"ode2.damped.{s}" for s in ("exp", "poly", "log", "trig"))
 
 PRESETS = {
     # figure-style bundles at benchmark budgets
     "fig1": {
-        "cells": [(p, "baseline_vi") for p in _FIRST_ORDER],
+        "cells": [(p, "baseline_vi") for p in FIRST_ORDER_IDS],
         "overrides": {"det_epochs": 10, "vi_epochs": 50000},
     },
     "fig2": {
-        "cells": [(p, m) for p in _FIRST_ORDER for m in ("error_aware_nlm", "error_aware_vi")],
+        "cells": [(p, m) for p in FIRST_ORDER_IDS for m in ("error_aware_nlm", "error_aware_vi")],
         "overrides": {"det_epochs": 10000, "vi_epochs": 50000},
     },
     "fig4": {

@@ -227,7 +227,11 @@ class Tape:
 
 
 def _check_input(params, X):
+    """``X`` as ``(M, input_dim)`` rows; a 1-D array is one point per entry
+    when the net has a single input."""
     X = np.asarray(X, dtype=float)
+    if X.ndim == 1 and params.input_dim == 1:
+        X = X[:, None]
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise ShapeError(
             f"input shape {X.shape} does not match network input dim {params.input_dim}"

@@ -83,10 +83,8 @@ class PriorSearchResult:
 def feature_matrix(trained, points) -> np.ndarray:
     """Last-hidden-layer activations plus a constant bias column: the
     ``(M, width + 1)`` design matrix of the linear head, one row per point."""
-    pts = np.asarray(points, dtype=float)
-    X = pts[:, None] if pts.ndim == 1 else pts
-    hidden = hidden_features(trained.params, X)
-    mat = np.concatenate([hidden, np.ones((len(X), 1))], axis=1)
+    hidden = hidden_features(trained.params, points)
+    mat = np.concatenate([hidden, np.ones((len(hidden), 1))], axis=1)
     if not np.all(np.isfinite(mat)):
         raise ShapeError("non-finite feature entries")
     return mat
@@ -102,7 +100,7 @@ def build_simulated_dataset(trained, profile: PseudoAleatoricProfile) -> Simulat
     infinite bound (singular sources) carry zero information and are dropped.
     """
     pts = profile.grid
-    targets = forward_values(trained.params, pts[:, None] if pts.ndim == 1 else pts)
+    targets = forward_values(trained.params, pts)
     sig = profile.sigma_p
     variances = np.maximum(sig * sig, VAR_FLOOR)
     keep = np.isfinite(variances)

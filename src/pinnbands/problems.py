@@ -173,10 +173,8 @@ def transform_offset_scale(problem, points):
 
 def surrogate_values(problem, params, points) -> np.ndarray:
     """Transformed surrogate values on a batch of points."""
-    pts = np.asarray(points, dtype=float)
-    X = pts[:, None] if pts.ndim == 1 else pts
     offset, scale = transform_offset_scale(problem, points)
-    return offset + scale * forward_values(params, X)
+    return offset + scale * forward_values(params, points)
 
 
 def residual_coefficients(problem: ODEProblem, points):
@@ -293,8 +291,7 @@ def residual_jet_partials(problem, points, jets, pieces=None):
 def residual_values(problem, params, points) -> np.ndarray:
     """Residuals of the transformed surrogate on a batch of points."""
     pts = np.asarray(points, dtype=float)
-    X = pts[:, None] if pts.ndim == 1 else pts
-    jets, _ = forward_jets_batch(params, X, problem.derivs)
+    jets, _ = forward_jets_batch(params, pts, problem.derivs)
     return residual_from_jets(problem, pts, jets)
 
 
@@ -303,7 +300,6 @@ def residual_values(problem, params, points) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _DAMPED_OMEGA = math.sqrt(7.0) / 2.0
-_DAMPED_ROOT = complex(-1.5, _DAMPED_OMEGA)
 
 
 def _damped_homogeneous(t, A, B):

@@ -133,8 +133,7 @@ def _jittered(points, spec: GridSpec, rng) -> np.ndarray:
 def residual_loss_and_grads(problem, params, points):
     """Mean squared residual over ``points`` and its parameter gradient."""
     pts = np.asarray(points, dtype=float)
-    X = pts[:, None] if pts.ndim == 1 else pts
-    jets, tape = forward_jets_batch(params, X, problem.derivs, need_tape=True)
+    jets, tape = forward_jets_batch(params, pts, problem.derivs, need_tape=True)
     pieces = residual_pieces(problem, pts)
     r = residual_from_jets(problem, pts, jets, pieces)
     loss = float(np.mean(r * r))

@@ -90,7 +90,6 @@ class VIConfig:
     mc_samples_per_step: int = 1
     likelihood: str = "error_aware_simulated"
     sigma_d: float = 1.0
-    n_posterior_samples: int = 1000
     learning_rate: float = 0.01
     seed: int = 0
     n_eval_draws: int = 4
@@ -101,7 +100,7 @@ class VIConfig:
         for name in ("prior_sigma", "sigma_d", "learning_rate"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
-        for name in ("epochs", "mc_samples_per_step", "n_posterior_samples", "n_eval_draws"):
+        for name in ("epochs", "mc_samples_per_step", "n_eval_draws"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
 
@@ -131,7 +130,6 @@ class _VIContext:
 
     problem: object
     points: np.ndarray
-    X: np.ndarray
     derivs: tuple
     likelihood: str
     sigma_d: float = 1.0
@@ -148,30 +146,28 @@ def _make_context(
     problem = trained.problem
     if config.likelihood == "baseline_residual":
         points = training_grid(trained)
-        X = points[:, None] if points.ndim == 1 else points
         m = len(points)
         const = -0.5 * m * (LOG_2PI + 2.0 * np.log(config.sigma_d))
         return _VIContext(
-            problem, points, X, problem.derivs, config.likelihood,
+            problem, points, problem.derivs, config.likelihood,
             sigma_d=config.sigma_d, pieces=residual_pieces(problem, points), const_term=const,
         )
     if data is None:
         raise ConfigurationError("error-aware likelihood needs a simulated dataset")
     points = data.points
-    X = points[:, None] if points.ndim == 1 else points
     # the transform offset is shared by target and prediction, so the
     # deviation reduces to scale * (raw_det - raw_sample)
     _, scale = transform_offset_scale(problem, points)
     const = float(-0.5 * np.sum(LOG_2PI + np.log(data.variances)))
     return _VIContext(
-        problem, points, X, (), config.likelihood,
+        problem, points, (), config.likelihood,
         raw_targets=data.targets, variances=data.variances, scale=scale, const_term=const,
     )
 
 
 def _loglik_and_grads(ctx: _VIContext, params: NetworkParameters, need_grads=True):
     """Log-likelihood at sampled parameters; its flat gradient w.r.t. them if asked."""
-    jets, tape = forward_jets_batch(params, ctx.X, ctx.derivs, need_tape=need_grads)
+    jets, tape = forward_jets_batch(params, ctx.points, ctx.derivs, need_tape=need_grads)
     if ctx.likelihood == "baseline_residual":
         r = residual_from_jets(ctx.problem, ctx.points, jets, ctx.pieces)
         sd2 = ctx.sigma_d * ctx.sigma_d
@@ -231,7 +227,6 @@ class VIRun:
 
     q: MeanFieldGaussian
     elbo_history: np.ndarray   # fixed-draw evaluation, one entry per epoch
-    config: VIConfig
 
 
 def vi_train(
@@ -261,7 +256,7 @@ def vi_train(
                 f"VI diverged at epoch {epoch}: {exc}", epoch=epoch
             ) from exc
         evals[epoch] = eval_elbo(ctx, q, config.prior_sigma, eval_offsets)
-    return VIRun(q, evals, config)
+    return VIRun(q, evals)
 
 
 def predictive_moments(samples, problem, grid, profile=None) -> PredictiveBand:
@@ -273,13 +268,12 @@ def predictive_moments(samples, problem, grid, profile=None) -> PredictiveBand:
     if len(samples) == 0:
         raise ConfigurationError("need at least one posterior sample")
     grid = np.asarray(grid, dtype=float)
-    X = grid[:, None] if grid.ndim == 1 else grid
     # u~ = offset + scale * net, with the transform evaluated once for all
     # draws; one (n, M) buffer is filled and then worked on in place
     offset, scale = transform_offset_scale(problem, grid)
-    values = np.empty((len(samples), len(X)))
+    values = np.empty((len(samples), len(grid)))
     for row, p in zip(values, samples):
-        row[...] = forward_values(p, X)
+        row[...] = forward_values(p, grid)
     values *= scale
     values += offset
     mean = values.mean(axis=0)

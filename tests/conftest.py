@@ -8,7 +8,7 @@ import pytest
 from pinnbands.bounds import estimate_envelope, pseudo_profile
 from pinnbands.errors import ConfigurationError
 from pinnbands.nlm import build_simulated_dataset
-from pinnbands.problems import NONSINGULAR_FIRST_ORDER_IDS
+from pinnbands.problems import NONSINGULAR_FIRST_ORDER_IDS, ODEProblem
 from pinnbands.training import default_train_config, train_deterministic, training_grid
 
 BENCH_SEED = 0
@@ -23,6 +23,18 @@ def moving_average(trace, window: int) -> np.ndarray:
         raise ConfigurationError("moving-average window outside trace length")
     kernel = np.ones(window) / window
     return np.convolve(trace, kernel, mode="valid")
+
+
+def rate_problem(lam1, lam2=None):
+    """An ODE on [0, 4] whose bound kernel has decay rate ``lam1`` (order 1)
+    or rates ``(lam1, lam2)``: the operator (s + lam1)(s + lam2), i.e.
+    c1 = lam1 + lam2 and c0 = lam1 * lam2."""
+    def zero(t):
+        return np.zeros_like(np.asarray(t, dtype=float))
+
+    if lam2 is None:
+        return ODEProblem(order=1, lam=lam1, source=zero, u0=1.0)
+    return ODEProblem(order=2, c1=lam1 + lam2, c0=lam1 * lam2, source=zero, u0=1.0, u0_prime=0.0)
 
 
 def training_dataset(trained, envelope):

@@ -15,10 +15,6 @@ from scipy.integrate import quad, solve_ivp
 
 from pinnbands.bounds import (
     ResidualEnvelope,
-    bound_first_order,
-    bound_second_order_distinct,
-    bound_second_order_equal_limit,
-    bound_second_order_zero,
     burgers_sigma_grid,
     pseudo_sigma,
 )
@@ -59,7 +55,7 @@ from pinnbands.vi import (
 )
 from pinnbands.bounds import estimate_envelope, pseudo_profile
 
-from conftest import TRAIN_SECONDS, moving_average
+from conftest import TRAIN_SECONDS, moving_average, rate_problem
 
 EVAL_GRID = np.linspace(0.0, 4.0, 401)
 
@@ -248,6 +244,9 @@ def test_c04_kernels_match_quadrature():
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
     worst = {"first": 0.0, "distinct": 0.0, "equal": 0.0, "zero": 0.0, "limit": 0.0}
+    first, distinct = rate_problem(3.0), rate_problem(1.0, 2.0)
+    equal, zero = rate_problem(1.5, 1.5), rate_problem(0.0, 0.0)
+    near_equal = rate_problem(1.5, 1.5 + 1e-6)
     for _ in range(50):
         inner = np.sort(rng.uniform(0.1, 3.9, rng.integers(1, 7)))
         knots = np.concatenate([[0.0], inner, [4.0]])
@@ -257,19 +256,19 @@ def test_c04_kernels_match_quadrature():
             x = float(x)
             cases = {
                 "first": (
-                    bound_first_order(env, 3.0, x),
+                    pseudo_sigma(first, env, x),
                     _quad_bound(env, lambda s: np.exp(-3.0 * s), x),
                 ),
                 "distinct": (
-                    bound_second_order_distinct(env, 1.0, 2.0, x),
+                    pseudo_sigma(distinct, env, x),
                     _quad_bound(env, lambda s: np.exp(-s) - np.exp(-2.0 * s), x),
                 ),
                 "equal": (
-                    bound_second_order_equal_limit(env, 1.5, x),
+                    pseudo_sigma(equal, env, x),
                     _quad_bound(env, lambda s: s * np.exp(-1.5 * s), x),
                 ),
                 "zero": (
-                    bound_second_order_zero(env, x),
+                    pseudo_sigma(zero, env, x),
                     _quad_bound(env, lambda s: s, x),
                 ),
             }
@@ -277,8 +276,8 @@ def test_c04_kernels_match_quadrature():
                 rel = abs(closed - reference) / max(abs(reference), 1e-300)
                 worst[name] = max(worst[name], rel)
         for x in (1.0, 2.7, 4.0):
-            a = bound_second_order_distinct(env, 1.5, 1.5 + 1e-6, x)
-            b = bound_second_order_equal_limit(env, 1.5, x)
+            a = pseudo_sigma(near_equal, env, x)
+            b = pseudo_sigma(equal, env, x)
             worst["limit"] = max(worst["limit"], abs(a - b) / b)
     elapsed = time.perf_counter() - start
     for name in ("first", "distinct", "equal", "zero"):

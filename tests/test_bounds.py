@@ -1,4 +1,7 @@
-"""Envelopes and bound kernels: closed forms vs quadrature, soundness, dispatch."""
+"""Envelopes and bound kernels: closed forms vs quadrature, soundness, dispatch.
+
+Each kernel is reached through ``pseudo_sigma`` on a problem built from its
+decay rates (``conftest.rate_problem``)."""
 
 import numpy as np
 import pytest
@@ -10,14 +13,9 @@ from pinnbands.bounds import (
     BURGERS_BLOCK_ROWS,
     PseudoAleatoricProfile,
     ResidualEnvelope,
-    bound_first_order,
-    bound_second_order_distinct,
-    bound_second_order_equal_limit,
-    bound_second_order_zero,
     burgers_sigma_grid,
     envelope_from_function,
     estimate_envelope,
-    ode_bound_kind,
     pseudo_profile,
     pseudo_sigma,
     uniform_knots,
@@ -31,6 +29,8 @@ from pinnbands.problems import (
     surrogate_values,
 )
 from pinnbands.training import TrainConfig, GridSpec, train_deterministic
+
+from conftest import rate_problem
 
 
 def random_envelope(rng, k_max=8, x_end=4.0):
@@ -90,6 +90,11 @@ class TestEnvelope:
         k = np.clip(np.searchsorted(env.knots, xs, side="right") - 1, 0, len(env.epsilons) - 1)
         assert np.all(r <= env.epsilons[k])
 
+    @pytest.mark.parametrize("factor", [0.0, 0.5, float("nan"), float("inf")])
+    def test_bad_safety_factor_rejected(self, models_10, factor):
+        with pytest.raises(ConfigurationError, match="safety_factor"):
+            estimate_envelope(models_10["ode1.exp"], safety_factor=factor)
+
     def test_non_covering_knots_rejected(self, models_10):
         with pytest.raises(ConfigurationError):
             estimate_envelope(models_10["ode1.exp"], knots=[0.0, 1.0, 3.0])
@@ -106,37 +111,40 @@ class TestKernelsVsHandForms:
         env = ResidualEnvelope([0.0, 4.0], [0.5])
         lam, x = 3.0, 1.7
         expect = 0.5 * (1.0 - np.exp(-lam * x)) / lam
-        assert bound_first_order(env, lam, x) == pytest.approx(expect, rel=1e-14)
+        assert pseudo_sigma(rate_problem(lam), env, x) == pytest.approx(expect, rel=1e-14)
 
     def test_first_order_zero_at_origin(self):
         env = ResidualEnvelope([0.0, 4.0], [0.5])
-        assert bound_first_order(env, 3.0, 0.0) == 0.0
+        assert pseudo_sigma(rate_problem(3.0), env, 0.0) == 0.0
 
     def test_distinct_constant_envelope(self):
         env = ResidualEnvelope([0.0, 4.0], [0.5])
         l1, l2, x = 1.0, 2.0, 1.3
         expect = 0.5 * ((1 - np.exp(-l1 * x)) / l1 - (1 - np.exp(-l2 * x)) / l2) / (l2 - l1)
-        assert bound_second_order_distinct(env, l1, l2, x) == pytest.approx(expect, rel=1e-14)
-        assert bound_second_order_distinct(env, l1, l2, 0.0) == 0.0
+        problem = rate_problem(l1, l2)
+        assert pseudo_sigma(problem, env, x) == pytest.approx(expect, rel=1e-14)
+        assert pseudo_sigma(problem, env, 0.0) == 0.0
 
     def test_equal_limit_constant_envelope(self):
         env = ResidualEnvelope([0.0, 4.0], [0.5])
         lam, x = 2.0, 1.3
         expect = 0.5 * (1.0 - np.exp(-lam * x) * (1.0 + lam * x)) / lam**2
-        assert bound_second_order_equal_limit(env, lam, x) == pytest.approx(expect, rel=1e-14)
-        assert bound_second_order_equal_limit(env, lam, 0.0) == 0.0
+        problem = rate_problem(lam, lam)
+        assert pseudo_sigma(problem, env, x) == pytest.approx(expect, rel=1e-14)
+        assert pseudo_sigma(problem, env, 0.0) == 0.0
 
     def test_zero_rate_constant_envelope(self):
         env = ResidualEnvelope([0.0, 4.0], [0.5])
-        assert bound_second_order_zero(env, 1.7) == pytest.approx(0.5 * 1.7**2 / 2, rel=1e-14)
-        assert bound_second_order_zero(env, 0.0) == 0.0
+        problem = rate_problem(0.0, 0.0)
+        assert pseudo_sigma(problem, env, 1.7) == pytest.approx(0.5 * 1.7**2 / 2, rel=1e-14)
+        assert pseudo_sigma(problem, env, 0.0) == 0.0
 
     def test_outside_partition_rejected(self):
         env = ResidualEnvelope([0.0, 4.0], [0.5])
         with pytest.raises(DomainError):
-            bound_first_order(env, 3.0, 4.5)
+            pseudo_sigma(rate_problem(3.0), env, 4.5)
         with pytest.raises(DomainError):
-            bound_first_order(env, 3.0, -0.5)
+            pseudo_sigma(rate_problem(3.0), env, -0.5)
 
 
 class TestKernelsVsQuadrature:
@@ -146,28 +154,23 @@ class TestKernelsVsQuadrature:
         env = random_envelope(rng)
         xs = rng.uniform(0.3, 4.0, 3)
         cases = [
-            (lambda x: bound_first_order(env, 3.0, x), lambda s: np.exp(-3.0 * s)),
-            (
-                lambda x: bound_second_order_distinct(env, 1.0, 2.0, x),
-                lambda s: (np.exp(-s) - np.exp(-2.0 * s)) / 1.0,
-            ),
-            (
-                lambda x: bound_second_order_equal_limit(env, 1.5, x),
-                lambda s: s * np.exp(-1.5 * s),
-            ),
-            (lambda x: bound_second_order_zero(env, x), lambda s: s),
+            (rate_problem(3.0), lambda s: np.exp(-3.0 * s)),
+            (rate_problem(1.0, 2.0), lambda s: (np.exp(-s) - np.exp(-2.0 * s)) / 1.0),
+            (rate_problem(1.5, 1.5), lambda s: s * np.exp(-1.5 * s)),
+            (rate_problem(0.0, 0.0), lambda s: s),
         ]
-        for closed, kernel in cases:
+        for problem, kernel in cases:
             for x in xs:
                 expect = quadrature_bound(env, kernel, float(x))
-                assert closed(float(x)) == pytest.approx(expect, rel=1e-9, abs=1e-13)
+                closed = pseudo_sigma(problem, env, float(x))
+                assert closed == pytest.approx(expect, rel=1e-9, abs=1e-13)
 
     def test_equal_limit_is_limit_of_distinct(self):
         rng = np.random.default_rng(7)
         env = random_envelope(rng)
         for x in (0.5, 2.0, 4.0):
-            a = bound_second_order_distinct(env, 1.5, 1.5 + 1e-6, x)
-            b = bound_second_order_equal_limit(env, 1.5, x)
+            a = pseudo_sigma(rate_problem(1.5, 1.5 + 1e-6), env, x)
+            b = pseudo_sigma(rate_problem(1.5, 1.5), env, x)
             assert abs(a - b) / b < 1e-5
 
     @given(st.integers(0, 10_000))
@@ -177,12 +180,10 @@ class TestKernelsVsQuadrature:
         env = random_envelope(rng)
         bigger = ResidualEnvelope(env.knots, env.epsilons + rng.uniform(0, 1, len(env.epsilons)))
         xs = np.linspace(0.0, 4.0, 17)
-        for fn in (
-            lambda e: bound_first_order(e, 2.0, xs),
-            lambda e: bound_second_order_equal_limit(e, 1.5, xs),
-            lambda e: bound_second_order_zero(e, xs),
-        ):
-            assert np.all(fn(bigger) >= fn(env) - 1e-15)
+        for problem in (rate_problem(2.0), rate_problem(1.5, 1.5), rate_problem(0.0, 0.0)):
+            assert np.all(
+                pseudo_sigma(problem, bigger, xs) >= pseudo_sigma(problem, env, xs) - 1e-15
+            )
 
 
 class TestSoundness:
@@ -203,29 +204,36 @@ class TestSoundness:
             assert np.all(np.abs(truth - u) <= sig)
 
 
+CONSTANT_ENV = ResidualEnvelope([0.0, 4.0], [0.5])
+XS = np.linspace(0.0, 4.0, 11)
+
+
 class TestDispatch:
     def test_first_order_kind(self, models_10, envelopes_10):
         trained = models_10["ode1.poly"]
-        profile = pseudo_profile(trained.problem, trained, envelopes_10["ode1.poly"], np.linspace(0, 4, 11))
-        assert profile.kind == "first_order"
+        env = envelopes_10["ode1.poly"]
+        profile = pseudo_profile(trained.problem, trained, env, XS)
+        assert np.array_equal(profile.sigma_p, pseudo_sigma(rate_problem(trained.problem.lam), env, XS))
         assert profile.sigma_p[0] == 0.0
 
     def test_harmonic_maps_to_zero_kernel(self):
-        assert ode_bound_kind(get_problem("ode2.harmonic.exp"))[0] == "second_order_zero"
+        sig = pseudo_sigma(get_problem("ode2.harmonic.exp"), CONSTANT_ENV, XS)
+        assert np.allclose(sig, 0.5 * XS**2 / 2, rtol=1e-14, atol=0.0)
 
     def test_damped_maps_to_equal_limit(self):
-        kind, rates = ode_bound_kind(get_problem("ode2.damped.exp"))
-        assert kind == "second_order_equal_limit"
-        assert rates[0] == pytest.approx(1.5)
+        lam = 1.5
+        expect = 0.5 * (1.0 - np.exp(-lam * XS) * (1.0 + lam * XS)) / lam**2
+        sig = pseudo_sigma(get_problem("ode2.damped.exp"), CONSTANT_ENV, XS)
+        assert np.allclose(sig, expect, rtol=1e-14, atol=0.0)
 
     def test_distinct_real_roots(self):
         problem = ODEProblem(
             order=2, c1=3.0, c0=2.0, source=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
             u0=1.0, u0_prime=0.0,
         )
-        kind, rates = ode_bound_kind(problem)
-        assert kind == "second_order_distinct"
-        assert rates == (1.0, 2.0)
+        l1, l2 = 1.0, 2.0
+        expect = 0.5 * ((1 - np.exp(-l1 * XS)) / l1 - (1 - np.exp(-l2 * XS)) / l2) / (l2 - l1)
+        assert np.allclose(pseudo_sigma(problem, CONSTANT_ENV, XS), expect, rtol=1e-14, atol=0.0)
 
     def test_unstable_rates_rejected(self):
         problem = ODEProblem(
@@ -233,11 +241,15 @@ class TestDispatch:
             u0=1.0, u0_prime=0.0,
         )
         with pytest.raises(ConfigurationError):
-            ode_bound_kind(problem)
+            pseudo_sigma(problem, CONSTANT_ENV, 1.0)
 
-    def test_profile_kind_validated(self):
+    def test_nan_sigma_rejected(self):
         with pytest.raises(ConfigurationError):
-            PseudoAleatoricProfile(np.zeros(3), np.zeros(3), "nonsense")
+            PseudoAleatoricProfile(np.zeros(3), np.array([0.0, np.nan, 1.0]))
+
+    def test_infinite_sigma_kept(self):
+        profile = PseudoAleatoricProfile(np.zeros(3), np.array([0.0, np.inf, 1.0]))
+        assert np.isinf(profile.sigma_p[1])
 
 
 @pytest.fixture(scope="module")
@@ -292,7 +304,7 @@ class TestBurgersSigma:
     def test_profile_dispatch(self, tiny_burgers):
         grid = np.array([[0.0, 0.0], [0.0, 1.0]])
         profile = pseudo_profile(tiny_burgers.problem, tiny_burgers, None, grid)
-        assert profile.kind == "burgers_heuristic"
+        assert np.array_equal(profile.sigma_p, burgers_sigma_grid(tiny_burgers, grid))
         assert profile.sigma_p[0] == 0.0
 
 

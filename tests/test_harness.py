@@ -117,6 +117,7 @@ class TestRunExperiment:
         ("burgers_grid", (6, 1)),
         ("burgers_time_samples", 0),
         ("envelope_intervals", 0),
+        ("n_posterior_samples", 0),
         ("safety_factor", 0.0),
         ("safety_factor", 0.5),
         ("safety_factor", float("nan")),

@@ -110,6 +110,23 @@ class TestForward:
         single = np.array([value_at(p, [x]) for x in xs])
         assert np.allclose(batch, single, rtol=1e-14, atol=0)
 
+    def test_one_dimensional_grid_matches_column_bitwise(self):
+        p = init_network([1, 6, 5, 1], "sigmoid", seed=2)
+        xs = np.linspace(-1, 1, 9)
+        flat, _ = forward_jets_batch(p, xs, ((0,), (0, 0)))
+        column, _ = forward_jets_batch(p, xs[:, None], ((0,), (0, 0)))
+        assert np.array_equal(flat.value, column.value)
+        assert np.array_equal(flat.slots, column.slots)
+        assert np.array_equal(forward_values(p, xs), forward_values(p, xs[:, None]))
+        assert np.array_equal(hidden_features(p, xs), hidden_features(p, xs[:, None]))
+
+    def test_one_dimensional_grid_rejected_for_two_inputs(self):
+        p = init_network([2, 4, 1], "tanh", seed=0)
+        with pytest.raises(ShapeError):
+            forward_values(p, np.linspace(0, 1, 6))
+        with pytest.raises(ShapeError):
+            hidden_features(p, np.linspace(0, 1, 6))
+
 
 class TestForwardJet:
     """Derivative slots of forward_jets_batch at single points."""
