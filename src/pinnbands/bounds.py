@@ -51,8 +51,9 @@ class ResidualEnvelope:
             raise ConfigurationError("envelope knots must be strictly increasing")
         if len(self.epsilons) != len(self.knots) - 1:
             raise ConfigurationError("need one epsilon per subinterval")
-        if np.any(self.epsilons < 0):
-            raise ConfigurationError("envelope bounds must be nonnegative")
+        # +inf is a legal bound (singular source); NaN and negatives are not
+        if not np.all(self.epsilons >= 0):
+            raise ConfigurationError("envelope bounds must be nonnegative and not NaN")
 
     @property
     def start(self) -> float:

@@ -70,7 +70,7 @@ _LOWEST = {
     "vi_epochs": 0,
     "seed": 0,
     "grid_points": 2,
-    "oversample": 0,
+    "oversample": 2,
     "envelope_intervals": 1,
     "n_posterior_samples": 1,
     "burgers_time_samples": 1,

@@ -130,11 +130,16 @@ def _jittered(points, spec: GridSpec, rng) -> np.ndarray:
     return moved
 
 
-def residual_loss_and_grads(problem, params, points):
-    """Mean squared residual over ``points`` and its parameter gradient."""
+def residual_loss_and_grads(problem, params, points, pieces=None):
+    """Mean squared residual over ``points`` and its parameter gradient.
+
+    ``pieces`` is :func:`residual_pieces` at ``points``, computed here when
+    not given.
+    """
     pts = np.asarray(points, dtype=float)
     jets, tape = forward_jets_batch(params, pts, problem.derivs, need_tape=True)
-    pieces = residual_pieces(problem, pts)
+    if pieces is None:
+        pieces = residual_pieces(problem, pts)
     r = residual_from_jets(problem, pts, jets, pieces)
     loss = float(np.mean(r * r))
     dv, dslots = residual_jet_partials(problem, pts, jets, pieces)
@@ -170,10 +175,12 @@ def train_deterministic(problem_or_id, config: TrainConfig) -> TrainedPINN:
     state = init_adam(params.theta, learning_rate=config.learning_rate)
     rng = np.random.default_rng(config.seed + 1)
 
+    # a fixed grid feeds the same points every epoch, so its pieces are reused
+    pieces = residual_pieces(problem, base_points) if config.collocation.jitter <= 0 else None
     history = np.empty(config.epochs)
     for epoch in range(config.epochs):
         pts = _jittered(base_points, config.collocation, rng)
-        loss, grads = residual_loss_and_grads(problem, params, pts)
+        loss, grads = residual_loss_and_grads(problem, params, pts, pieces)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite residual loss at epoch {epoch}", epoch=epoch)
         try:

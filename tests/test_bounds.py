@@ -105,6 +105,15 @@ class TestEnvelope:
         with pytest.raises(ConfigurationError):
             ResidualEnvelope([0.0, 1.0], [-0.1])
 
+    def test_nan_epsilon_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ResidualEnvelope([0.0, 1.0, 2.0], [0.5, np.nan])
+
+    def test_infinite_epsilon_kept(self):
+        # a singular source (ode1.logsing) gives a genuinely unbounded piece
+        env = ResidualEnvelope([0.0, 1.0, 2.0], [0.5, np.inf])
+        assert np.isinf(env.epsilons[1])
+
 
 class TestKernelsVsHandForms:
     def test_first_order_constant_envelope(self):

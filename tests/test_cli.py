@@ -133,6 +133,18 @@ class TestCertify:
         assert "safety_factor" in capsys.readouterr().err
         assert not os.path.exists(out_csv)
 
+    def test_oversample_below_two_exit_2(self, tmp_path, capsys, models_10):
+        prefix = str(tmp_path / "model")
+        save_trained(models_10["ode1.exp"], prefix)
+        out_csv = tmp_path / "c.csv"
+        code = run_cli(
+            "certify", "--weights", prefix, "--problem", "ode1.exp",
+            "--oversample", "1", "--out", str(out_csv),
+        )
+        assert code == 2
+        assert "oversample" in capsys.readouterr().err
+        assert not os.path.exists(out_csv)
+
     def test_burgers_weights_exit_2(self, tmp_path, capsys):
         trained = train_deterministic(
             "burgers", default_train_config("burgers", epochs=1, seed=0, grid=(3, 3))

@@ -118,6 +118,8 @@ class TestRunExperiment:
         ("burgers_time_samples", 0),
         ("envelope_intervals", 0),
         ("n_posterior_samples", 0),
+        ("oversample", 0),
+        ("oversample", 1),
         ("safety_factor", 0.0),
         ("safety_factor", 0.5),
         ("safety_factor", float("nan")),

@@ -5,10 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import pinnbands.harness as harness
+import pinnbands.nlm as nlm
 from pinnbands.bounds import ResidualEnvelope, pseudo_profile
 from pinnbands.errors import ConfigurationError
+from pinnbands.harness import ExperimentConfig, run_experiment
 from pinnbands.nlm import (
+    VAR_FLOOR,
     NLMPosterior,
     PriorEvalGrid,
     SimulatedDataset,
@@ -262,6 +268,139 @@ class TestPriorSearch:
         grid = make_prior_eval_grid(trained, env)
         with pytest.raises(ConfigurationError):
             optimize_prior(fm, data, grid, [])
+
+
+def exhaustive_search(features, data, eval_grid, candidates):
+    """The prior search without a screen: every candidate through nlm_fit, in
+    order; a feasible candidate beats an infeasible one, a strictly smaller
+    objective (or (violations, objective) among infeasible ones) beats a
+    larger one, and the first of equal keys wins."""
+    finite = np.isfinite(eval_grid.sigma_p)
+    best, best_key = None, None
+    for sigma in candidates:
+        post = nlm_fit(features, data, float(sigma))
+        mean_raw = eval_grid.features @ post.mean
+        epi_raw = np.maximum(
+            np.einsum("ij,jk,ik->i", eval_grid.features, post.covariance, eval_grid.features), 0.0
+        )
+        mean = eval_grid.offset + eval_grid.scale * mean_raw
+        sd = np.sqrt(eval_grid.sigma_p**2 + eval_grid.scale**2 * epi_raw)
+        dev = mean[finite] - eval_grid.u_mse[finite]
+        n_viol = int(np.sum(np.abs(dev) - (3.0 * sd[finite] - eval_grid.sigma_p[finite]) > 0))
+        objective = float(np.linalg.norm(dev) + np.linalg.norm(sd[finite] - eval_grid.sigma_p[finite]))
+        key = (n_viol > 0, n_viol, objective)
+        if best is None or key < best_key:
+            best, best_key = (float(sigma), n_viol == 0, n_viol, objective, post), key
+    return best
+
+
+def assert_same_search(res, oracle):
+    sigma, feasible, n_viol, objective, post = oracle
+    assert (res.sigma, res.feasible, res.n_violations, res.objective) == (
+        sigma, feasible, n_viol, objective
+    )
+    assert res.posterior.prior_sigma == post.prior_sigma
+    assert np.array_equal(res.posterior.mean, post.mean)
+    assert np.array_equal(res.posterior.covariance, post.covariance)
+
+
+DESK_IDS = ("ode1.exp", "ode1.cos", "ode2.harmonic.exp", "ode2.damped.exp", "ode1.logsing")
+
+
+@pytest.fixture(scope="module")
+def desk_searches():
+    """The prior-search inputs of the seed-0 desk NLM cells (1000 epochs)."""
+    captured = {}
+    real = harness.optimize_prior
+    try:
+        for pid in DESK_IDS:
+            def grab(features, data, eval_grid, candidates, pid=pid):
+                captured[pid] = (features, data, eval_grid, candidates)
+                return real(features, data, eval_grid, candidates)
+
+            harness.optimize_prior = grab
+            run_experiment(ExperimentConfig(problem=pid, det_epochs=1000, seed=0))
+    finally:
+        harness.optimize_prior = real
+    return captured
+
+
+class TestScreenedPriorSearch:
+    @pytest.mark.parametrize("pid", DESK_IDS)
+    def test_matches_exhaustive_search_on_desk_cells(self, desk_searches, pid):
+        features, data, grid, candidates = desk_searches[pid]
+        assert len(candidates) == 100
+        if pid == "ode1.logsing":
+            assert np.any(np.isinf(grid.sigma_p))
+        assert_same_search(
+            optimize_prior(features, data, grid, candidates),
+            exhaustive_search(features, data, grid, candidates),
+        )
+
+    def test_exact_fits_on_ode1_exp_desk_cell(self, desk_searches, monkeypatch):
+        real = nlm.nlm_fit
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(nlm, "nlm_fit", counted)
+        optimize_prior(*desk_searches["ode1.exp"])
+        assert 1 <= len(calls) <= 5
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_candidates=st.integers(1, 12),
+        duplicates=st.booleans(),
+        infeasible=st.booleans(),
+        floored=st.booleans(),
+    )
+    @example(seed=1, n_candidates=6, duplicates=True, infeasible=False, floored=False)
+    @example(seed=2, n_candidates=8, duplicates=False, infeasible=True, floored=False)
+    @example(seed=3, n_candidates=1, duplicates=False, infeasible=False, floored=False)
+    @example(seed=4, n_candidates=8, duplicates=False, infeasible=False, floored=True)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_exhaustive_search_on_random_data(
+        self, seed, n_candidates, duplicates, infeasible, floored
+    ):
+        rng = np.random.default_rng(seed)
+        n, dim, m = rng.integers(2, 12), rng.integers(1, 7), rng.integers(2, 30)
+        phi = rng.normal(size=(n, dim))
+        variances = rng.uniform(1e-4, 1.0, n)
+        if floored:
+            variances[rng.random(n) < 0.5] = VAR_FLOOR
+        data = SimulatedDataset(np.arange(n, dtype=float), rng.normal(size=n), variances)
+        sigma_p = rng.uniform(0.0, 0.5, m)
+        sigma_p[rng.random(m) < 0.2] = np.inf
+        scale = rng.uniform(0.0, 2.0, m)
+        scale[0] = 0.0  # the transform mask vanishes at x0
+        u_mse = rng.normal(size=m)
+        if infeasible:  # a surrogate far from every head mean: no tube covers it
+            u_mse += 1e3
+        grid = PriorEvalGrid(
+            features=rng.normal(size=(m, dim)),
+            u_mse=u_mse,
+            sigma_p=sigma_p,
+            offset=rng.normal(size=m),
+            scale=scale,
+        )
+        candidates = rng.uniform(0.05, 2.0, n_candidates)
+        if duplicates:  # ties: the first of equal candidates must win
+            candidates = rng.choice(candidates[: max(1, n_candidates // 2)], n_candidates)
+        oracle = exhaustive_search(phi, data, grid, candidates)
+        res = optimize_prior(phi, data, grid, candidates)
+        assert_same_search(res, oracle)
+        if infeasible and np.any(np.isfinite(sigma_p) & (scale > 0)):
+            assert not res.feasible
+
+    @pytest.mark.parametrize("bad", [[0.5, 0.0], [0.5, -1.0], [np.nan], [np.inf]])
+    def test_bad_candidates_rejected(self, bad):
+        phi = np.eye(2)
+        data = SimulatedDataset(np.zeros(2), np.ones(2), np.ones(2))
+        grid = PriorEvalGrid(phi, np.ones(2), np.ones(2), np.zeros(2), np.ones(2))
+        with pytest.raises(ConfigurationError):
+            optimize_prior(phi, data, grid, bad)
 
 
 def test_posterior_json_roundtrip(tmp_path, models_10, envelopes_10):

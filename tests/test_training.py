@@ -175,8 +175,8 @@ class TestTrainDeterministic:
         real = training_mod.residual_loss_and_grads
         calls = []
 
-        def nan_at_third(problem, params, points):
-            loss, grads = real(problem, params, points)
+        def nan_at_third(problem, params, points, pieces=None):
+            loss, grads = real(problem, params, points, pieces)
             calls.append(None)
             if len(calls) == 3:
                 grads.theta[5] = np.nan
