@@ -267,29 +267,33 @@ def _screen(features, data, eval_grid, candidates) -> np.ndarray:
     err_mean *= np.abs(scale)
     mean *= scale
     mean += eval_grid.offset[finite][:, None]
-    # predictive sd and its error: |sqrt(a + x) - sqrt(a)| <= min(|x| / sd, sqrt|x|)
+    # predictive sd and its error, from that of the variance, x:
+    # |sqrt(a + x) - sqrt(a)| <= |x| / max(sd, sqrt|x|)
     fv *= fv
-    epi = np.maximum(fv @ d.T, 0.0)
-    err_var = big * (fv @ (d * d).T)
-    err_var += _EPS * p * epi
-    err_var *= scale * scale
-    sd = np.sqrt(sigma_p**2 + scale**2 * epi)
-    err_sd = np.minimum(
-        np.divide(err_var, sd, out=np.full_like(sd, np.inf), where=sd > 0), np.sqrt(err_var)
-    )
+    sd = np.maximum(fv @ d.T, 0.0)
+    err_sd = big * (fv @ (d * d).T)
+    err_sd += _EPS * p * sd
+    err_sd *= scale * scale
+    sd *= scale * scale
+    sd += sigma_p * sigma_p
+    np.sqrt(sd, out=sd)
+    den = np.maximum(sd, np.sqrt(err_sd))
+    np.divide(err_sd, den, out=err_sd, where=den > 0)
     # rounding of the tube arithmetic; none where the mask vanishes, since
     # there both paths compute the same numbers
-    err_round = _EPS * (np.abs(mean) + np.abs(u_mse) + 3.0 * sd + sigma_p) * (scale != 0)
+    err_mean += _EPS * (np.abs(mean) + np.abs(u_mse) + 3.0 * sd + sigma_p) * (scale != 0)
 
-    dev = mean - u_mse
+    dev = mean
+    dev -= u_mse
     objective = np.linalg.norm(dev, axis=0) + np.linalg.norm(sd - sigma_p, axis=0)
     tol_objective = _SCREEN_MARGIN * (
-        np.linalg.norm(err_mean, axis=0)
-        + np.linalg.norm(err_sd, axis=0)
-        + np.linalg.norm(err_round, axis=0)
+        np.linalg.norm(err_mean, axis=0) + np.linalg.norm(err_sd, axis=0)
     )
-    gap = np.abs(dev) - (3.0 * sd - sigma_p)
-    tol_gap = _SCREEN_MARGIN * (err_mean + 3.0 * err_sd + err_round)
+    gap = np.abs(dev, out=dev)
+    gap -= 3.0 * sd - sigma_p
+    tol_gap = err_mean
+    tol_gap += 3.0 * err_sd
+    tol_gap *= _SCREEN_MARGIN
     if not all(np.all(np.isfinite(a)) for a in (objective, tol_objective, gap, tol_gap)):
         return keep_all
 
