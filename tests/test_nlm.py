@@ -351,7 +351,7 @@ class TestScreenedPriorSearch:
 
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n_candidates=st.integers(1, 12),
+        n_candidates=st.integers(1, 40),
         duplicates=st.booleans(),
         infeasible=st.booleans(),
         floored=st.booleans(),
@@ -360,6 +360,8 @@ class TestScreenedPriorSearch:
     @example(seed=2, n_candidates=8, duplicates=False, infeasible=True, floored=False)
     @example(seed=3, n_candidates=1, duplicates=False, infeasible=False, floored=False)
     @example(seed=4, n_candidates=8, duplicates=False, infeasible=False, floored=True)
+    # near-tied infeasible objectives that a screen without its margin misranks
+    @example(seed=12, n_candidates=24, duplicates=False, infeasible=True, floored=True)
     @settings(max_examples=60, deadline=None)
     def test_matches_exhaustive_search_on_random_data(
         self, seed, n_candidates, duplicates, infeasible, floored
@@ -393,6 +395,47 @@ class TestScreenedPriorSearch:
         assert_same_search(res, oracle)
         if infeasible and np.any(np.isfinite(sigma_p) & (scale > 0)):
             assert not res.feasible
+
+    @staticmethod
+    def edge_target(phi, data, sigma, side):
+        """u_mse of a grid row [1, 0] (offset 1e3, mask 1e-3, sigma_P 0) that
+        the 3-sigma tube of ``sigma`` misses (side 1) or covers (side -1) by
+        1e-9 of its half-width: about 6e-13, inside the screen's rounding
+        margin at that offset."""
+        post = nlm_fit(phi, data, sigma)
+        f = np.array([1.0, 0.0])
+        mean = 1e3 + 1e-3 * (f @ post.mean)
+        sd = 1e-3 * np.sqrt(f @ post.covariance @ f)
+        return mean - 3.0 * sd * (1.0 + side * 1e-9)
+
+    @pytest.mark.parametrize("feasible", [True, False])
+    def test_uncertain_candidates_are_rescored(self, feasible):
+        # feasible: sigma = 10 covers the edge row and has the best objective,
+        # sigma = 1 is clearly feasible but worse.  Infeasible: both miss a
+        # far row; each also misses the other's edge row clearly and its own
+        # by a hair, so only exact re-scores count the violations (1 has 2, 10
+        # has 3).  Either way the winner's screened key is uncertain.
+        phi = np.eye(2)
+        data = SimulatedDataset(np.array([0.0, 1.0]), np.array([1.0, -1.0]), np.full(2, 0.04))
+        if feasible:
+            rows = [([1.0, 0.0], self.edge_target(phi, data, 10.0, -1), 0.0, 1e3, 1e-3)]
+        else:
+            rows = [
+                ([1.0, 0.0], self.edge_target(phi, data, 10.0, 1), 0.0, 1e3, 1e-3),
+                ([1.0, 0.0], self.edge_target(phi, data, 1.0, 1), 0.0, 1e3, 1e-3),
+                ([0.0, 1.0], 50.0, 0.2, 0.0, 1.0),
+            ]
+        feats, u_mse, sigma_p, offset, scale = (np.array(c) for c in zip(*rows))
+        grid = PriorEvalGrid(
+            features=np.vstack([phi, feats]),
+            u_mse=np.concatenate([[1.0, -1.0], u_mse]),
+            sigma_p=np.concatenate([[0.2, 0.2], sigma_p]),
+            offset=np.concatenate([[0.0, 0.0], offset]),
+            scale=np.concatenate([[1.0, 1.0], scale]),
+        )
+        oracle = exhaustive_search(phi, data, grid, [1.0, 10.0])
+        assert oracle[:3] == ((10.0, True, 0) if feasible else (1.0, False, 2))
+        assert_same_search(optimize_prior(phi, data, grid, [1.0, 10.0]), oracle)
 
     @pytest.mark.parametrize("bad", [[0.5, 0.0], [0.5, -1.0], [np.nan], [np.inf]])
     def test_bad_candidates_rejected(self, bad):
