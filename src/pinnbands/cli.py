@@ -7,7 +7,7 @@ Subcommands:
 * ``certify``        bound-only mode: error bound from saved weights
 
 A flat ``key=value`` config file can stand in for flags; explicit flags win.
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Exit codes: 0 success, 2 configuration or io error, 3 numeric failure.
 """
 
 from __future__ import annotations

@@ -104,6 +104,8 @@ class ExperimentConfig:
         for name, lowest in _LOWEST.items():
             if getattr(self, name) < lowest:
                 raise ConfigurationError(f"{name} out of range")
+        if self.method in ("baseline_vi", "error_aware_vi") and self.vi_epochs < 1:
+            raise ConfigurationError(f"{self.method} needs vi_epochs >= 1")
         # below 1 the envelope undercuts the sampled maximum of |r| and is
         # no longer a majorant
         if not (np.isfinite(self.safety_factor) and self.safety_factor >= 1.0):

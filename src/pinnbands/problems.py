@@ -19,9 +19,12 @@ Analytic solutions are provided for every registered equation and are used
 only for evaluation, never during training.  Two equations have no
 elementary closed form as printed (``ode1.logsing`` and ``ode2.damped.log``);
 their reference solutions are exact variation-of-parameters integrals
-evaluated by adaptive quadrature.  ``ode1.logsing`` has a non-integrable
-singularity at t = 1 inside the training window and is therefore excluded
-from solution-accuracy thresholds.
+evaluated by adaptive quadrature.  ``scipy.integrate`` (and the scipy.optimize
+and scipy.sparse modules it loads) is imported inside those two quadratures on
+first use, so ``import pinnbands`` and every training or inference path run
+without it.  ``ode1.logsing`` has a non-integrable singularity at t = 1 inside
+the training window and is therefore excluded from solution-accuracy
+thresholds.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigurationError, DomainError, ShapeError
 from .network import forward_jets_batch, forward_values
@@ -311,6 +313,8 @@ def _damped_homogeneous(t, A, B):
 
 def _quad_duhamel_first_order(source, lam, u0, t):
     """Exact integrating-factor solution of u' + lam u = f, u(0)=u0."""
+    from scipy.integrate import quad
+
     val, _ = quad(
         lambda s: math.exp(lam * s) * float(source(np.asarray(s))),
         0.0,
@@ -324,6 +328,8 @@ def _quad_duhamel_first_order(source, lam, u0, t):
 
 def _quad_duhamel_damped(source, t, hom_A, hom_B):
     """Impulse-response solution of u'' + 3u' + 4u = f for one time value."""
+    from scipy.integrate import quad
+
     t = float(t)
 
     def kernel(s):

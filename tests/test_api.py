@@ -1,11 +1,17 @@
 """Public API guard: every name the demos and the README quick start import
-from the package resolves, and every name the package re-exports is used by
-the README quick start, a demo or the CLI."""
+from the package resolves, every name the package re-exports is used by the
+README quick start, a demo or the CLI, and importing the package or running
+any cell leaves scipy.integrate unloaded."""
 
 import ast
 import importlib
+import json
 import pathlib
 import re
+import subprocess
+import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -71,3 +77,39 @@ def test_every_reexport_is_used_by_readme_demo_or_cli():
         used |= _identifiers(source, label)
     unused = sorted(exported - used)
     assert not unused, f"re-exported but used by no README quick start, demo or cli.py: {unused}"
+
+
+# Runs in a fresh interpreter: the test session itself imports scipy.integrate.
+_FIRST_USE_SCRIPT = """
+import json, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+import pinnbands, pinnbands.cli
+from pinnbands.harness import METHODS, ExperimentConfig, emit_outputs, run_experiment
+from pinnbands.problems import analytic_solution
+
+cells = [ExperimentConfig(problem="ode1.exp", method=m, det_epochs=5, vi_epochs=3,
+                          n_posterior_samples=5, grid_points=21) for m in METHODS]
+cells.append(ExperimentConfig(problem="burgers", method="error_aware_vi", det_epochs=5,
+                              vi_epochs=3, n_posterior_samples=5, burgers_grid=(4, 4),
+                              burgers_time_samples=4))
+with tempfile.TemporaryDirectory() as out:
+    for cfg in cells:
+        emit_outputs(run_experiment(cfg), out)
+loaded_by_cells = "scipy.integrate" in sys.modules
+values = [float(analytic_solution(pid, 0.5)) for pid in ("ode2.damped.log", "ode1.logsing")]
+print(json.dumps({"loaded_by_cells": loaded_by_cells, "values": values,
+                  "loaded_by_quadrature": "scipy.integrate" in sys.modules}))
+"""
+
+
+def test_quadrature_imported_on_first_use():
+    proc = subprocess.run(
+        [sys.executable, "-c", _FIRST_USE_SCRIPT, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert not result["loaded_by_cells"], "importing pinnbands or running a cell loaded scipy.integrate"
+    # the two quadrature references, as computed with a module-level import
+    assert result["values"] == pytest.approx([0.9822481044659479, -0.7777899119733661],
+                                             rel=1e-13, abs=0)
+    assert result["loaded_by_quadrature"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pinnbands.cli import main
+from pinnbands.errors import PinnbandsError
 from pinnbands.problems import problem_ids
 from pinnbands.training import default_train_config, save_trained, train_deterministic
 
@@ -192,3 +193,42 @@ def test_conditioning_failure_prints_diagnostics(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "numeric failure: synthetic ill-conditioning"
     assert err[1:] == ["  feature_dim: 33", "  min_eigenvalue: -1.5e-12"]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# The README's exit codes: 2 for configuration and io errors, 3 for numeric
+# failures; any other package error falls back to 3.
+_DOCUMENTED_EXIT = {
+    "ConfigurationError": 2,
+    "ShapeError": 2,
+    "DomainError": 2,
+    "UnsupportedOrderError": 2,
+    "OSError": 2,
+    "TrainingDivergedError": 3,
+    "ConditioningError": 3,
+    "FloatingPointError": 3,
+    "TapeMismatchError": 3,
+}
+
+
+@pytest.mark.parametrize(
+    "exc_class", [*_subclasses(PinnbandsError), OSError, FloatingPointError],
+    ids=lambda c: c.__name__,
+)
+def test_every_error_class_maps_to_documented_exit_code(exc_class, tmp_path, monkeypatch, capsys):
+    import pinnbands.cli as cli_mod
+
+    assert exc_class.__name__ in _DOCUMENTED_EXIT, f"{exc_class.__name__} has no documented exit code"
+
+    def explode(args):
+        raise exc_class("synthetic failure")
+
+    monkeypatch.setattr(cli_mod, "_solve", explode)
+    code = run_cli("solve", "--out", str(tmp_path))
+    assert code == _DOCUMENTED_EXIT[exc_class.__name__]
+    assert "synthetic failure" in capsys.readouterr().err

@@ -5,10 +5,18 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinnbands.bands import PredictiveBand
-from pinnbands.errors import ConfigurationError, ShapeError
+from pinnbands.errors import (
+    ConditioningError,
+    ConfigurationError,
+    ShapeError,
+    TrainingDivergedError,
+)
 from pinnbands.harness import (
+    METHODS,
     PRESETS,
     REPORT_COLUMNS,
     ExperimentConfig,
@@ -130,6 +138,12 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError):
             cfg.validate()
 
+    @pytest.mark.parametrize("method", ["baseline_vi", "error_aware_vi"])
+    def test_vi_without_epochs_rejected_before_training(self, method):
+        with pytest.raises(ConfigurationError, match="vi_epochs"):
+            ExperimentConfig(method=method, vi_epochs=0).validate()
+        ExperimentConfig(method="deterministic", vi_epochs=0).validate()
+
 
 class TestEmitOutputs:
     def test_csv_header_contract(self, small_nlm_report, tmp_path):
@@ -237,3 +251,37 @@ class TestSecondOrderCells:
         # the second-order kernels majorize the deterministic error too
         assert np.all(np.abs(t["u_true"] - t["u_det"]) <= t["bound"])
         assert rep.metrics["coverage_3sigma_full"] >= 0.99
+
+
+class TestRobustness:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        problem=st.sampled_from(["ode1.exp", "ode2.damped.exp"]),
+        method=st.sampled_from(METHODS),
+        seed=st.integers(0, 10**6),
+        det_epochs=st.integers(0, 20),
+        grid_points=st.integers(2, 41),
+        vi_epochs=st.integers(0, 5),
+        n_posterior_samples=st.integers(1, 8),
+    )
+    def test_small_budgets_never_give_nan_band(self, problem, method, seed, det_epochs,
+                                               grid_points, vi_epochs, n_posterior_samples):
+        cfg = ExperimentConfig(
+            problem=problem, method=method, seed=seed, det_epochs=det_epochs,
+            grid_points=grid_points, vi_epochs=vi_epochs,
+            n_posterior_samples=n_posterior_samples,
+        )
+        try:
+            band = run_experiment(cfg).band
+        except ConfigurationError:
+            # only a config that validate() rejects up front, before training
+            with pytest.raises(ConfigurationError):
+                cfg.validate()
+            return
+        except (TrainingDivergedError, ConditioningError):
+            return  # a documented numeric failure: the CLI exits 3
+        for name in ("mean", "epistemic_var", "sigma_p2", "total_var"):
+            assert not np.any(np.isnan(getattr(band, name))), name
+        assert np.all(band.epistemic_var >= 0)
+        assert np.all(band.sigma_p2 >= 0)
+        assert np.all(band.total_var >= 0)
