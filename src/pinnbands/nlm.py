@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .bands import PredictiveBand
 from .bounds import PseudoAleatoricProfile, ResidualEnvelope, pseudo_sigma
@@ -35,8 +34,9 @@ PRIOR_EVAL_POINTS = 200
 
 # Safety factor on the screen's error estimate in optimize_prior.  Over 126
 # NLM cells of 7 ODEs (10 and 1000 epochs at seeds 0-2, 1000 and 3000 epochs
-# at seeds 3-8) the largest screen error was 1.56 estimates.  On the seed 0-2
-# cells, 4 kept at most 13 of 100 candidates and 6 kept up to 61.
+# at seeds 3-8) the largest screen error was 1.45 estimates against nlm_fit's
+# numpy Cholesky factor (1.56 against scipy's Cholesky solves).  On the seed
+# 0-2 cells, 4 kept at most 13 of 100 candidates and 6 kept up to 61.
 _SCREEN_MARGIN = 4.0
 
 _EPS = np.finfo(float).eps
@@ -121,8 +121,11 @@ def nlm_fit(features: np.ndarray, data: SimulatedDataset, prior_sigma: float) ->
     """Exact posterior of the linear head under the heteroscedastic likelihood;
     ``features`` holds one :func:`feature_matrix` row per dataset point.
 
-    Solves (Phi^T S^-1 Phi + sigma^-2 I) via Cholesky; never forms an
-    explicit inverse of the noise matrix.
+    Factors the precision A = Phi^T S^-1 Phi + sigma^-2 I = L L^T and takes
+    the covariance L^-T L^-1 and the mean L^-T (L^-1 Phi^T S^-1 y) from the
+    inverse factor; never forms an explicit inverse of the noise matrix.
+    A precision that is not finite or not numerically SPD raises
+    :class:`ConditioningError`.
     """
     if prior_sigma <= 0:
         raise ConfigurationError("prior_sigma must be positive")
@@ -132,21 +135,24 @@ def nlm_fit(features: np.ndarray, data: SimulatedDataset, prior_sigma: float) ->
     weighted = phi / data.variances[:, None]
     a = phi.T @ weighted
     a[np.diag_indices_from(a)] += 1.0 / (prior_sigma * prior_sigma)
+    diagnostics = {
+        "feature_dim": phi.shape[1],
+        "n_points": phi.shape[0],
+        "min_variance": float(np.min(data.variances)),
+        "prior_sigma": float(prior_sigma),
+    }
+    # numpy factors NaN and inf entries without raising
+    if not np.all(np.isfinite(a)):
+        raise ConditioningError("posterior precision matrix is not finite", diagnostics=diagnostics)
     try:
-        chol = cho_factor(a, lower=True)
+        linv = np.linalg.inv(np.linalg.cholesky(a))
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(
-            "posterior precision matrix is not numerically SPD",
-            diagnostics={
-                "feature_dim": phi.shape[1],
-                "n_points": phi.shape[0],
-                "min_variance": float(np.min(data.variances)),
-                "prior_sigma": float(prior_sigma),
-            },
+            "posterior precision matrix is not numerically SPD", diagnostics=diagnostics
         ) from exc
-    cov = cho_solve(chol, np.eye(a.shape[0]))
+    cov = linv.T @ linv
     cov = 0.5 * (cov + cov.T)
-    mean = cho_solve(chol, weighted.T @ data.targets)
+    mean = linv.T @ (linv @ (weighted.T @ data.targets))
     return NLMPosterior(mean, cov, float(prior_sigma))
 
 

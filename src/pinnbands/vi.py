@@ -5,7 +5,9 @@ parameterized through a softplus, sigma = log(1 + exp(rho)).  Means are
 initialized from the deterministically trained network and frozen;
 training adjusts only rho via single-sample reparameterization-trick
 gradient steps on the negative ELBO (closed-form KL minus a Monte Carlo
-log-likelihood).
+log-likelihood).  The chain-rule factor d sigma / d rho is the logistic
+sigmoid(rho), taken as exp(rho - softplus(rho)) from the sigma the step has
+already computed.
 
 Two likelihoods are supported:
 
@@ -26,7 +28,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .bands import PredictiveBand
 from .errors import ConfigurationError, ShapeError, TrainingDivergedError
@@ -202,7 +203,10 @@ def _step(ctx, q, config, rng, adam_state):
     (the means stay frozen), averaged over ``config.mc_samples_per_step`` draws."""
     prior_sigma = config.prior_sigma
     sp2 = prior_sigma * prior_sigma
-    sigma, dsigma = softplus(q.rho), expit(q.rho)
+    sigma = softplus(q.rho)
+    # d sigma / d rho = sigmoid(rho) = exp(rho - softplus(rho)); the exponent
+    # is never positive, so it cannot overflow
+    dsigma = np.exp(q.rho - sigma)
     kl = gaussian_kl(q, prior_sigma, sigma)
     kl_rho = (-1.0 / sigma + sigma / sp2) * dsigma
     acc_rho = None

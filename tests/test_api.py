@@ -1,7 +1,7 @@
 """Public API guard: every name the demos and the README quick start import
 from the package resolves, every name the package re-exports is used by the
 README quick start, a demo or the CLI, and importing the package or running
-any cell leaves scipy.integrate unloaded."""
+any cell loads no scipy submodule."""
 
 import ast
 import importlib
@@ -79,7 +79,7 @@ def test_every_reexport_is_used_by_readme_demo_or_cli():
     assert not unused, f"re-exported but used by no README quick start, demo or cli.py: {unused}"
 
 
-# Runs in a fresh interpreter: the test session itself imports scipy.integrate.
+# Runs in a fresh interpreter: the test session itself imports scipy submodules.
 _FIRST_USE_SCRIPT = """
 import json, sys, tempfile
 sys.path.insert(0, sys.argv[1])
@@ -95,11 +95,14 @@ cells.append(ExperimentConfig(problem="burgers", method="error_aware_vi", det_ep
 with tempfile.TemporaryDirectory() as out:
     for cfg in cells:
         emit_outputs(run_experiment(cfg), out)
-loaded_by_cells = "scipy.integrate" in sys.modules
+loaded_by_cells = sorted(name for name in sys.modules if name.startswith("scipy."))
 values = [float(analytic_solution(pid, 0.5)) for pid in ("ode2.damped.log", "ode1.logsing")]
 print(json.dumps({"loaded_by_cells": loaded_by_cells, "values": values,
                   "loaded_by_quadrature": "scipy.integrate" in sys.modules}))
 """
+
+# the scipy subpackages the package once imported, or that they pull in
+_HEAVY_SCIPY = ("scipy.linalg", "scipy.special", "scipy.integrate", "scipy.sparse", "scipy.optimize")
 
 
 def test_quadrature_imported_on_first_use():
@@ -108,8 +111,26 @@ def test_quadrature_imported_on_first_use():
         capture_output=True, text=True, timeout=300, check=True,
     )
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert not result["loaded_by_cells"], "importing pinnbands or running a cell loaded scipy.integrate"
+    heavy = [name for name in result["loaded_by_cells"]
+             if any(name == pkg or name.startswith(pkg + ".") for pkg in _HEAVY_SCIPY)]
+    assert not heavy, f"importing pinnbands or running a cell loaded {heavy}"
     # the two quadrature references, as computed with a module-level import
     assert result["values"] == pytest.approx([0.9822481044659479, -0.7777899119733661],
                                              rel=1e-13, abs=0)
     assert result["loaded_by_quadrature"]
+
+
+def test_sources_import_no_scipy_linalg_or_special():
+    offenders = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for module in modules:
+                if module.split(".")[:2] in (["scipy", "linalg"], ["scipy", "special"]):
+                    offenders.append(f"{path.relative_to(ROOT)}:{node.lineno} {module}")
+    assert not offenders, offenders

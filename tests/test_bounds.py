@@ -28,7 +28,7 @@ from pinnbands.problems import (
     residual_values,
     surrogate_values,
 )
-from pinnbands.training import TrainConfig, GridSpec, train_deterministic
+from pinnbands.training import GridSpec, TrainConfig, collocation_points, train_deterministic
 
 from conftest import rate_problem
 
@@ -307,6 +307,19 @@ class TestBurgersSigma:
         taus = pts[:, 1][:, None] * np.linspace(0.0, 1.0, n)[None, :]
         flat = np.stack([np.repeat(pts[:, 0], n), taus.ravel()], axis=1)
         r = residual_values(tiny_burgers.problem, tiny_burgers.params, flat).reshape(m, n)
+        one_shot = pts[:, 1] * np.mean(np.abs(r), axis=1)
+        assert np.array_equal(burgers_sigma_grid(tiny_burgers, pts, n), one_shot)
+
+    def test_repeated_grid_rows_match_one_shot_bitwise(self, tiny_burgers):
+        # on an equispaced grid t_j * frac_i repeats whenever j * i = k * l;
+        # evaluating each distinct row once must give the bits of evaluating
+        # every row
+        n = 64
+        pts = collocation_points(GridSpec((20, 20), ((-1.0, 1.0), (0.0, 1.0))))
+        taus = pts[:, 1][:, None] * np.linspace(0.0, 1.0, n)[None, :]
+        flat = np.stack([np.repeat(pts[:, 0], n), taus.ravel()], axis=1)
+        assert len(np.unique(flat[:, 0] + 1j * flat[:, 1])) < 0.6 * len(flat)
+        r = residual_values(tiny_burgers.problem, tiny_burgers.params, flat).reshape(len(pts), n)
         one_shot = pts[:, 1] * np.mean(np.abs(r), axis=1)
         assert np.array_equal(burgers_sigma_grid(tiny_burgers, pts, n), one_shot)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import pinnbands.harness as harness
 import pinnbands.nlm as nlm
 from pinnbands.bounds import ResidualEnvelope, pseudo_profile
-from pinnbands.errors import ConfigurationError
+from pinnbands.errors import ConditioningError, ConfigurationError
 from pinnbands.harness import ExperimentConfig, run_experiment
 from pinnbands.nlm import (
     VAR_FLOOR,
@@ -444,6 +444,70 @@ class TestScreenedPriorSearch:
         grid = PriorEvalGrid(phi, np.ones(2), np.ones(2), np.zeros(2), np.ones(2))
         with pytest.raises(ConfigurationError):
             optimize_prior(phi, data, grid, bad)
+
+
+class TestFitNumerics:
+    """nlm_fit factors the precision with numpy; scipy's Cholesky solve is the oracle."""
+
+    @pytest.mark.parametrize("sigma", [0.1, 1.0])
+    @pytest.mark.parametrize("pid", DESK_IDS)
+    def test_matches_cho_solve_on_desk_cells(self, desk_searches, pid, sigma):
+        from scipy.linalg import cho_factor, cho_solve
+
+        features, data = desk_searches[pid][:2]
+        weighted = features / data.variances[:, None]
+        a = features.T @ weighted
+        a[np.diag_indices_from(a)] += 1.0 / sigma**2
+        chol = cho_factor(a, lower=True)
+        cov = cho_solve(chol, np.eye(len(a)))
+        cov = 0.5 * (cov + cov.T)
+        mean = cho_solve(chol, weighted.T @ data.targets)
+        post = nlm_fit(features, data, sigma)
+        # each solve is backward stable, so each is within about eps * cond(A)
+        # of the exact posterior (relative, in norm); the precision here has
+        # cond(A) of 1e9-5e11, and the two solves differ by up to 0.6 of it
+        tol = np.finfo(float).eps * np.linalg.cond(a)
+        assert np.linalg.norm(post.mean - mean) <= tol * np.linalg.norm(mean)
+        assert np.linalg.norm(post.covariance - cov) <= tol * np.linalg.norm(cov)
+        assert np.array_equal(post.covariance, post.covariance.T)
+
+    def test_not_spd_precision_raises(self):
+        # two equal feature columns with a tiny variance: A = 1e20 [[1, 1], [1, 1]]
+        # + I rounds to a singular matrix
+        phi = np.ones((1, 2))
+        data = SimulatedDataset(np.zeros(1), np.ones(1), np.array([1e-20]))
+        with pytest.raises(ConditioningError) as info:
+            nlm_fit(phi, data, 1.0)
+        assert info.value.diagnostics["feature_dim"] == 2
+        assert info.value.diagnostics["min_variance"] == 1e-20
+
+    def test_nan_feature_row_raises(self, rng):
+        phi = rng.normal(size=(6, 3))
+        phi[2] = np.nan
+        data = SimulatedDataset(np.zeros(6), np.ones(6), np.ones(6))
+        with pytest.raises(ConditioningError) as info:
+            nlm_fit(phi, data, 0.5)
+        assert info.value.diagnostics == {
+            "feature_dim": 3, "n_points": 6, "min_variance": 1.0, "prior_sigma": 0.5,
+        }
+
+    def test_nan_feature_row_exits_3(self, tmp_path, monkeypatch, capsys):
+        from pinnbands.cli import main
+
+        real = harness.feature_matrix
+
+        def poisoned(trained, points):
+            mat = real(trained, points)
+            mat[3] = np.nan
+            return mat
+
+        monkeypatch.setattr(harness, "feature_matrix", poisoned)
+        code = main([
+            "solve", "--problem", "ode1.exp", "--method", "error_aware_nlm",
+            "--det-epochs", "5", "--grid-points", "21", "--out", str(tmp_path),
+        ])
+        assert code == 3
+        assert "not finite" in capsys.readouterr().err
 
 
 def test_posterior_json_roundtrip(tmp_path, models_10, envelopes_10):

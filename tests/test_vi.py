@@ -48,6 +48,25 @@ class TestInit:
     def test_softplus_at_zero(self):
         assert softplus(0.0) == pytest.approx(np.log(2.0), abs=1e-15)
 
+    def test_logistic_from_softplus_matches_expit(self):
+        # the step's d sigma / d rho = exp(rho - softplus(rho)) is sigmoid(rho);
+        # rounding the exponent, of size up to |rho|, costs up to about
+        # eps * |rho| relative, and exp, softplus and expit a few ulp more
+        rho = np.linspace(-40.0, 40.0, 80_001)
+        dsigma = np.exp(rho - softplus(rho))
+        ref = expit(rho)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(dsigma - ref) <= eps * (4.0 + np.abs(rho)) * ref)
+
+    def test_logistic_from_softplus_finite_at_extremes(self):
+        # the exponent is never positive, so nothing overflows; exp(-800)
+        # underflows to 0, as it does inside softplus itself
+        rho = np.array([-800.0, 800.0])
+        with np.errstate(all="raise", under="ignore"):
+            dsigma = np.exp(rho - softplus(rho))
+        assert np.array_equal(dsigma, expit(rho))
+        assert np.array_equal(dsigma, [0.0, 1.0])
+
     def test_deterministic_per_seed(self, models_10):
         a = vi_init(models_10["ode1.exp"], seed=5)
         b = vi_init(models_10["ode1.exp"], seed=5)
@@ -327,7 +346,7 @@ class TestFlatLayoutOracles:
         lr, b1, b2, eps = config.learning_rate, 0.9, 0.999, 1e-8
         new_rhos = []
         for r, s, z, d in zip(rhos, sigmas, zs, split_layers(dl, shapes)):
-            g = (-1.0 / s + s / sp2) * expit(r) - d * z * expit(r)
+            g = (-1.0 / s + s / sp2) * np.exp(r - s) - d * z * np.exp(r - s)
             m = b1 * np.zeros_like(g) + (1.0 - b1) * g
             v = b2 * np.zeros_like(g) + (1.0 - b2) * g * g
             new_rhos.append(r - lr * (m / (1.0 - b1**1)) / (np.sqrt(v / (1.0 - b2**1)) + eps))
