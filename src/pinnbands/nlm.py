@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .bands import PredictiveBand
-from .bounds import PseudoAleatoricProfile, ResidualEnvelope, pseudo_sigma
+from .bounds import PseudoAleatoricProfile, ResidualEnvelope, pseudo_profile
 from .errors import ConditioningError, ConfigurationError, ShapeError
 from .network import forward_values, hidden_features
 from .problems import surrogate_values, transform_offset_scale
@@ -31,15 +31,6 @@ VAR_FLOOR = 1e-10
 
 # points of the prior-selection grid over [x0, test end]
 PRIOR_EVAL_POINTS = 200
-
-# Safety factor on the screen's error estimate in optimize_prior.  Over 126
-# NLM cells of 7 ODEs (10 and 1000 epochs at seeds 0-2, 1000 and 3000 epochs
-# at seeds 3-8) the largest screen error was 1.45 estimates against nlm_fit's
-# numpy Cholesky factor (1.56 against scipy's Cholesky solves).  On the seed
-# 0-2 cells, 4 kept at most 13 of 100 candidates and 6 kept up to 61.
-_SCREEN_MARGIN = 4.0
-
-_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -134,7 +125,7 @@ def nlm_fit(features: np.ndarray, data: SimulatedDataset, prior_sigma: float) ->
         raise ShapeError("feature rows and dataset length differ")
     weighted = phi / data.variances[:, None]
     a = phi.T @ weighted
-    a[np.diag_indices_from(a)] += 1.0 / (prior_sigma * prior_sigma)
+    a.flat[:: a.shape[0] + 1] += 1.0 / (prior_sigma * prior_sigma)
     diagnostics = {
         "feature_dim": phi.shape[1],
         "n_points": phi.shape[0],
@@ -158,7 +149,7 @@ def nlm_fit(features: np.ndarray, data: SimulatedDataset, prior_sigma: float) ->
 
 def _grid_moments(posterior: NLMPosterior, features: np.ndarray):
     mean_raw = features @ posterior.mean
-    epi_raw = np.einsum("ij,jk,ik->i", features, posterior.covariance, features)
+    epi_raw = np.sum((features @ posterior.covariance) * features, axis=1)
     return mean_raw, np.maximum(epi_raw, 0.0)
 
 
@@ -174,7 +165,7 @@ def make_prior_eval_grid(trained, envelope: ResidualEnvelope) -> PriorEvalGrid:
     return PriorEvalGrid(
         features=feature_matrix(trained, pts),
         u_mse=surrogate_values(problem, trained.params, pts),
-        sigma_p=np.asarray(pseudo_sigma(problem, envelope, pts), dtype=float),
+        sigma_p=pseudo_profile(problem, trained, envelope, pts).sigma_p,
         offset=offset,
         scale=scale,
     )
@@ -195,7 +186,8 @@ def optimize_prior(
 
     Among feasible candidates the winner minimizes
     ||mean - u_mse|| + ||sd - sigma_P|| (Euclidean over the grid); if none
-    is feasible the least-violating candidate is returned, flagged.
+    is feasible the least-violating candidate is returned, flagged.  Every
+    candidate is fit exactly, in order, and the first of equal keys wins.
     """
     if candidate_sigmas is None:
         candidate_sigmas = default_candidate_sigmas()
@@ -206,117 +198,22 @@ def optimize_prior(
         raise ConfigurationError("candidate_sigmas must be positive and finite")
 
     finite = np.isfinite(eval_grid.sigma_p)  # infinite bound covers trivially
-    finalists = _screen(features, data, eval_grid, candidates)
-    best = None
-    for sigma in candidates[finalists]:
+    best, best_key = None, None
+    for sigma in candidates:
         posterior = nlm_fit(features, data, float(sigma))
         mean_raw, epi_raw = _grid_moments(posterior, eval_grid.features)
         mean = eval_grid.offset + eval_grid.scale * mean_raw
         sd = np.sqrt(eval_grid.sigma_p**2 + eval_grid.scale**2 * epi_raw)
-        gap = (
-            np.abs(mean[finite] - eval_grid.u_mse[finite])
-            - (3.0 * sd[finite] - eval_grid.sigma_p[finite])
-        )
-        n_viol = int(np.sum(gap > 0))
+        dev = mean[finite] - eval_grid.u_mse[finite]
+        n_viol = int(np.sum(np.abs(dev) - (3.0 * sd[finite] - eval_grid.sigma_p[finite]) > 0))
         objective = float(
-            np.linalg.norm(mean[finite] - eval_grid.u_mse[finite])
-            + np.linalg.norm(sd[finite] - eval_grid.sigma_p[finite])
+            np.linalg.norm(dev) + np.linalg.norm(sd[finite] - eval_grid.sigma_p[finite])
         )
-        cand = PriorSearchResult(float(sigma), n_viol == 0, n_viol, objective, posterior)
-        if best is None:
-            best = cand
-        elif cand.feasible and not best.feasible:
-            best = cand
-        elif cand.feasible == best.feasible:
-            key = (cand.objective if cand.feasible else (cand.n_violations, cand.objective))
-            best_key = (best.objective if best.feasible else (best.n_violations, best.objective))
-            if key < best_key:
-                best = cand
+        key = (n_viol > 0, n_viol, objective)
+        if best is None or key < best_key:
+            best = PriorSearchResult(float(sigma), n_viol == 0, n_viol, objective, posterior)
+            best_key = key
     return best
-
-
-def _screen(features, data, eval_grid, candidates) -> np.ndarray:
-    """Mask of the candidates that could still win the prior search.
-
-    One eigendecomposition A0 = Phi^T S^-1 Phi = V diag(lam) V^T gives the
-    grid mean and epistemic variance of every candidate at once, with
-    D = 1 / (lam + sigma^-2): ``FV @ (D * V^T b)^T`` and ``(FV * FV) @ D^T``.
-    Each screened gap and objective gets an error estimate: the first-order
-    effect of a backward error eps * lam_max in the precision (the Cholesky
-    solve of nlm_fit and this eigendecomposition both make one), plus the
-    rounding of the products, times ``_SCREEN_MARGIN``.  A candidate is
-    dropped only when, within these estimates, another one beats it.  When
-    the screen cannot rank anything (a non-finite value), every candidate is
-    kept and the search is exhaustive.
-    """
-    keep_all = np.ones(len(candidates), dtype=bool)
-    finite = np.isfinite(eval_grid.sigma_p)
-    weighted = features / data.variances[:, None]
-    try:
-        lam, vecs = np.linalg.eigh(features.T @ weighted)
-    except np.linalg.LinAlgError:
-        return keep_all
-    fv = eval_grid.features[finite] @ vecs
-    d = 1.0 / (lam + 1.0 / (candidates * candidates)[:, None])  # (C, p)
-    coef = d * (vecs.T @ (weighted.T @ data.targets))  # posterior means, eigenbasis
-    scale = eval_grid.scale[finite][:, None]
-    sigma_p = eval_grid.sigma_p[finite][:, None]
-    u_mse = eval_grid.u_mse[finite][:, None]
-    big = _EPS * max(lam[-1], 0.0)
-    p = len(lam)
-
-    # grid mean and its error
-    abs_fv = np.abs(fv)
-    mean = fv @ coef.T
-    err_mean = big * (abs_fv @ d.T) * np.linalg.norm(coef, axis=1)
-    err_mean += _EPS * p * (abs_fv @ np.abs(coef).T)
-    err_mean *= np.abs(scale)
-    mean *= scale
-    mean += eval_grid.offset[finite][:, None]
-    # predictive sd and its error, from that of the variance, x:
-    # |sqrt(a + x) - sqrt(a)| <= |x| / max(sd, sqrt|x|)
-    fv *= fv
-    sd = np.maximum(fv @ d.T, 0.0)
-    err_sd = big * (fv @ (d * d).T)
-    err_sd += _EPS * p * sd
-    err_sd *= scale * scale
-    sd *= scale * scale
-    sd += sigma_p * sigma_p
-    np.sqrt(sd, out=sd)
-    den = np.maximum(sd, np.sqrt(err_sd))
-    np.divide(err_sd, den, out=err_sd, where=den > 0)
-    # rounding of the tube arithmetic; none where the mask vanishes, since
-    # there both paths compute the same numbers
-    err_mean += _EPS * (np.abs(mean) + np.abs(u_mse) + 3.0 * sd + sigma_p) * (scale != 0)
-
-    dev = mean
-    dev -= u_mse
-    objective = np.linalg.norm(dev, axis=0) + np.linalg.norm(sd - sigma_p, axis=0)
-    tol_objective = _SCREEN_MARGIN * (
-        np.linalg.norm(err_mean, axis=0) + np.linalg.norm(err_sd, axis=0)
-    )
-    gap = np.abs(dev, out=dev)
-    gap -= 3.0 * sd - sigma_p
-    tol_gap = err_mean
-    tol_gap += 3.0 * err_sd
-    tol_gap *= _SCREEN_MARGIN
-    if not all(np.all(np.isfinite(a)) for a in (objective, tol_objective, gap, tol_gap)):
-        return keep_all
-
-    # bounds on each candidate's exact violation count and objective
-    n_lo = np.sum(gap > tol_gap, axis=0)
-    n_hi = np.sum(gap > -tol_gap, axis=0)
-    obj_lo = objective - tol_objective
-    obj_hi = objective + tol_objective
-    may_be_feasible = n_lo == 0
-    if np.any(n_hi == 0):
-        # a certainly feasible candidate exists, so the winner is feasible
-        return may_be_feasible & (obj_lo <= np.min(obj_hi[n_hi == 0]))
-    # otherwise the winner is feasible after all, or it has the least
-    # (violations, objective) key, which is at most the smallest upper key
-    n_best = np.min(n_hi)
-    obj_best = np.min(obj_hi[n_hi == n_best])
-    return may_be_feasible | (n_lo < n_best) | ((n_lo == n_best) & (obj_lo <= obj_best))
 
 
 def nlm_band(

@@ -225,27 +225,36 @@ def save_trained(trained: TrainedPINN, path_prefix: str):
 
 
 def load_trained(path_prefix: str) -> TrainedPINN:
+    """Read what :func:`save_trained` wrote; a malformed weights file or
+    metadata raises :class:`ConfigurationError` naming the file."""
     params = load_weights(f"{path_prefix}.weights")
-    with open(f"{path_prefix}.meta.json") as fh:
-        meta = json.load(fh)
-    problem_id = meta["problem_id"]
+    meta_path = f"{path_prefix}.meta.json"
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        problem_id = meta["problem_id"]
+        coll = meta["collocation"]
+        count = coll["count"]
+        domain = coll["domain"]
+        if isinstance(count, list):
+            count = tuple(count)
+            domain = (tuple(domain[0]), tuple(domain[1]))
+        else:
+            domain = tuple(domain)
+        config = TrainConfig(
+            epochs=meta["epochs"],
+            learning_rate=meta["learning_rate"],
+            collocation=GridSpec(count, domain, coll["jitter"]),
+            seed=meta["seed"],
+            hidden=tuple(meta["hidden"]),
+            activation=meta["activation"],
+        )
+        final_loss = meta["final_loss"]
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise ConfigurationError(
+            f"{meta_path}: malformed metadata ({type(exc).__name__}: {exc})"
+        ) from exc
     if not problem_id:
-        raise ConfigurationError("metadata has no problem id; cannot rebuild problem")
-    coll = meta["collocation"]
-    count = coll["count"]
-    domain = coll["domain"]
-    if isinstance(count, list):
-        count = tuple(count)
-        domain = (tuple(domain[0]), tuple(domain[1]))
-    else:
-        domain = tuple(domain)
-    config = TrainConfig(
-        epochs=meta["epochs"],
-        learning_rate=meta["learning_rate"],
-        collocation=GridSpec(count, domain, coll["jitter"]),
-        seed=meta["seed"],
-        hidden=tuple(meta["hidden"]),
-        activation=meta["activation"],
-    )
-    history = np.array([meta["final_loss"]]) if meta["final_loss"] is not None else np.empty(0)
+        raise ConfigurationError(f"{meta_path}: no problem id; cannot rebuild problem")
+    history = np.array([final_loss]) if final_loss is not None else np.empty(0)
     return TrainedPINN(params, get_entry(problem_id).problem, history, config, problem_id)

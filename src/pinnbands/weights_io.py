@@ -42,6 +42,15 @@ def dumps_weights(params: NetworkParameters) -> str:
 
 
 def loads_weights(text: str) -> NetworkParameters:
+    """Parse :func:`dumps_weights` text; anything malformed raises
+    :class:`ConfigurationError`."""
+    try:
+        return _parse(text)
+    except (ValueError, IndexError) as exc:
+        raise ConfigurationError(f"malformed weights file: {exc}") from exc
+
+
+def _parse(text: str) -> NetworkParameters:
     lines = [
         ln.strip()
         for ln in text.splitlines()
@@ -91,4 +100,8 @@ def save_weights(params: NetworkParameters, path):
 
 def load_weights(path) -> NetworkParameters:
     with open(path) as fh:
-        return loads_weights(fh.read())
+        text = fh.read()
+    try:
+        return loads_weights(text)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
+import json
 import os
 
 import numpy as np
@@ -145,6 +146,26 @@ class TestCertify:
         assert code == 2
         assert "oversample" in capsys.readouterr().err
         assert not os.path.exists(out_csv)
+
+    @pytest.mark.parametrize("meta", ["seedless", "not json"])
+    def test_malformed_metadata_exit_2(self, tmp_path, capsys, models_10, meta):
+        prefix = str(tmp_path / "model")
+        save_trained(models_10["ode1.exp"], prefix)
+        path = tmp_path / "model.meta.json"
+        if meta == "seedless":
+            record = json.loads(path.read_text())
+            del record["seed"]
+            path.write_text(json.dumps(record))
+        else:
+            path.write_text("{not json")
+        code = run_cli(
+            "certify", "--weights", prefix, "--problem", "ode1.exp",
+            "--out", str(tmp_path / "c.csv"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and "model.meta.json" in err
+        assert "Traceback" not in err
 
     def test_burgers_weights_exit_2(self, tmp_path, capsys):
         trained = train_deterministic(

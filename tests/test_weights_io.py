@@ -38,3 +38,12 @@ def test_rejects_foreign_and_broken_files():
         loads_weights("pinnbands-weights 99\nlayers 1 1\n")
     with pytest.raises(ConfigurationError):
         loads_weights("pinnbands-weights 1\nlayers 1 2 1\nactivation tanh\nweight 0 0 0\n")
+    good = "pinnbands-weights 1\nlayers 1 2 1\nactivation tanh\n"
+    for text in (
+        "pinnbands-weights x\nlayers 1 1\n",  # version token
+        good + "weight 0 0\nbias 0 0 0\nweight 1 0 0\nbias 1 0\n",  # truncated row
+        "pinnbands-weights 1\nlayers\n",  # lone record name
+        good + "weight 0 0 abc\nbias 0 0 0\nweight 1 0 0\nbias 1 0\n",  # non-numeric float
+    ):
+        with pytest.raises(ConfigurationError):
+            loads_weights(text)
