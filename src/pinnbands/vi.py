@@ -20,10 +20,17 @@ Two likelihoods are supported:
 For monitoring, the ELBO is also evaluated every epoch with a fixed set of
 common-random-number draws, which makes the recorded trace a deterministic
 function of the variational state rather than per-step sampling noise.
+
+The predictive band averages the surrogate over posterior draws.  The draws
+are streamed in fixed blocks of rows (:class:`PosteriorDraws`), so a band of
+n draws over M points holds O(DRAW_BLOCK_ROWS * P + n * M) floats: the block
+of draws and the ``(n, M)`` values the two-pass variance reads.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -266,8 +273,11 @@ def vi_train(
 def predictive_moments(samples, problem, grid, profile=None) -> PredictiveBand:
     """Sample mean and population variance of the transformed surrogate.
 
-    ``profile`` adds the pseudo-aleatoric variance pointwise (error-aware);
-    without it only the epistemic term remains (baseline).
+    ``samples`` is a sized iterable of networks, such as the streamed draws
+    of :func:`sample_posterior`; it is read once, in order, into one
+    ``(n, M)`` buffer of surrogate values.  ``profile`` adds the
+    pseudo-aleatoric variance pointwise (error-aware); without it only the
+    epistemic term remains (baseline).
     """
     if len(samples) == 0:
         raise ConfigurationError("need at least one posterior sample")
@@ -294,15 +304,54 @@ def predictive_moments(samples, problem, grid, profile=None) -> PredictiveBand:
     return PredictiveBand(grid, mean, epi, sigma_p2, epi + sigma_p2)
 
 
-def sample_posterior(q: MeanFieldGaussian, n: int, seed: int = 0) -> list:
+# rows of standard normals drawn at a time while streaming posterior draws:
+# 64 x 1153 doubles, about 0.6 MB, for a 1-32-32-1 network
+DRAW_BLOCK_ROWS = 64
+
+
+class PosteriorDraws:
+    """The draws of :func:`sample_posterior`, made on demand.
+
+    Supports ``len``, iteration and ``draws[i]``.  Each iteration starts a
+    fresh ``np.random.default_rng(seed)`` and draws ``standard_normal`` in
+    blocks of :data:`DRAW_BLOCK_ROWS` rows, scaled in place; each yielded
+    network's ``theta`` is a view of its block row.  A Generator fills a
+    block row after row, so the draws equal the rows of one
+    ``standard_normal((n, P))`` call bitwise, and iterating twice gives the
+    same draws.  Only the current block is held, so a caller that keeps no
+    draw needs O(DRAW_BLOCK_ROWS * P) memory, not O(n * P).
+    """
+
+    def __init__(self, q: MeanFieldGaussian, n: int, seed: int):
+        self.layer_sizes, self.activation = list(q.layer_sizes), q.activation
+        self.mu, self.sigma = q.mu.copy(), softplus(q.rho)
+        self.n, self.seed = n, seed
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        rng = np.random.default_rng(self.seed)
+        for start in range(0, self.n, DRAW_BLOCK_ROWS):
+            block = rng.standard_normal((min(DRAW_BLOCK_ROWS, self.n - start), self.mu.size))
+            block *= self.sigma
+            block += self.mu
+            for theta in block:
+                yield NetworkParameters(self.layer_sizes, theta, self.activation)
+
+    def __getitem__(self, i) -> NetworkParameters:
+        i = operator.index(i)
+        if not -self.n <= i < self.n:
+            raise IndexError(f"posterior draw {i} out of range for {self.n} draws")
+        return next(itertools.islice(self, i % self.n, None))
+
+
+def sample_posterior(q: MeanFieldGaussian, n: int, seed: int = 0) -> PosteriorDraws:
     """n i.i.d. parameter draws theta = mu + sigma * zeta, deterministic per seed.
 
-    The draws are rows of one ``(n, P)`` array, scaled in place; each returned
-    network's ``theta`` is a view of its row.
+    The draws are streamed (:class:`PosteriorDraws`): a band over them needs
+    O(DRAW_BLOCK_ROWS * P) memory for the draws, not O(n * P).
     """
     if n < 1:
         raise ConfigurationError("need n >= 1 samples")
-    thetas = np.random.default_rng(seed).standard_normal((int(n), q.mu.size))
-    thetas *= softplus(q.rho)
-    thetas += q.mu
-    return [NetworkParameters(q.layer_sizes, theta, q.activation) for theta in thetas]
+    return PosteriorDraws(q, int(n), seed)

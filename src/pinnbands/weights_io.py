@@ -71,19 +71,32 @@ def _parse(text: str) -> NetworkParameters:
     for ln in lines[1:]:
         kind, rest = ln.split(None, 1)
         if kind == "layers":
+            if sizes is not None:
+                raise ConfigurationError("repeated weights-file record 'layers'")
             sizes = [int(s) for s in rest.split()]
         elif kind == "activation":
+            if activation is not None:
+                raise ConfigurationError("repeated weights-file record 'activation'")
             activation = rest.strip()
         elif kind in ("weight", "bias"):
             parts = rest.split()
             idx = int(parts[0])
-            arr = np.array([float(p) for p in parts[1:]], dtype=float)
-            (weights if kind == "weight" else biases)[idx] = arr
+            records = weights if kind == "weight" else biases
+            if idx in records:
+                raise ConfigurationError(f"repeated weights-file record '{kind} {idx}'")
+            records[idx] = np.array([float(p) for p in parts[1:]], dtype=float)
         else:
             raise ConfigurationError(f"unknown weights-file record {kind!r}")
 
     if sizes is None or activation is None:
         raise ConfigurationError("weights file missing layers/activation header")
+    for kind, records in (("weight", weights), ("bias", biases)):
+        for idx in records:
+            if not 0 <= idx < len(sizes) - 1:
+                raise ConfigurationError(
+                    f"weights-file record '{kind} {idx}' names no layer of a "
+                    f"{len(sizes) - 1}-layer network"
+                )
     params = NetworkParameters.zeros(sizes, activation)
     for l in range(len(sizes) - 1):
         if l not in weights or l not in biases:

@@ -167,6 +167,23 @@ class TestCertify:
         assert "configuration error:" in err and "model.meta.json" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("record", ["weight 0", "bias 7"])
+    def test_undescribed_weights_record_exit_2(self, tmp_path, capsys, models_10, record):
+        # a repeated record, or one for a layer the header lacks, is not
+        # silently dropped or allowed to overwrite the first
+        prefix = str(tmp_path / "model")
+        save_trained(models_10["ode1.exp"], prefix)
+        with open(f"{prefix}.weights", "a") as fh:
+            fh.write(f"{record} 9.0\n")
+        code = run_cli(
+            "certify", "--weights", prefix, "--problem", "ode1.exp",
+            "--out", str(tmp_path / "c.csv"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"'{record}'" in err and "model.weights" in err
+        assert not os.path.exists(tmp_path / "c.csv")
+
     def test_burgers_weights_exit_2(self, tmp_path, capsys):
         trained = train_deterministic(
             "burgers", default_train_config("burgers", epochs=1, seed=0, grid=(3, 3))

@@ -1,6 +1,7 @@
 """Variational inference: init, KL, ELBO steps, sampling, predictive moments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pinnbands.nlm import VAR_FLOOR, build_simulated_dataset, feature_matrix, nl
 from pinnbands.problems import get_problem, surrogate_values, transform_offset_scale
 from pinnbands.training import default_train_config, train_deterministic, training_grid
 from pinnbands.vi import (
+    DRAW_BLOCK_ROWS,
     MeanFieldGaussian,
     VIConfig,
     gaussian_kl,
@@ -159,6 +161,38 @@ class TestSampling:
             assert np.array_equal(sa.theta, sb.theta)
         assert not np.array_equal(a[0].weights[0], a[1].weights[0])
 
+    @pytest.mark.parametrize("n", [1, DRAW_BLOCK_ROWS - 1, DRAW_BLOCK_ROWS,
+                                   DRAW_BLOCK_ROWS + 1, 2 * DRAW_BLOCK_ROWS + 3])
+    def test_draws_match_one_shot_reference_bitwise(self, models_10, n):
+        q = vi_init(models_10["ode1.exp"], seed=0)
+        q.rho[::5] = 0.2
+        ref = q.mu + softplus(q.rho) * np.random.default_rng(6).standard_normal((n, q.mu.size))
+        draws = sample_posterior(q, n, seed=6)
+        assert len(draws) == n
+        assert np.array_equal(np.stack([d.theta for d in draws]), ref)
+
+    def test_iterating_twice_gives_same_draws(self, models_10):
+        q = vi_init(models_10["ode1.exp"], seed=0)
+        draws = sample_posterior(q, DRAW_BLOCK_ROWS + 5, seed=2)
+        first = [d.theta.copy() for d in draws]
+        assert all(np.array_equal(a, d.theta) for a, d in zip(first, draws))
+
+    def test_index_is_row_of_iteration(self, models_10):
+        q = vi_init(models_10["ode1.exp"], seed=0)
+        n = DRAW_BLOCK_ROWS + 5
+        draws = sample_posterior(q, n, seed=2)
+        rows = [d.theta.copy() for d in draws]
+        for i in (0, DRAW_BLOCK_ROWS - 1, DRAW_BLOCK_ROWS, n - 1, -1, -n):
+            assert np.array_equal(draws[i].theta, rows[i])
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                draws[i]
+
+    def test_zero_draws_rejected(self, models_10):
+        q = vi_init(models_10["ode1.exp"], seed=0)
+        with pytest.raises(ConfigurationError):
+            sample_posterior(q, 0)
+
     def test_sample_mean_clt(self, models_10):
         q = vi_init(models_10["ode1.exp"], seed=0)
         q.rho[0] = np.log(np.expm1(0.5))  # sigma = 0.5 on the first weight
@@ -218,8 +252,17 @@ class TestPredictiveMoments:
         assert band.epistemic_var[0] == pytest.approx(2.0 / 3.0)
         assert band.total_var[0] == pytest.approx(2.0 / 3.0 + 0.5)
 
-    @pytest.mark.parametrize("problem_id", ["ode1.exp", "burgers"])
-    def test_matches_stacked_formula_bitwise(self, models_10, problem_id):
+    # 64 draws fill one sampling block; 150 span several and end in a partial one
+    @pytest.mark.parametrize(
+        "problem_id, n_draws",
+        [
+            pytest.param("ode1.exp", 64, id="ode1.exp"),
+            pytest.param("burgers", 64, id="burgers"),
+            pytest.param("ode1.exp", 150, id="ode1.exp-150"),
+            pytest.param("burgers", 150, id="burgers-150"),
+        ],
+    )
+    def test_matches_stacked_formula_bitwise(self, models_10, problem_id, n_draws):
         if problem_id == "burgers":
             problem = get_problem("burgers")
             params = init_network([2, 8, 8, 1], "sigmoid", seed=4)
@@ -231,7 +274,7 @@ class TestPredictiveMoments:
             trained = models_10[problem_id]
             problem, grid = trained.problem, np.linspace(0, 4, 31)
             q = vi_init(trained, seed=0)
-        samples = sample_posterior(q, 64, seed=11)
+        samples = sample_posterior(q, n_draws, seed=11)
         X = grid[:, None] if grid.ndim == 1 else grid
         offset, scale = transform_offset_scale(problem, grid)
         values = offset + scale * np.stack([forward_values(p, X) for p in samples])
@@ -240,6 +283,21 @@ class TestPredictiveMoments:
         band = predictive_moments(samples, problem, grid)
         assert np.array_equal(band.mean, mean)
         assert np.array_equal(band.epistemic_var, epi)
+
+    def test_streamed_draws_peak_below_draw_array(self, models_10):
+        # the band's draws stream in blocks: the traced peak stays below the
+        # (n, P) array that holding every draw at once would take
+        trained = models_10["ode1.exp"]
+        q = vi_init(trained, seed=0)
+        n, grid = 2000, np.linspace(0, 4, 401)
+        assert q.layer_sizes == [1, 32, 32, 1]
+        tracemalloc.start()
+        try:
+            predictive_moments(sample_posterior(q, n, seed=3), trained.problem, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * q.mu.size * 8
 
     def test_grid_mismatch_rejected(self, models_10, envelopes_10):
         trained = models_10["ode1.exp"]

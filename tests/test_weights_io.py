@@ -47,3 +47,20 @@ def test_rejects_foreign_and_broken_files():
     ):
         with pytest.raises(ConfigurationError):
             loads_weights(text)
+
+
+@pytest.mark.parametrize(
+    "record, name",
+    [
+        pytest.param("weight 5 0 0", "weight 5", id="weight-of-no-layer"),
+        pytest.param("bias -1 0", "bias -1", id="bias-of-negative-layer"),
+        pytest.param("weight 0 9 9", "weight 0", id="repeated-weight"),
+        pytest.param("bias 1 9", "bias 1", id="repeated-bias"),
+        pytest.param("activation sigmoid", "activation", id="repeated-activation"),
+        pytest.param("layers 1 2 1", "layers", id="repeated-layers"),
+    ],
+)
+def test_rejects_records_the_header_does_not_describe(record, name):
+    text = dumps_weights(init_network([1, 2, 1], "tanh", seed=0)) + record + "\n"
+    with pytest.raises(ConfigurationError, match=f"'{name}'"):
+        loads_weights(text)
