@@ -22,6 +22,14 @@ is overwritten by its activation value, and the sigmoid is evaluated as
 0.5 tanh(z / 2) + 0.5.  Everything is plain numpy in double precision; there
 is no graph framework underneath.
 
+Layer 0 takes shortcuts that keep every bit.  The input slots are one-hot, so
+the layer-0 slot of (i,) is column i of the first weight matrix on every row,
+and a second slot is 0; no slot matmul runs there, and the reverse pass skips
+the layer-0 weight-gradient products of the zero second slots.  A product
+whose inner dimension is 1 (the first layer of a one-input net, the output
+layer of the reverse pass) is a broadcast multiply: each entry is one product,
+rounded once, as in the matmul.
+
 Layer convention: ``layer_sizes = [d_in, h_1, ..., h_k, d_out]``; hidden
 layers apply the configured activation, the output layer is linear.
 """
@@ -274,21 +282,30 @@ def _cached_slot_plan(derivs, input_dim):
     return derivs, firsts, tuple(seconds)
 
 
-def _activate_slots(act, G, firsts, seconds, out):
+def _activate_slots(act, G, seconds, out):
     """Slots after the activation: f1 g_i and f2 g_i g_j + f1 h_ij.
 
-    ``out`` may be ``G`` itself: second slots are written before the first
-    slots they read are overwritten.
+    ``out`` may be ``G`` itself: the f2 g_i g_j terms are formed before
+    ``f1 * G`` overwrites the first slots they read.
     """
-    f1 = act[1]
+    terms = []
     for s, p, q in seconds:
         t = G[p] * G[q]
         t *= act[2]
-        np.multiply(f1, G[s], out=out[s])
+        terms.append((s, t))
+    np.multiply(act[1], G, out=out)
+    for s, t in terms:
         out[s] += t
-    for s, _ in firsts:
-        np.multiply(f1, G[s], out=out[s])
     return out
+
+
+def _matmul(a, B):
+    """``a @ B`` for a 2-D ``a``.  With an inner dimension of 1 every entry is
+    a single product, which the matmul rounds once, so the broadcast multiply
+    ``a * B[0]`` gives the same bits without a BLAS call."""
+    if a.shape[1] == 1:
+        return a * B[0]
+    return a @ B
 
 
 def forward_jets_batch(params, X, derivs=(), need_tape=False):
@@ -308,27 +325,32 @@ def forward_jets_batch(params, X, derivs=(), need_tape=False):
     else:
         order = 1 if firsts or need_tape else 0
 
-    M, n0 = X.shape
-    v = X
-    G = None
-    if S:
-        G = np.zeros((S, M, n0))
-        for s, i in firsts:
-            G[s, :, i] = 1.0
-
+    M = len(X)
     tape = None
+    v, G = X, None
     if need_tape:
         tape = Tape(tuple(params.layer_sizes), params.activation, derivs, M)
+        if S:
+            # the one-hot input slots, read by backward for the layer-0 weight gradient
+            G = np.zeros((S, M, params.input_dim))
+            for s, i in firsts:
+                G[s, :, i] = 1.0
 
     n_layers = len(params.weights)
     for l, (W, b) in enumerate(zip(params.weights, params.biases)):
         if need_tape:
             a_in = (v, G)
         n_out = W.shape[0]
-        v = v @ W.T
+        v = _matmul(v, W.T)
         v += b
-        if S:
-            G = (G.reshape(S * M, -1) @ W.T).reshape(S, M, n_out)
+        if S and l == 0:
+            # the input slots are one-hot: first slot (i,) becomes W[:, i] on
+            # every row, and second slots stay 0
+            G = np.zeros((S, M, n_out))
+            for s, i in firsts:
+                G[s] = W[:, i]
+        elif S:
+            G = _matmul(G.reshape(S * M, -1), W.T).reshape(S, M, n_out)
         z_G = G
         act = None
         if l < n_layers - 1:
@@ -336,9 +358,7 @@ def forward_jets_batch(params, X, derivs=(), need_tape=False):
             act = _act_with_derivs(params.activation, v, order)
             if S:
                 # the tape keeps the pre-activation slots; otherwise overwrite
-                G = _activate_slots(
-                    act, z_G, firsts, seconds, np.empty_like(G) if need_tape else G
-                )
+                G = _activate_slots(act, z_G, seconds, np.empty_like(G) if need_tape else G)
             v = act[0]
         if need_tape:
             tape.layers.append((a_in, z_G, act))
@@ -396,27 +416,40 @@ def backward(params, tape, value_bar, slots_bar=None) -> Gradients:
             zGb = None
             if S:
                 f2 = act[2]
-                zvb = zvb + f2 * sum(Gb[s] * z_G[s] for s, _ in firsts)
+                s0 = firsts[0][0]
+                acc = Gb[s0] * z_G[s0]
+                for s, _ in firsts[1:]:
+                    acc += Gb[s] * z_G[s]
+                acc *= f2
+                zvb += acc
                 zGb = f1 * Gb
                 if seconds:
                     f3 = _act_third_deriv(params.activation, a, f1)
-                    cross = np.zeros_like(z_G)
+                    cross = {}
                     for s, p, q in seconds:
                         hb = Gb[s]
-                        zvb = zvb + hb * (f3 * (z_G[p] * z_G[q]) + f2 * z_G[s])
-                        cross[p] += hb * z_G[q]
-                        cross[q] += hb * z_G[p]
-                    zGb += f2 * cross
+                        zvb += hb * (f3 * (z_G[p] * z_G[q]) + f2 * z_G[s])
+                        for i, j in ((p, q), (q, p)):
+                            t = hb * z_G[j]
+                            if i in cross:
+                                cross[i] += t
+                            else:
+                                cross[i] = t
+                    # only the first slots a second slot is built on get cross terms
+                    for i, c in cross.items():
+                        c *= f2
+                        zGb[i] += c
 
         gw = np.matmul(zvb.T, a_v, out=grads.weights[l])
-        for s in range(S):
+        # layer 0 reads the one-hot input slots, whose second slots are 0
+        for s in range(S) if l else (s for s, _ in firsts):
             gw += zGb[s].T @ a_G[s]
-        np.sum(zvb, axis=0, out=grads.biases[l])
+        np.add.reduce(zvb, axis=0, out=grads.biases[l])
 
         if l > 0:
-            vb = zvb @ W
+            vb = _matmul(zvb, W)
             if S:
-                Gb = (zGb.reshape(S * M, -1) @ W).reshape(S, M, W.shape[1])
+                Gb = _matmul(zGb.reshape(S * M, -1), W).reshape(S, M, W.shape[1])
 
     return grads
 
@@ -437,7 +470,7 @@ def hidden_features(params, X) -> np.ndarray:
         raise ConfigurationError("network has no hidden layer to extract features from")
     v = X
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
-        v = v @ W.T
+        v = _matmul(v, W.T)
         v += b
         _act_with_derivs(params.activation, v, 0)
     return v

@@ -229,7 +229,8 @@ def _burgers_pieces(points):
 
 def residual_pieces(problem, points):
     """The point-dependent factors of the residual at ``points``: the Burgers
-    transform pieces, or the ODE coefficients of :func:`residual_coefficients`.
+    transform pieces, or the ODE coefficients of :func:`residual_coefficients`
+    followed by their slot rows, the ``dslots`` of :func:`residual_jet_partials`.
 
     They depend on the points only, so a caller that evaluates the residual
     and its partials on the same points computes them once and passes them
@@ -237,7 +238,10 @@ def residual_pieces(problem, points):
     """
     if isinstance(problem, BurgersProblem):
         return _burgers_pieces(points)
-    return residual_coefficients(problem, points)
+    a0, a1, a2, beta = residual_coefficients(problem, points)
+    # the slot partials of an ODE residual are its slot coefficients
+    dslots = a1[None, :] if problem.order == 1 else np.stack([a1, a2])
+    return a0, a1, a2, beta, dslots
 
 
 def residual_from_jets(problem, points, jets, pieces=None):
@@ -257,7 +261,7 @@ def residual_from_jets(problem, points, jets, pieces=None):
         u_t = A_t + B_t * v + B * gt
         u_xx = A_xx + B_xx * v + 2.0 * B_x * gx + B * hxx
         return u_t + u * u_x - problem.nu * u_xx
-    a0, a1, a2, beta = pieces
+    a0, a1, a2, beta, _ = pieces
     r = a0 * jets.value + a1 * jets.slot((0,)) + beta
     if problem.order == 2:
         r = r + a2 * jets.slot((0, 0))
@@ -285,8 +289,7 @@ def residual_jet_partials(problem, points, jets, pieces=None):
         dv = B_t + B * u_x + u * B_x - problem.nu * B_xx
         dslots = np.stack([u * B - 2.0 * problem.nu * B_x, B, -problem.nu * B])
         return dv, dslots
-    a0, a1, a2, _ = pieces
-    dslots = a1[None, :] if problem.order == 1 else np.stack([a1, a2])
+    a0, _, _, _, dslots = pieces
     return a0, dslots
 
 

@@ -129,7 +129,7 @@ def gaussian_kl(q: MeanFieldGaussian, prior_sigma: float, sigma=None) -> float:
     """
     s = softplus(q.rho) if sigma is None else sigma
     sp2 = prior_sigma * prior_sigma
-    return float(np.sum(np.log(prior_sigma / s) + (s * s + q.mu * q.mu) / (2.0 * sp2) - 0.5))
+    return float(np.add.reduce(np.log(prior_sigma / s) + (s * s + q.mu * q.mu) / (2.0 * sp2) - 0.5))
 
 
 @dataclass
@@ -179,25 +179,31 @@ def _loglik_and_grads(ctx: _VIContext, params: NetworkParameters, need_grads=Tru
     if ctx.likelihood == "baseline_residual":
         r = residual_from_jets(ctx.problem, ctx.points, jets, ctx.pieces)
         sd2 = ctx.sigma_d * ctx.sigma_d
-        loglik = ctx.const_term - 0.5 * float(np.sum(r * r)) / sd2
+        loglik = ctx.const_term - 0.5 * float(np.add.reduce(r * r)) / sd2
         if not need_grads:
             return loglik, None
         dv, dslots = residual_jet_partials(ctx.problem, ctx.points, jets, ctx.pieces)
         rbar = -r / sd2
         return loglik, backward(params, tape, rbar * dv, rbar * dslots).theta
     dev = ctx.scale * (ctx.raw_targets - jets.value)
-    loglik = ctx.const_term - 0.5 * float(np.sum(dev * dev / ctx.variances))
+    loglik = ctx.const_term - 0.5 * float(np.add.reduce(dev * dev / ctx.variances))
     if not need_grads:
         return loglik, None
     value_bar = ctx.scale * dev / ctx.variances
     return loglik, backward(params, tape, value_bar).theta
 
 
-def eval_elbo(ctx, q: MeanFieldGaussian, prior_sigma: float, offsets) -> float:
-    """ELBO evaluated with fixed draws (rows of ``offsets``): deterministic
-    in the variational state."""
+def _sigma_and_kl(q: MeanFieldGaussian, prior_sigma: float):
+    """``softplus(q.rho)`` and the KL term of a variational state."""
     sigma = softplus(q.rho)
-    kl = gaussian_kl(q, prior_sigma, sigma)
+    return sigma, gaussian_kl(q, prior_sigma, sigma)
+
+
+def eval_elbo(ctx, q: MeanFieldGaussian, prior_sigma: float, offsets, sigma_kl=None) -> float:
+    """ELBO evaluated with fixed draws (rows of ``offsets``): deterministic
+    in the variational state.  ``sigma_kl`` is :func:`_sigma_and_kl` of
+    ``q``, computed here when not given."""
+    sigma, kl = _sigma_and_kl(q, prior_sigma) if sigma_kl is None else sigma_kl
     logliks = [
         _loglik_and_grads(ctx, q.materialize(z, sigma), need_grads=False)[0]
         for z in offsets
@@ -205,16 +211,15 @@ def eval_elbo(ctx, q: MeanFieldGaussian, prior_sigma: float, offsets) -> float:
     return float(np.mean(logliks) - kl)
 
 
-def _step(ctx, q, config, rng, adam_state):
+def _step(ctx, q, config, rng, adam_state, sigma_kl):
     """One reparameterization-trick gradient step on the negative ELBO in rho
-    (the means stay frozen), averaged over ``config.mc_samples_per_step`` draws."""
-    prior_sigma = config.prior_sigma
-    sp2 = prior_sigma * prior_sigma
-    sigma = softplus(q.rho)
+    (the means stay frozen), averaged over ``config.mc_samples_per_step`` draws.
+    ``sigma_kl`` is :func:`_sigma_and_kl` of ``q``."""
+    sp2 = config.prior_sigma * config.prior_sigma
+    sigma, kl = sigma_kl
     # d sigma / d rho = sigmoid(rho) = exp(rho - softplus(rho)); the exponent
     # is never positive, so it cannot overflow
     dsigma = np.exp(q.rho - sigma)
-    kl = gaussian_kl(q, prior_sigma, sigma)
     kl_rho = (-1.0 / sigma + sigma / sp2) * dsigma
     acc_rho = None
     elbo_acc = 0.0
@@ -258,15 +263,18 @@ def vi_train(
     eval_offsets = rng.standard_normal((config.n_eval_draws, q.mu.size))
     adam_state = init_adam(q.rho, config.learning_rate)
 
+    # sigma and the KL of a state serve its evaluation and the next step
+    sigma_kl = _sigma_and_kl(q, config.prior_sigma)
     evals = np.empty(config.epochs)
     for epoch in range(config.epochs):
         try:
-            q, adam_state = _step(ctx, q, config, rng, adam_state)
+            q, adam_state = _step(ctx, q, config, rng, adam_state, sigma_kl)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(
                 f"VI diverged at epoch {epoch}: {exc}", epoch=epoch
             ) from exc
-        evals[epoch] = eval_elbo(ctx, q, config.prior_sigma, eval_offsets)
+        sigma_kl = _sigma_and_kl(q, config.prior_sigma)
+        evals[epoch] = eval_elbo(ctx, q, config.prior_sigma, eval_offsets, sigma_kl)
     return VIRun(q, evals)
 
 

@@ -292,6 +292,96 @@ def test_evaluation_thread_safe_on_shared_params():
         assert np.array_equal(a, b)
 
 
+def matmul_reference(params, X, derivs, value_bar, slots_bar):
+    """Forward pass, slots and reverse pass with every product a matmul.
+
+    Layer 0 runs as ``X @ W.T`` and its slots as the one-hot input slots
+    ``@ W.T``, and the reverse pass forms the output layer's cotangents by
+    matmul, sums the first-slot terms with ``sum`` and the cross terms in a
+    zero array over all slots; the other operations follow the engine's
+    order, so the results must agree with it bit for bit.  Returns the
+    value, the slots and the flat gradient.
+    """
+    first = {k[0]: s for s, k in enumerate(derivs) if len(k) == 1}
+    firsts = [(s, k[0]) for s, k in enumerate(derivs) if len(k) == 1]
+    seconds = [(s, first[k[0]], first[k[1]]) for s, k in enumerate(derivs) if len(k) == 2]
+    S, (M, n0) = len(derivs), X.shape
+    G = np.zeros((S, M, n0))
+    for s, i in firsts:
+        G[s, :, i] = 1.0
+    v, layers, n_layers = X, [], len(params.weights)
+    for l, (W, b) in enumerate(zip(params.weights, params.biases)):
+        a_in = (v, G)
+        v = v @ W.T + b
+        z_G = (G.reshape(S * M, -1) @ W.T).reshape(S, M, -1)
+        G, act = z_G, None
+        if l < n_layers - 1:
+            act = _act_with_derivs(params.activation, v.copy(), 2)
+            a, f1, f2 = act
+            G = np.empty_like(z_G)
+            for s, _ in firsts:
+                G[s] = f1 * z_G[s]
+            for s, p, q in seconds:
+                G[s] = f1 * z_G[s] + z_G[p] * z_G[q] * f2
+            v = a
+        layers.append((a_in, z_G, act))
+
+    vb, Gb = value_bar.reshape(M, 1), slots_bar.reshape(S, M, 1)
+    grads = Gradients(list(params.layer_sizes), np.empty_like(params.theta))
+    for l in range(n_layers - 1, -1, -1):
+        (a_v, a_G), z_G, act = layers[l]
+        W = params.weights[l]
+        zvb, zGb = vb, Gb
+        if act is not None:
+            a, f1, f2 = act
+            zvb = vb * f1 + f2 * sum(Gb[s] * z_G[s] for s, _ in firsts)
+            zGb = f1 * Gb
+            f3 = _act_third_deriv(params.activation, a, f1)
+            cross = np.zeros_like(z_G)
+            for s, p, q in seconds:
+                zvb = zvb + Gb[s] * (f3 * (z_G[p] * z_G[q]) + f2 * z_G[s])
+                cross[p] += Gb[s] * z_G[q]
+                cross[q] += Gb[s] * z_G[p]
+            zGb = zGb + f2 * cross
+        gw = zvb.T @ a_v
+        for s in range(S):
+            gw += zGb[s].T @ a_G[s]
+        grads.weights[l][...] = gw
+        grads.biases[l][...] = np.sum(zvb, axis=0)
+        vb = zvb @ W
+        Gb = (zGb.reshape(S * M, -1) @ W).reshape(S, M, -1)
+    return v[:, 0], G[:, :, 0], grads.theta
+
+
+@pytest.mark.parametrize("dim, derivs", [(1, ((0,), (0, 0))), (2, ((0,), (1,), (0, 0)))])
+@pytest.mark.parametrize("act", ["tanh", "sigmoid"])
+@pytest.mark.parametrize("need_tape", [False, True])
+def test_layer0_shortcuts_match_matmul_reference_bitwise(dim, derivs, act, need_tape):
+    rng = np.random.default_rng(9)
+    X = rng.uniform(-1.0, 1.0, size=(37, dim))
+    p = init_network([dim, 32, 32, 1], act, seed=4)
+    p.biases[0][:] = rng.normal(size=32)
+    value_bar = rng.normal(size=len(X))
+    slots_bar = rng.normal(size=(len(derivs), len(X)))
+    value, slots, grad = matmul_reference(p, X, derivs, value_bar, slots_bar)
+
+    out, tape = forward_jets_batch(p, X, derivs, need_tape=need_tape)
+    assert np.array_equal(out.value, value)
+    assert np.array_equal(out.slots, slots)
+    assert np.array_equal(forward_values(p, X), value)
+    if need_tape:
+        assert np.array_equal(backward(p, tape, value_bar, slots_bar).theta, grad)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("act", ["tanh", "sigmoid"])
+def test_hidden_features_feed_the_output_layer_bitwise(dim, act):
+    X = np.random.default_rng(2).uniform(-1.0, 1.0, size=(41, dim))
+    p = init_network([dim, 32, 32, 1], act, seed=7)
+    head = hidden_features(p, X) @ p.weights[-1].T + p.biases[-1]
+    assert np.array_equal(forward_values(p, X), head[:, 0])
+
+
 class TestInPlaceActivations:
     Z = np.linspace(-40.0, 40.0, 80001)
 

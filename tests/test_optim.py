@@ -89,3 +89,28 @@ def test_adam_step_keeps_layer_views():
     new_p, _ = adam_step(p, Gradients(p.layer_sizes, np.ones_like(p.theta)), state)
     assert all(np.shares_memory(a, new_p.theta) for a in new_p.weights + new_p.biases)
     assert not np.shares_memory(new_p.theta, p.theta)
+
+
+def test_fifty_steps_match_textbook_line_bitwise():
+    # oracle: theta - lr*(m/bc1)/(sqrt(s/bc2)+eps) on whole arrays, gradients
+    # spread over six decades; the inputs of every step stay untouched
+    rng = np.random.default_rng(21)
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    theta = rng.normal(size=53)
+    w, m, s = theta.copy(), np.zeros(53), np.zeros(53)
+    state = init_adam(theta, learning_rate=lr)
+    for t in range(1, 51):
+        g = rng.normal(size=53) * 10.0 ** rng.integers(-3, 3, size=53)
+        inputs = (theta, g, state.first_moment, state.second_moment)
+        before = [a.copy() for a in inputs]
+        theta, new_state = adam_step_arrays(theta, g, state)
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+        assert state.step_count == t - 1
+        m = b1 * m + (1 - b1) * g
+        s = b2 * s + (1 - b2) * g * g
+        w = w - lr * (m / (1 - b1**t)) / (np.sqrt(s / (1 - b2**t)) + eps)
+        assert np.array_equal(theta, w)
+        assert np.array_equal(new_state.first_moment, m)
+        assert np.array_equal(new_state.second_moment, s)
+        assert new_state.step_count == t
+        state = new_state
