@@ -425,20 +425,13 @@ def backward(params, tape, value_bar, slots_bar=None) -> Gradients:
                 zGb = f1 * Gb
                 if seconds:
                     f3 = _act_third_deriv(params.activation, a, f1)
-                    cross = {}
+                    cross = np.zeros_like(z_G)
                     for s, p, q in seconds:
                         hb = Gb[s]
                         zvb += hb * (f3 * (z_G[p] * z_G[q]) + f2 * z_G[s])
-                        for i, j in ((p, q), (q, p)):
-                            t = hb * z_G[j]
-                            if i in cross:
-                                cross[i] += t
-                            else:
-                                cross[i] = t
-                    # only the first slots a second slot is built on get cross terms
-                    for i, c in cross.items():
-                        c *= f2
-                        zGb[i] += c
+                        cross[p] += hb * z_G[q]
+                        cross[q] += hb * z_G[p]
+                    zGb += f2 * cross
 
         gw = np.matmul(zvb.T, a_v, out=grads.weights[l])
         # layer 0 reads the one-hot input slots, whose second slots are 0

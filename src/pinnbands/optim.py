@@ -58,22 +58,10 @@ def adam_step_arrays(theta, grad, state: AdamState):
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    # lr * (m / bc1) / (sqrt(s / bc2) + eps), with m = b1 m + (1 - b1) g and
-    # s = b2 s + (1 - b2) g g, in that order, written into two work arrays
-    work = np.multiply(1.0 - b1, grad)
-    m = np.multiply(b1, state.first_moment)
-    m += work
-    np.multiply(1.0 - b2, grad, out=work)
-    work *= grad
-    s = np.multiply(b2, state.second_moment)
-    s += work
-    denom = np.divide(s, bc2)
-    np.sqrt(denom, out=denom)
-    denom += state.eps
-    np.divide(m, bc1, out=work)
-    work *= state.learning_rate
-    work /= denom
-    return theta - work, AdamState(m, s, t, state.learning_rate, b1, b2, state.eps)
+    m = b1 * state.first_moment + (1.0 - b1) * grad
+    s = b2 * state.second_moment + (1.0 - b2) * grad * grad
+    step = state.learning_rate * (m / bc1) / (np.sqrt(s / bc2) + state.eps)
+    return theta - step, AdamState(m, s, t, state.learning_rate, b1, b2, state.eps)
 
 
 def adam_step(params: NetworkParameters, grads: Gradients, state: AdamState):

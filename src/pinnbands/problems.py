@@ -247,13 +247,13 @@ def residual_pieces(problem, points):
 def residual_from_jets(problem, points, jets, pieces=None):
     """Residual values from a raw-network JetBatch at ``points``.
 
-    ``pieces`` is :func:`residual_pieces` at the same points, computed here
-    when not given.
+    ``pieces`` is :func:`residual_pieces` at the same points; when not
+    given, only the factors the residual reads are computed here.
     """
-    if pieces is None:
-        pieces = residual_pieces(problem, points)
     if isinstance(problem, BurgersProblem):
-        A, A_x, A_t, A_xx, B, B_x, B_t, B_xx = pieces
+        A, A_x, A_t, A_xx, B, B_x, B_t, B_xx = (
+            _burgers_pieces(points) if pieces is None else pieces
+        )
         v = jets.value
         gx, gt, hxx = jets.slot((0,)), jets.slot((1,)), jets.slot((0, 0))
         u = A + B * v
@@ -261,7 +261,7 @@ def residual_from_jets(problem, points, jets, pieces=None):
         u_t = A_t + B_t * v + B * gt
         u_xx = A_xx + B_xx * v + 2.0 * B_x * gx + B * hxx
         return u_t + u * u_x - problem.nu * u_xx
-    a0, a1, a2, beta, _ = pieces
+    a0, a1, a2, beta = residual_coefficients(problem, points) if pieces is None else pieces[:4]
     r = a0 * jets.value + a1 * jets.slot((0,)) + beta
     if problem.order == 2:
         r = r + a2 * jets.slot((0, 0))

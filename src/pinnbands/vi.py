@@ -199,11 +199,10 @@ def _sigma_and_kl(q: MeanFieldGaussian, prior_sigma: float):
     return sigma, gaussian_kl(q, prior_sigma, sigma)
 
 
-def eval_elbo(ctx, q: MeanFieldGaussian, prior_sigma: float, offsets, sigma_kl=None) -> float:
+def eval_elbo(ctx, q: MeanFieldGaussian, offsets, sigma, kl) -> float:
     """ELBO evaluated with fixed draws (rows of ``offsets``): deterministic
-    in the variational state.  ``sigma_kl`` is :func:`_sigma_and_kl` of
-    ``q``, computed here when not given."""
-    sigma, kl = _sigma_and_kl(q, prior_sigma) if sigma_kl is None else sigma_kl
+    in the variational state.  ``sigma, kl`` are :func:`_sigma_and_kl` of
+    ``q``."""
     logliks = [
         _loglik_and_grads(ctx, q.materialize(z, sigma), need_grads=False)[0]
         for z in offsets
@@ -211,12 +210,11 @@ def eval_elbo(ctx, q: MeanFieldGaussian, prior_sigma: float, offsets, sigma_kl=N
     return float(np.mean(logliks) - kl)
 
 
-def _step(ctx, q, config, rng, adam_state, sigma_kl):
+def _step(ctx, q, config, rng, adam_state, sigma, kl):
     """One reparameterization-trick gradient step on the negative ELBO in rho
     (the means stay frozen), averaged over ``config.mc_samples_per_step`` draws.
-    ``sigma_kl`` is :func:`_sigma_and_kl` of ``q``."""
+    ``sigma, kl`` are :func:`_sigma_and_kl` of ``q``."""
     sp2 = config.prior_sigma * config.prior_sigma
-    sigma, kl = sigma_kl
     # d sigma / d rho = sigmoid(rho) = exp(rho - softplus(rho)); the exponent
     # is never positive, so it cannot overflow
     dsigma = np.exp(q.rho - sigma)
@@ -268,13 +266,13 @@ def vi_train(
     evals = np.empty(config.epochs)
     for epoch in range(config.epochs):
         try:
-            q, adam_state = _step(ctx, q, config, rng, adam_state, sigma_kl)
+            q, adam_state = _step(ctx, q, config, rng, adam_state, *sigma_kl)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(
                 f"VI diverged at epoch {epoch}: {exc}", epoch=epoch
             ) from exc
         sigma_kl = _sigma_and_kl(q, config.prior_sigma)
-        evals[epoch] = eval_elbo(ctx, q, config.prior_sigma, eval_offsets, sigma_kl)
+        evals[epoch] = eval_elbo(ctx, q, eval_offsets, *sigma_kl)
     return VIRun(q, evals)
 
 

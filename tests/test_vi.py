@@ -329,7 +329,7 @@ class TestTraining:
     def test_last_elbo_matches_fresh_evaluation(self, models_10, envelopes_10, likelihood, epochs):
         # the trace reuses each state's sigma and KL; recomputing them from
         # the final state must give the same last entry
-        from pinnbands.vi import _make_context, eval_elbo
+        from pinnbands.vi import _make_context, _sigma_and_kl, eval_elbo
 
         trained = models_10["ode1.exp"]
         data = training_dataset(trained, envelopes_10["ode1.exp"])
@@ -339,7 +339,8 @@ class TestTraining:
             (config.n_eval_draws, run.q.mu.size)
         )
         ctx = _make_context(trained, config, data)
-        assert run.elbo_history[-1] == eval_elbo(ctx, run.q, config.prior_sigma, offsets)
+        sigma, kl = _sigma_and_kl(run.q, config.prior_sigma)
+        assert run.elbo_history[-1] == eval_elbo(ctx, run.q, offsets, sigma, kl)
 
     def test_total_variance_decomposition(self, models_10, envelopes_10):
         # identical posterior samples: error-aware total minus baseline total
