@@ -422,6 +422,7 @@ def backward(params, tape, value_bar, slots_bar=None) -> Gradients:
                     acc += Gb[s] * z_G[s]
                 acc *= f2
                 zvb += acc
+                del acc  # free it before the cross terms, the peak of a large batch
                 zGb = f1 * Gb
                 if seconds:
                     f3 = _act_third_deriv(params.activation, a, f1)
