@@ -2,7 +2,7 @@
 
 Both runs below use the same deliberately underfit network (10 epochs) and
 the same mean-field Gaussian machinery; they differ only in the likelihood.
-The baseline places a fixed-variance Gaussian on the residuals and gets its
+The baseline places a unit-variance Gaussian on the residuals and gets its
 uncertainty purely from the weight posterior - which says nothing useful
 outside the training window.  The error-aware run instead treats the
 network's own outputs as data with the error bound as noise, so the band
@@ -44,8 +44,7 @@ runs = {}
 for label, likelihood in (("baseline", "baseline_residual"),
                           ("error-aware", "error_aware_simulated")):
     config = VIConfig(
-        prior_sigma=float(np.sqrt(0.1)), epochs=5000, likelihood=likelihood,
-        sigma_d=1.0, seed=0,
+        prior_sigma=float(np.sqrt(0.1)), epochs=5000, likelihood=likelihood, seed=0
     )
     run = vi_train(trained, config, dataset if likelihood == "error_aware_simulated" else None)
     samples = sample_posterior(run.q, 1000, seed=2)

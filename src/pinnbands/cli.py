@@ -17,6 +17,7 @@ import sys
 from dataclasses import replace
 
 from .bands import write_csv
+from .bounds import estimate_envelope, pseudo_profile
 from .errors import (
     ConditioningError,
     ConfigurationError,
@@ -30,7 +31,6 @@ from .harness import (
     METHODS,
     ExperimentConfig,
     emit_outputs,
-    error_profile,
     evaluation_grid,
     preset_configs,
     resolve_preset,
@@ -163,12 +163,7 @@ def _list_problems() -> int:
 
 
 def _certify(args) -> int:
-    config = ExperimentConfig(
-        problem=args.problem,
-        grid_points=args.grid_points,
-        oversample=args.oversample,
-        safety_factor=args.safety_factor,
-    ).validate()
+    config = ExperimentConfig(problem=args.problem, grid_points=args.grid_points).validate()
     trained = load_trained(args.weights)
     if trained.problem_id and trained.problem_id != args.problem:
         raise ConfigurationError(
@@ -178,7 +173,10 @@ def _certify(args) -> int:
     if isinstance(problem, BurgersProblem):
         raise ConfigurationError("certify needs an ODE problem; Burgers has no error bound")
     grid = evaluation_grid(problem, config)
-    _, profile = error_profile(trained, config, grid)
+    envelope = estimate_envelope(
+        trained, oversample=args.oversample, safety_factor=args.safety_factor
+    )
+    profile = pseudo_profile(problem, trained, envelope, grid)
     u_det = surrogate_values(problem, trained.params, grid)
     write_csv({"x": grid, "u_det": u_det, "bound": profile.sigma_p}, args.out)
     print(args.out)

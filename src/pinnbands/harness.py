@@ -5,13 +5,15 @@ The pipeline for error-aware methods is: deterministic residual training,
 residual envelope, pseudo-aleatoric profile, Bayesian head (exact linear
 model or variational inference), posterior sampling, predictive moments.
 The deterministic method stops after training; the baseline VI method skips
-the pseudo-aleatoric term and places the likelihood on the residuals.
-Burgers cells run the same pipeline without an envelope: their sigma_P is
-the accumulated-residual heuristic, and the NLM head is not defined for them.
+the pseudo-aleatoric term and places a unit-variance likelihood on the
+residuals.  An ODE cell's residual envelope is 1.1 times the largest |r| of
+10 samples on each of 40 equal subintervals.  Burgers cells run the same
+pipeline without an envelope: their sigma_P is the accumulated-residual
+heuristic, and the NLM head is not defined for them.
 
-Reports are written as CSV (fixed column contract), a JSON metrics record,
-and a gnuplot-style band file.  Identical configurations produce
-byte-identical outputs.
+Reports are written as CSV (fixed column contract), a strict JSON metrics
+record (a non-finite metric is written as null), and a gnuplot-style band
+file.  Identical configurations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import scipy
 
 from . import __version__
 from .bands import PredictiveBand, write_csv
-from .bounds import burgers_sigma_grid, estimate_envelope, pseudo_profile, uniform_knots
+from .bounds import burgers_sigma_grid, estimate_envelope, pseudo_profile
 from .errors import ConfigurationError, ShapeError
 from .nlm import (
     PriorSearchResult,
@@ -70,8 +72,6 @@ _LOWEST = {
     "vi_epochs": 0,
     "seed": 0,
     "grid_points": 2,
-    "oversample": 2,
-    "envelope_intervals": 1,
     "n_posterior_samples": 1,
     "burgers_time_samples": 1,
 }
@@ -85,13 +85,9 @@ class ExperimentConfig:
     vi_epochs: int = 50000
     seed: int = 0
     grid_points: int = 401
-    envelope_intervals: int = 40
-    oversample: int = 10
-    safety_factor: float = 1.1
     n_posterior_samples: int = 1000
     burgers_grid: tuple = (100, 100)
     burgers_time_samples: int = 64
-    label: str = ""
 
     def validate(self):
         problem = get_entry(self.problem).problem
@@ -106,17 +102,12 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} out of range")
         if self.method in ("baseline_vi", "error_aware_vi") and self.vi_epochs < 1:
             raise ConfigurationError(f"{self.method} needs vi_epochs >= 1")
-        # below 1 the envelope undercuts the sampled maximum of |r| and is
-        # no longer a majorant
-        if not (np.isfinite(self.safety_factor) and self.safety_factor >= 1.0):
-            raise ConfigurationError("safety_factor must be finite and >= 1")
         if len(self.burgers_grid) != 2 or min(self.burgers_grid) < 2:
             raise ConfigurationError("burgers_grid needs two entries >= 2")
         return self
 
     def stem(self) -> str:
-        base = self.label or f"{self.problem}_{self.method}_det{self.det_epochs}"
-        return base.replace("/", "_")
+        return f"{self.problem}_{self.method}_det{self.det_epochs}".replace("/", "_")
 
 
 @dataclass
@@ -184,10 +175,7 @@ def error_profile(trained: TrainedPINN, config: ExperimentConfig, grid):
     """(residual envelope, sigma_P profile on ``grid``); the envelope is None
     for Burgers, whose sigma_P is the accumulated-residual heuristic."""
     problem = trained.problem
-    envelope = None
-    if not isinstance(problem, BurgersProblem):
-        knots = uniform_knots(problem, config.envelope_intervals)
-        envelope = estimate_envelope(trained, knots, config.oversample, config.safety_factor)
+    envelope = None if isinstance(problem, BurgersProblem) else estimate_envelope(trained)
     return envelope, pseudo_profile(problem, trained, envelope, grid, config.burgers_time_samples)
 
 
@@ -334,9 +322,14 @@ def emit_outputs(report: ExperimentReport, out_dir):
     write_csv(report.table, path)
     written = [path]
     path = os.path.join(out_dir, f"{stem}_metrics.json")
+    # RFC 8259 has no Infinity or NaN: a non-finite metric is written as null
+    metrics = {
+        k: None if isinstance(v, float) and not np.isfinite(v) else v
+        for k, v in report.metrics.items()
+    }
     with open(path, "w") as fh:
-        json.dump({"metrics": report.metrics, "provenance": report.provenance}, fh,
-                  indent=2, sort_keys=True)
+        json.dump({"metrics": metrics, "provenance": report.provenance}, fh,
+                  indent=2, sort_keys=True, allow_nan=False)
     written.append(path)
     if report.band is not None and report.band.grid.ndim == 1:
         path = os.path.join(out_dir, f"{stem}_band.dat")
@@ -435,9 +428,7 @@ def preset_configs(name: str, base: ExperimentConfig = None):
     overrides = dict(preset["overrides"])
     if preset["cells"] is None:
         return [replace(base, **overrides)]
-    configs = []
-    for problem, method in preset["cells"]:
-        cfg = replace(base, problem=problem, method=method, **overrides)
-        cfg.label = f"{problem}_{method}_det{cfg.det_epochs}"
-        configs.append(cfg)
-    return configs
+    return [
+        replace(base, problem=problem, method=method, **overrides)
+        for problem, method in preset["cells"]
+    ]

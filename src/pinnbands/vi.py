@@ -3,23 +3,24 @@
 The variational family is a diagonal Gaussian with standard deviations
 parameterized through a softplus, sigma = log(1 + exp(rho)).  Means are
 initialized from the deterministically trained network and frozen;
-training adjusts only rho via single-sample reparameterization-trick
-gradient steps on the negative ELBO (closed-form KL minus a Monte Carlo
-log-likelihood).  The chain-rule factor d sigma / d rho is the logistic
+training adjusts only rho via reparameterization-trick gradient steps on
+the negative ELBO (closed-form KL minus a Monte Carlo log-likelihood), one
+draw per step.  The chain-rule factor d sigma / d rho is the logistic
 sigmoid(rho), taken as exp(rho - softplus(rho)) from the sigma the step has
 already computed.
 
 Two likelihoods are supported:
 
 * ``baseline_residual``: zero-mean Gaussian over the equation residuals
-  with a fixed homoscedastic variance (the plain B-PINN construction).
+  with unit variance, sigma_D^2 = 1 (the plain B-PINN construction).
 * ``error_aware_simulated``: Gaussian over simulated observations — the
   trained network's own outputs — with the heteroscedastic pseudo-aleatoric
   variances from the error bound; the same dataset the NLM head fits.
 
 For monitoring, the ELBO is also evaluated every epoch with a fixed set of
-common-random-number draws, which makes the recorded trace a deterministic
-function of the variational state rather than per-step sampling noise.
+four common-random-number draws, which makes the recorded trace a
+deterministic function of the variational state rather than per-step
+sampling noise.
 
 The predictive band averages the surrogate over posterior draws.  The draws
 are streamed in fixed blocks of rows (:class:`PosteriorDraws`), so a band of
@@ -32,7 +33,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -75,14 +76,6 @@ class MeanFieldGaussian:
     def sigmas(self) -> np.ndarray:
         return softplus(self.rho)
 
-    def n_params(self) -> int:
-        return int(self.mu.size)
-
-    def copy(self) -> "MeanFieldGaussian":
-        return replace(
-            self, layer_sizes=list(self.layer_sizes), mu=self.mu.copy(), rho=self.rho.copy()
-        )
-
     def materialize(self, offsets, sigma=None) -> NetworkParameters:
         """Network with parameters mu + sigma * offsets; ``sigma`` is
         ``softplus(rho)``, computed here when not given."""
@@ -95,22 +88,20 @@ class MeanFieldGaussian:
 class VIConfig:
     prior_sigma: float = 1.0
     epochs: int = 50000
-    mc_samples_per_step: int = 1
     likelihood: str = "error_aware_simulated"
-    sigma_d: float = 1.0
     learning_rate: float = 0.01
     seed: int = 0
-    n_eval_draws: int = 4
+    mc_samples_per_step: ClassVar[int] = 1
+    n_eval_draws: ClassVar[int] = 4
 
     def __post_init__(self):
         if self.likelihood not in LIKELIHOODS:
             raise ConfigurationError(f"unknown likelihood {self.likelihood!r}")
-        for name in ("prior_sigma", "sigma_d", "learning_rate"):
+        for name in ("prior_sigma", "learning_rate"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
-        for name in ("epochs", "mc_samples_per_step", "n_eval_draws"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
+        if self.epochs < 1:
+            raise ConfigurationError("epochs must be >= 1")
 
 
 def vi_init(trained: TrainedPINN, seed: int = 0) -> MeanFieldGaussian:
@@ -140,7 +131,6 @@ class _VIContext:
     points: np.ndarray
     derivs: tuple
     likelihood: str
-    sigma_d: float = 1.0
     pieces: Optional[tuple] = None             # baseline: residual_pieces(points)
     raw_targets: Optional[np.ndarray] = None   # error-aware: dataset targets
     variances: Optional[np.ndarray] = None     # error-aware: dataset variances
@@ -154,11 +144,9 @@ def _make_context(
     problem = trained.problem
     if config.likelihood == "baseline_residual":
         points = training_grid(trained)
-        m = len(points)
-        const = -0.5 * m * (LOG_2PI + 2.0 * np.log(config.sigma_d))
         return _VIContext(
             problem, points, problem.derivs, config.likelihood,
-            sigma_d=config.sigma_d, pieces=residual_pieces(problem, points), const_term=const,
+            pieces=residual_pieces(problem, points), const_term=-0.5 * len(points) * LOG_2PI,
         )
     if data is None:
         raise ConfigurationError("error-aware likelihood needs a simulated dataset")
@@ -178,12 +166,11 @@ def _loglik_and_grads(ctx: _VIContext, params: NetworkParameters, need_grads=Tru
     jets, tape = forward_jets_batch(params, ctx.points, ctx.derivs, need_tape=need_grads)
     if ctx.likelihood == "baseline_residual":
         r = residual_from_jets(ctx.problem, ctx.points, jets, ctx.pieces)
-        sd2 = ctx.sigma_d * ctx.sigma_d
-        loglik = ctx.const_term - 0.5 * float(np.add.reduce(r * r)) / sd2
+        loglik = ctx.const_term - 0.5 * float(np.add.reduce(r * r))
         if not need_grads:
             return loglik, None
         dv, dslots = residual_jet_partials(ctx.problem, ctx.points, jets, ctx.pieces)
-        rbar = -r / sd2
+        rbar = -r
         return loglik, backward(params, tape, rbar * dv, rbar * dslots).theta
     dev = ctx.scale * (ctx.raw_targets - jets.value)
     loglik = ctx.const_term - 0.5 * float(np.add.reduce(dev * dev / ctx.variances))
@@ -212,26 +199,20 @@ def eval_elbo(ctx, q: MeanFieldGaussian, offsets, sigma, kl) -> float:
 
 def _step(ctx, q, config, rng, adam_state, sigma, kl):
     """One reparameterization-trick gradient step on the negative ELBO in rho
-    (the means stay frozen), averaged over ``config.mc_samples_per_step`` draws.
-    ``sigma, kl`` are :func:`_sigma_and_kl` of ``q``."""
+    (the means stay frozen), from one draw.  ``sigma, kl`` are
+    :func:`_sigma_and_kl` of ``q``."""
     sp2 = config.prior_sigma * config.prior_sigma
     # d sigma / d rho = sigmoid(rho) = exp(rho - softplus(rho)); the exponent
     # is never positive, so it cannot overflow
     dsigma = np.exp(q.rho - sigma)
     kl_rho = (-1.0 / sigma + sigma / sp2) * dsigma
-    acc_rho = None
-    elbo_acc = 0.0
-    for _ in range(config.mc_samples_per_step):
-        z = rng.standard_normal(q.mu.size)
-        loglik, dl = _loglik_and_grads(ctx, q.materialize(z, sigma))
-        elbo_acc += loglik - kl
-        # minimize -ELBO = KL - loglik;  d theta / d rho = zeta * sigmoid(rho)
-        g_rho = kl_rho - dl * z * dsigma
-        acc_rho = g_rho if acc_rho is None else acc_rho + g_rho
-    if not np.isfinite(elbo_acc):
+    z = rng.standard_normal(q.mu.size)
+    loglik, dl = _loglik_and_grads(ctx, q.materialize(z, sigma))
+    if not np.isfinite(loglik - kl):
         raise TrainingDivergedError("non-finite ELBO estimate")
-    k = float(config.mc_samples_per_step)
-    rho, adam_state = adam_step_arrays(q.rho, acc_rho / k, adam_state)
+    # minimize -ELBO = KL - loglik;  d theta / d rho = zeta * sigmoid(rho)
+    g_rho = kl_rho - dl * z * dsigma
+    rho, adam_state = adam_step_arrays(q.rho, g_rho, adam_state)
     return replace(q, rho=rho), adam_state
 
 
@@ -244,19 +225,17 @@ class VIRun:
 
 
 def vi_train(
-    trained: TrainedPINN,
-    config: VIConfig,
-    data: Optional[SimulatedDataset] = None,
-    q0=None,
+    trained: TrainedPINN, config: VIConfig, data: Optional[SimulatedDataset] = None
 ) -> VIRun:
-    """Optimize the variational distribution for ``config.epochs`` steps.
+    """Optimize the variational distribution for ``config.epochs`` steps,
+    starting from :func:`vi_init` at ``config.seed``.
 
     The error-aware likelihood fits ``data``, the simulated observations of
     :func:`pinnbands.nlm.build_simulated_dataset`; the baseline likelihood
     reads the residuals on the training grid and ignores it.
     """
     ctx = _make_context(trained, config, data)
-    q = q0.copy() if q0 is not None else vi_init(trained, seed=config.seed)
+    q = vi_init(trained, seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
     eval_offsets = rng.standard_normal((config.n_eval_draws, q.mu.size))
     adam_state = init_adam(q.rho, config.learning_rate)

@@ -35,6 +35,16 @@ class TestSolve:
         assert any(f.endswith(".csv") for f in files)
         assert any(f.endswith("_metrics.json") for f in files)
 
+    def test_preset_file_names_follow_det_epochs(self, tmp_path, capsys):
+        code = run_cli(
+            "solve", "--preset", "fig1", "--det-epochs", "3", "--vi-epochs", "2",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        files = os.listdir(tmp_path)
+        assert files and not [f for f in files if "_det10" in f]
+        assert all("_det3" in f for f in files)
+
     def test_unknown_problem_exit_2(self, tmp_path, capsys):
         code = run_cli(
             "solve", "--problem", "nope", "--method", "deterministic", "--out", str(tmp_path)

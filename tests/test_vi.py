@@ -9,7 +9,7 @@ from scipy.special import expit
 
 from pinnbands.bounds import estimate_envelope, pseudo_profile
 from pinnbands.errors import ConfigurationError, ShapeError
-from pinnbands.network import forward_values, init_network
+from pinnbands.network import forward_jets_batch, forward_values, init_network
 from pinnbands.nlm import VAR_FLOOR, build_simulated_dataset, feature_matrix, nlm_fit
 from pinnbands.problems import get_problem, surrogate_values, transform_offset_scale
 from pinnbands.training import default_train_config, train_deterministic, training_grid
@@ -111,7 +111,7 @@ class TestElboStep:
         from pinnbands.vi import _make_context, _loglik_and_grads
 
         trained = models_10000["ode1.exp"]
-        config = VIConfig(prior_sigma=1.0, epochs=1, likelihood="baseline_residual", sigma_d=1.0)
+        config = VIConfig(prior_sigma=1.0, epochs=1, likelihood="baseline_residual")
         ctx = _make_context(trained, config, None)
         q = vi_init(trained, seed=0)
         params = q.materialize(np.zeros_like(q.mu))
@@ -127,8 +127,8 @@ class TestElboStep:
         trained = models_10["ode1.exp"]
         data = training_dataset(trained, envelopes_10["ode1.exp"])
         config = VIConfig(prior_sigma=0.5, epochs=1, seed=0)
-        q = vi_init(trained, seed=0)
-        run = vi_train(trained, config, data, q0=q)
+        q = vi_init(trained, seed=config.seed)
+        run = vi_train(trained, config, data)
         q2, elbo = run.q, run.elbo_history[0]
         assert np.isfinite(elbo)
         assert np.array_equal(q.mu, q2.mu)
@@ -138,7 +138,27 @@ class TestElboStep:
         trained = models_10["ode1.exp"]
         config = VIConfig(prior_sigma=0.5, epochs=1, likelihood="error_aware_simulated")
         with pytest.raises(ConfigurationError):
-            vi_train(trained, config, None, q0=vi_init(trained, 0))
+            vi_train(trained, config, None)
+
+    @pytest.mark.parametrize("likelihood", ["error_aware_simulated", "baseline_residual"])
+    def test_forward_calls_per_epoch(self, models_10, envelopes_10, likelihood, monkeypatch):
+        # one step draw plus the fixed evaluation draws, each one forward pass
+        import pinnbands.vi as vi
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return forward_jets_batch(*args, **kwargs)
+
+        monkeypatch.setattr(vi, "forward_jets_batch", counting)
+        trained = models_10["ode1.exp"]
+        data = training_dataset(trained, envelopes_10["ode1.exp"])
+        config = VIConfig(prior_sigma=0.5, epochs=3, likelihood=likelihood)
+        vi_train(trained, config, data)
+        per_epoch = VIConfig.mc_samples_per_step + VIConfig.n_eval_draws
+        assert per_epoch == 5
+        assert len(calls) == config.epochs * per_epoch
 
     def test_unknown_likelihood_rejected(self):
         with pytest.raises(ConfigurationError):
