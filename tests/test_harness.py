@@ -3,6 +3,7 @@
 import json
 import os
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinnbands.bands import PredictiveBand
+from pinnbands.bounds import estimate_envelope
 from pinnbands.errors import (
     ConditioningError,
     ConfigurationError,
@@ -126,11 +128,23 @@ class TestRunExperiment:
         ("burgers_grid", (6, 1)),
         ("burgers_time_samples", 0),
         ("n_posterior_samples", 0),
+        ("oversample", 0),
+        ("oversample", 1),
+        ("safety_factor", 0.0),
+        ("safety_factor", 0.5),
+        ("safety_factor", float("nan")),
+        ("safety_factor", float("inf")),
     ])
-    def test_out_of_range_field_rejected(self, field, value):
-        cfg = ExperimentConfig(problem="burgers", method="deterministic", **{field: value})
+    def test_out_of_range_field_rejected(self, field, value, request):
+        if field in ("oversample", "safety_factor"):
+            # no longer config fields: the harness envelope takes them at
+            # estimate_envelope's defaults, and that call still checks them
+            trained = request.getfixturevalue("models_10")["ode1.exp"]
+            check = partial(estimate_envelope, trained, **{field: value})
+        else:
+            check = ExperimentConfig(problem="burgers", method="deterministic", **{field: value}).validate
         with pytest.raises(ConfigurationError):
-            cfg.validate()
+            check()
 
     @pytest.mark.parametrize("method", ["baseline_vi", "error_aware_vi"])
     def test_vi_without_epochs_rejected_before_training(self, method):
