@@ -25,14 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
+from .network import row_blocks
 from .problems import BurgersProblem, ODEProblem, residual_values
 
 EQUAL_RATE_TOL = 1e-8
-
-# distinct residual rows per block in burgers_sigma_grid: 1024-2048 were the
-# fastest on the 50x50 and 100x100 grids (2 MB L2 per core), where 16384-row
-# blocks spill the cache
-BURGERS_BLOCK_ROWS = 2048
 
 @dataclass
 class ResidualEnvelope:
@@ -212,8 +208,8 @@ def burgers_sigma_grid(trained, points, n_time_samples: int = 64) -> np.ndarray:
     On an equispaced grid many (x, t_i) rows repeat (t_j * frac_i equals
     t_k * frac_l whenever j * i = k * l), so each distinct row is evaluated
     once and gathered back.  The distinct rows go through the network in
-    blocks of ``BURGERS_BLOCK_ROWS``, which bounds the memory of the jets;
-    each row's residual depends only on that row.
+    :func:`pinnbands.network.row_blocks` blocks, which bounds the memory of
+    the jets; each row's residual depends only on that row.
     """
     pts = np.asarray(points, dtype=float)
     n = int(n_time_samples)
@@ -223,8 +219,7 @@ def burgers_sigma_grid(trained, points, n_time_samples: int = 64) -> np.ndarray:
     keys, inverse = np.unique(np.repeat(pts[:, 0], n) + 1j * taus.ravel(), return_inverse=True)
     rows = np.stack([keys.real, keys.imag], axis=1)
     r = np.concatenate([
-        residual_values(trained.problem, trained.params, rows[i:i + BURGERS_BLOCK_ROWS])
-        for i in range(0, len(rows), BURGERS_BLOCK_ROWS)
+        residual_values(trained.problem, trained.params, rows[s]) for s in row_blocks(len(rows))
     ])
     return pts[:, 1] * np.mean(np.abs(r)[inverse].reshape(len(pts), n), axis=1)
 

@@ -1,6 +1,7 @@
 """Deterministic residual training: minimize mean squared residual with Adam.
 
-One epoch is one full-batch Adam step over the collocation grid.  Runs are
+One epoch is one full-batch Adam step over the collocation grid, whose loss
+and gradient are summed over fixed blocks of ``ROW_BLOCK`` rows.  Runs are
 bit-reproducible for a fixed seed.
 """
 
@@ -14,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, TrainingDivergedError
-from .network import backward, forward_jets_batch, init_network
+from .network import backward, forward_jets_batch, init_network, row_blocks
 from .optim import adam_step, init_adam
 from .problems import (
     BurgersProblem,
@@ -131,23 +132,40 @@ def _jittered(points, spec: GridSpec, rng) -> np.ndarray:
     return moved
 
 
+def _block_pieces(problem, points):
+    """:func:`residual_pieces` at ``points``, sliced into one tuple per
+    :func:`row_blocks` block."""
+    pieces = residual_pieces(problem, points)
+    return [tuple(p[..., s] for p in pieces) for s in row_blocks(len(points))]
+
+
 def residual_loss_and_grads(problem, params, points, pieces=None):
     """Mean squared residual over ``points`` and its parameter gradient.
 
-    ``pieces`` is :func:`residual_pieces` at ``points``, computed here when
-    not given.
+    The points go through the network in :func:`row_blocks` blocks; the loss
+    and the gradient are summed in block order, so a grid of at most
+    ``ROW_BLOCK`` rows (every ODE grid) takes one full-batch step.
+    ``pieces`` is :func:`_block_pieces` at ``points``; when not given, each
+    block computes its own.
     """
     pts = np.asarray(points, dtype=float)
-    jets, tape = forward_jets_batch(params, pts, problem.derivs, need_tape=True)
-    if pieces is None:
-        pieces = residual_pieces(problem, pts)
-    r = residual_from_jets(problem, pts, jets, pieces)
-    # np.add.reduce(.) / len is np.mean's sum and division, without its wrapper
-    loss = float(np.add.reduce(r * r) / len(r))
-    dv, dslots = residual_jet_partials(problem, pts, jets, pieces)
-    rbar = 2.0 * r / len(r)
-    grads = backward(params, tape, rbar * dv, rbar * dslots)
-    return loss, grads
+    m = len(pts)
+    total, grads = 0.0, None
+    for k, s in enumerate(row_blocks(m)):
+        block = pts[s]
+        jets, tape = forward_jets_batch(params, block, problem.derivs, need_tape=True)
+        bp = residual_pieces(problem, block) if pieces is None else pieces[k]
+        r = residual_from_jets(problem, block, jets, bp)
+        # np.add.reduce(.) is np.sum without its wrapper
+        total += float(np.add.reduce(r * r))
+        dv, dslots = residual_jet_partials(problem, block, jets, bp)
+        rbar = 2.0 * r / m
+        g = backward(params, tape, rbar * dv, rbar * dslots)
+        if grads is None:
+            grads = g
+        else:
+            grads.theta += g.theta
+    return total / m, grads
 
 
 def mse_residual_loss(problem, params, points) -> float:
@@ -178,7 +196,7 @@ def train_deterministic(problem_or_id, config: TrainConfig) -> TrainedPINN:
     rng = np.random.default_rng(config.seed + 1)
 
     # a fixed grid feeds the same points every epoch, so its pieces are reused
-    pieces = residual_pieces(problem, base_points) if config.collocation.jitter <= 0 else None
+    pieces = _block_pieces(problem, base_points) if config.collocation.jitter <= 0 else None
     history = np.empty(config.epochs)
     for epoch in range(config.epochs):
         pts = _jittered(base_points, config.collocation, rng)

@@ -23,9 +23,11 @@ deterministic function of the variational state rather than per-step
 sampling noise.
 
 The predictive band averages the surrogate over posterior draws.  The draws
-are streamed in fixed blocks of rows (:class:`PosteriorDraws`), so a band of
-n draws over M points holds O(DRAW_BLOCK_ROWS * P + n * M) floats: the block
-of draws and the ``(n, M)`` values the two-pass variance reads.
+are streamed in fixed blocks of rows (:class:`PosteriorDraws`), and the grid
+is walked in blocks of ``ROW_BLOCK`` points, so a band of n draws holds
+O(DRAW_BLOCK_ROWS * P + n * ROW_BLOCK) floats whatever the grid size: the
+block of draws and the ``(n, ROW_BLOCK)`` values the two-pass variance
+reads.
 """
 
 from __future__ import annotations
@@ -39,7 +41,14 @@ import numpy as np
 
 from .bands import PredictiveBand
 from .errors import ConfigurationError, ShapeError, TrainingDivergedError
-from .network import NetworkParameters, backward, forward_jets_batch, forward_values
+from .network import (
+    ROW_BLOCK,
+    NetworkParameters,
+    backward,
+    forward_jets_batch,
+    forward_values,
+    row_blocks,
+)
 from .nlm import SimulatedDataset
 from .optim import adam_step_arrays, init_adam
 from .problems import (
@@ -73,14 +82,9 @@ class MeanFieldGaussian:
     mu: np.ndarray
     rho: np.ndarray
 
-    def sigmas(self) -> np.ndarray:
-        return softplus(self.rho)
-
-    def materialize(self, offsets, sigma=None) -> NetworkParameters:
+    def materialize(self, offsets, sigma) -> NetworkParameters:
         """Network with parameters mu + sigma * offsets; ``sigma`` is
-        ``softplus(rho)``, computed here when not given."""
-        if sigma is None:
-            sigma = softplus(self.rho)
+        ``softplus(rho)``."""
         return NetworkParameters(self.layer_sizes, self.mu + sigma * offsets, self.activation)
 
 
@@ -113,14 +117,14 @@ def vi_init(trained: TrainedPINN, seed: int = 0) -> MeanFieldGaussian:
     return MeanFieldGaussian(list(params.layer_sizes), params.activation, params.theta.copy(), rho)
 
 
-def gaussian_kl(q: MeanFieldGaussian, prior_sigma: float, sigma=None) -> float:
+def gaussian_kl(q: MeanFieldGaussian, prior_sigma: float, sigma) -> float:
     """KL(q || N(0, prior_sigma^2 I)) for a diagonal Gaussian q, closed form.
 
-    ``sigma`` is ``softplus(q.rho)``, computed here when not given.
+    ``sigma`` is ``softplus(q.rho)``.
     """
-    s = softplus(q.rho) if sigma is None else sigma
     sp2 = prior_sigma * prior_sigma
-    return float(np.add.reduce(np.log(prior_sigma / s) + (s * s + q.mu * q.mu) / (2.0 * sp2) - 0.5))
+    terms = np.log(prior_sigma / sigma) + (sigma * sigma + q.mu * q.mu) / (2.0 * sp2) - 0.5
+    return float(np.add.reduce(terms))
 
 
 @dataclass
@@ -258,27 +262,32 @@ def vi_train(
 def predictive_moments(samples, problem, grid, profile=None) -> PredictiveBand:
     """Sample mean and population variance of the transformed surrogate.
 
-    ``samples`` is a sized iterable of networks, such as the streamed draws
-    of :func:`sample_posterior`; it is read once, in order, into one
-    ``(n, M)`` buffer of surrogate values.  ``profile`` adds the
-    pseudo-aleatoric variance pointwise (error-aware); without it only the
-    epistemic term remains (baseline).
+    ``samples`` is a sized, re-iterable collection of networks, such as the
+    streamed draws of :func:`sample_posterior`.  The grid is walked in
+    :func:`row_blocks` blocks, and each block reads the draws again, in
+    order, into one ``(n, block)`` buffer of surrogate values.  ``profile``
+    adds the pseudo-aleatoric variance pointwise (error-aware); without it
+    only the epistemic term remains (baseline).
     """
     if len(samples) == 0:
         raise ConfigurationError("need at least one posterior sample")
     grid = np.asarray(grid, dtype=float)
-    # u~ = offset + scale * net, with the transform evaluated once for all
-    # draws; one (n, M) buffer is filled and then worked on in place
-    offset, scale = transform_offset_scale(problem, grid)
-    values = np.empty((len(samples), len(grid)))
-    for row, p in zip(values, samples):
-        row[...] = forward_values(p, grid)
-    values *= scale
-    values += offset
-    mean = values.mean(axis=0)
-    values -= mean
-    values *= values
-    epi = values.mean(axis=0)
+    mean, epi = np.empty(len(grid)), np.empty(len(grid))
+    buffer = np.empty((len(samples), min(len(grid), ROW_BLOCK)))
+    for s in row_blocks(len(grid)):
+        block = grid[s]
+        # u~ = offset + scale * net, with the transform evaluated once for all
+        # draws; the buffer's columns are worked on in place
+        offset, scale = transform_offset_scale(problem, block)
+        values = buffer[:, :len(block)]
+        for row, p in zip(values, samples):
+            row[...] = forward_values(p, block)
+        values *= scale
+        values += offset
+        mean[s] = values.mean(axis=0)
+        values -= mean[s]
+        values *= values
+        epi[s] = values.mean(axis=0)
     if profile is not None:
         pgrid = np.asarray(profile.grid, dtype=float)
         if not np.array_equal(pgrid, grid):

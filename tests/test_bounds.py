@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pinnbands.bounds import (
-    BURGERS_BLOCK_ROWS,
     PseudoAleatoricProfile,
     ResidualEnvelope,
     burgers_sigma_grid,
@@ -21,6 +20,7 @@ from pinnbands.bounds import (
     uniform_knots,
 )
 from pinnbands.errors import ConfigurationError, DomainError
+from pinnbands.network import ROW_BLOCK
 from pinnbands.problems import (
     ODEProblem,
     analytic_solution,
@@ -299,7 +299,7 @@ class TestBurgersSigma:
 
     def test_blocks_match_one_shot_bitwise(self, tiny_burgers):
         n = 64
-        block = max(1, BURGERS_BLOCK_ROWS // n)
+        block = max(1, ROW_BLOCK // n)
         m = 2 * block + 37  # two full blocks and a partial one
         rng = np.random.default_rng(3)
         pts = np.stack([rng.uniform(-1.0, 1.0, m), rng.uniform(0.0, 1.0, m)], axis=1)

@@ -2,6 +2,9 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 from functools import partial
 
@@ -204,6 +207,35 @@ class TestEmitOutputs:
         for name in os.listdir(out_a):
             with open(out_a / name, "rb") as fa, open(out_b / name, "rb") as fb:
                 assert fa.read() == fb.read(), name
+
+
+# Runs a 100x100 Burgers cell in a fresh interpreter, where the BLAS thread
+# count set in the environment takes effect.
+_THREADS_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from pinnbands.harness import ExperimentConfig, emit_outputs, run_experiment
+config = ExperimentConfig(problem="burgers", method="error_aware_vi", det_epochs=3, vi_epochs=3,
+                          n_posterior_samples=20, burgers_grid=(100, 100), burgers_time_samples=8)
+emit_outputs(run_experiment(config), sys.argv[2])
+"""
+
+
+def test_burgers_bytes_independent_of_blas_threads(tmp_path):
+    # the 10000-row training steps and the 10000-point band are walked in
+    # fixed row blocks, so no sum over rows follows the BLAS thread partition
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, src, str(out)],
+                       env=env, capture_output=True, timeout=600, check=True)
+        outputs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(outputs["1"]) == 2
+    assert outputs["1"].keys() == outputs["2"].keys()
+    for name, data in outputs["1"].items():
+        assert data == outputs["2"][name], name
 
 
 _TINY_BURGERS = dict(

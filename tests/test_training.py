@@ -1,15 +1,20 @@
 """Deterministic residual training: determinism, loss behavior, oracles."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pinnbands.errors import ConfigurationError, TrainingDivergedError
-from pinnbands.network import forward_jets_batch, init_network
+from pinnbands.network import ROW_BLOCK, backward, forward_jets_batch, init_network
 from pinnbands.weights_io import save_weights
 from pinnbands.problems import (
     NONSINGULAR_FIRST_ORDER_IDS,
     analytic_solution,
     get_problem,
+    residual_from_jets,
+    residual_jet_partials,
     surrogate_values,
 )
 from pinnbands.training import (
@@ -18,6 +23,7 @@ from pinnbands.training import (
     default_train_config,
     load_trained,
     mse_residual_loss,
+    residual_loss_and_grads,
     save_trained,
     train_deterministic,
     training_grid,
@@ -117,6 +123,92 @@ def test_burgers_slot_gradient_matches_finite_differences():
                 fd.append((lp - lm) / (2 * h))
         ad, fd = np.asarray(ad), np.asarray(fd)
         assert np.linalg.norm(ad - fd) / np.linalg.norm(fd) < 1e-5
+
+
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff of a double."""
+    u = np.finfo(float).eps / 2
+    return n * u / (1 - n * u)
+
+
+def _burgers_rows(m, seed=0):
+    problem = get_problem("burgers")
+    params = init_network([2, 32, 32, 1], "sigmoid", seed=seed)
+    rng = np.random.default_rng(seed)
+    pts = np.stack([rng.uniform(-1.0, 1.0, m), rng.uniform(0.0, 1.0, m)], axis=1)
+    return problem, params, pts
+
+
+def _gradient_terms_abs(problem, params, pts):
+    """Per parameter, the sum of |term| over the terms that the gradient's
+    sums over rows add: per row, the layer cotangent times the layer input
+    value, then times each input slot, and the cotangent alone for a bias.
+
+    Each row runs backward once per path, on a tape whose layer inputs are
+    |value| with zero slots, or |slot s| with everything else zero.
+    """
+    n_weights = sum(w.size for w in params.weights)
+    S = len(problem.derivs)
+    total = np.zeros_like(params.theta)
+    for i in range(len(pts)):
+        row = pts[i:i + 1]
+        jets, tape = forward_jets_batch(params, row, problem.derivs, need_tape=True)
+        r = residual_from_jets(problem, row, jets)
+        dv, dslots = residual_jet_partials(problem, row, jets)
+        rbar = 2.0 * r / len(pts)
+        for path in range(S + 1):
+            layers = []
+            for (a_v, a_G), z_G, act in tape.layers:
+                G = np.zeros_like(a_G)
+                if path:
+                    G[path - 1] = np.abs(a_G[path - 1])
+                v = np.zeros_like(a_v) if path else np.abs(a_v)
+                layers.append(((v, G), z_G, act))
+            g = backward(params, replace(tape, layers=layers), rbar * dv, rbar * dslots)
+            # the bias terms are the value path's cotangents alone
+            end = n_weights if path else None
+            total[:end] += np.abs(g.theta[:end])
+    return total
+
+
+class TestRowBlocks:
+    def test_step_peak_independent_of_rows(self):
+        # 10000 rows, the burgers preset's grid, go through in ROW_BLOCK
+        # blocks: one step's traced peak stays at the jets of one block
+        problem, params, pts = _burgers_rows(10_000)
+        tracemalloc.start()
+        try:
+            residual_loss_and_grads(problem, params, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_blocked_matches_one_shot_within_reordering_bound(self):
+        # every row's residual, cotangents and layer inputs are the same bits
+        # in one full-batch pass and in blocks, so the two results differ only
+        # in the order of their sums over rows.  A sum of N terms, in any
+        # order and with or without fused multiply-adds, lies within
+        # gamma_N * sum |term| of the exact sum (Higham, Accuracy and
+        # Stability of Numerical Algorithms, 2nd ed., sections 3.1 and 4.2),
+        # so two orders lie within 2 gamma_N * sum |term| of each other
+        m = 2 * ROW_BLOCK + 177
+        problem, params, pts = _burgers_rows(m)
+        loss, grads = residual_loss_and_grads(problem, params, pts)
+
+        jets, tape = forward_jets_batch(params, pts, problem.derivs, need_tape=True)
+        r = residual_from_jets(problem, pts, jets)
+        dv, dslots = residual_jet_partials(problem, pts, jets)
+        rbar = 2.0 * r / m
+        one_shot = backward(params, tape, rbar * dv, rbar * dslots).theta
+        one_shot_loss = float(np.add.reduce(r * r) / m)
+
+        # the loss: m nonnegative terms, then one division on each side
+        assert abs(loss - one_shot_loss) <= 2 * _gamma(m + 1) * one_shot_loss
+        # a weight entry sums a value term and up to S slot terms per row
+        n_terms = m * (1 + len(problem.derivs))
+        bound = 2 * _gamma(n_terms) * _gradient_terms_abs(problem, params, pts)
+        assert np.all(np.abs(grads.theta - one_shot) <= bound)
 
 
 class TestTrainDeterministic:

@@ -9,10 +9,16 @@ from scipy.special import expit
 
 from pinnbands.bounds import estimate_envelope, pseudo_profile
 from pinnbands.errors import ConfigurationError, ShapeError
-from pinnbands.network import forward_jets_batch, forward_values, init_network
+from pinnbands.network import ROW_BLOCK, forward_jets_batch, forward_values, init_network
 from pinnbands.nlm import VAR_FLOOR, build_simulated_dataset, feature_matrix, nlm_fit
 from pinnbands.problems import get_problem, surrogate_values, transform_offset_scale
-from pinnbands.training import default_train_config, train_deterministic, training_grid
+from pinnbands.training import (
+    GridSpec,
+    collocation_points,
+    default_train_config,
+    train_deterministic,
+    training_grid,
+)
 from pinnbands.vi import (
     DRAW_BLOCK_ROWS,
     MeanFieldGaussian,
@@ -42,7 +48,7 @@ class TestInit:
     def test_initial_sigmas_in_softplus_window(self, models_10):
         q = vi_init(models_10["ode1.exp"], seed=1)
         lo, hi = np.log1p(np.exp(-5.0)), np.log1p(np.exp(-4.0))
-        for s in q.sigmas():
+        for s in softplus(q.rho):
             assert np.all(s >= lo) and np.all(s <= hi)
         assert lo == pytest.approx(0.0067, abs=2e-4)
         assert hi == pytest.approx(0.0181, abs=2e-4)
@@ -78,12 +84,12 @@ class TestInit:
 class TestKL:
     def test_prior_equals_q_gives_zero(self):
         q = scalar_q(0.0, 1.0)
-        assert gaussian_kl(q, 1.0) == pytest.approx(0.0, abs=1e-14)
+        assert gaussian_kl(q, 1.0, softplus(q.rho)) == pytest.approx(0.0, abs=1e-14)
 
     def test_closed_form_example(self):
         # q = N(0, 0.5^2), prior = N(0, 1): ln 2 + (0.25 - 1)/2
         q = scalar_q(0.0, 0.5)
-        assert gaussian_kl(q, 1.0) == pytest.approx(np.log(2.0) - 0.375, abs=1e-12)
+        assert gaussian_kl(q, 1.0, softplus(q.rho)) == pytest.approx(np.log(2.0) - 0.375, abs=1e-12)
 
     def test_matches_monte_carlo_estimate(self):
         rng = np.random.default_rng(0)
@@ -91,7 +97,7 @@ class TestKL:
         sigmas = rng.uniform(0.3, 1.5, 6)
         q = MeanFieldGaussian([1, 1], "tanh", mus, np.log(np.expm1(sigmas)))
         prior_sigma = 0.8
-        exact = gaussian_kl(q, prior_sigma)
+        exact = gaussian_kl(q, prior_sigma, softplus(q.rho))
         n = 1_000_000
         z = rng.standard_normal((n, 6))
         theta = mus + sigmas * z
@@ -114,7 +120,7 @@ class TestElboStep:
         config = VIConfig(prior_sigma=1.0, epochs=1, likelihood="baseline_residual")
         ctx = _make_context(trained, config, None)
         q = vi_init(trained, seed=0)
-        params = q.materialize(np.zeros_like(q.mu))
+        params = q.materialize(np.zeros_like(q.mu), softplus(q.rho))
         loglik, _ = _loglik_and_grads(ctx, params, need_grads=False)
         m = len(training_grid(trained))
         from pinnbands.training import mse_residual_loss
@@ -272,27 +278,32 @@ class TestPredictiveMoments:
         assert band.epistemic_var[0] == pytest.approx(2.0 / 3.0)
         assert band.total_var[0] == pytest.approx(2.0 / 3.0 + 0.5)
 
-    # 64 draws fill one sampling block; 150 span several and end in a partial one
+    # 64 draws fill one sampling block; 150 span several and end in a partial
+    # one.  The 1201-point and 37x29 grids span several row blocks and end in
+    # a partial one
     @pytest.mark.parametrize(
-        "problem_id, n_draws",
+        "problem_id, n_draws, n_grid",
         [
-            pytest.param("ode1.exp", 64, id="ode1.exp"),
-            pytest.param("burgers", 64, id="burgers"),
-            pytest.param("ode1.exp", 150, id="ode1.exp-150"),
-            pytest.param("burgers", 150, id="burgers-150"),
+            pytest.param("ode1.exp", 64, 31, id="ode1.exp"),
+            pytest.param("burgers", 64, (7, 5), id="burgers"),
+            pytest.param("ode1.exp", 150, 31, id="ode1.exp-150"),
+            pytest.param("burgers", 150, (7, 5), id="burgers-150"),
+            pytest.param("ode1.exp", 64, 1201, id="ode1.exp-1201-points"),
+            pytest.param("burgers", 64, (37, 29), id="burgers-37x29"),
         ],
     )
-    def test_matches_stacked_formula_bitwise(self, models_10, problem_id, n_draws):
+    def test_matches_stacked_formula_bitwise(self, models_10, problem_id, n_draws, n_grid):
         if problem_id == "burgers":
             problem = get_problem("burgers")
             params = init_network([2, 8, 8, 1], "sigmoid", seed=4)
-            grid = np.stack(np.meshgrid(np.linspace(-1, 1, 7), np.linspace(0, 1, 5)), -1)
+            nx, nt = n_grid
+            grid = np.stack(np.meshgrid(np.linspace(-1, 1, nx), np.linspace(0, 1, nt)), -1)
             grid = grid.reshape(-1, 2)
             q = MeanFieldGaussian([2, 8, 8, 1], "sigmoid", params.theta.copy(),
                                   np.full(params.theta.shape, -3.0))
         else:
             trained = models_10[problem_id]
-            problem, grid = trained.problem, np.linspace(0, 4, 31)
+            problem, grid = trained.problem, np.linspace(0, 4, n_grid)
             q = vi_init(trained, seed=0)
         samples = sample_posterior(q, n_draws, seed=11)
         X = grid[:, None] if grid.ndim == 1 else grid
@@ -318,6 +329,25 @@ class TestPredictiveMoments:
         finally:
             tracemalloc.stop()
         assert peak < n * q.mu.size * 8
+
+    def test_peak_independent_of_grid_size(self):
+        # the grid is walked in ROW_BLOCK columns: 1000 draws over the 10000
+        # points of a 100x100 Burgers grid hold an (n, ROW_BLOCK) buffer, not
+        # the 80 MB of (n, M) values
+        problem = get_problem("burgers")
+        params = init_network([2, 32, 32, 1], "sigmoid", seed=0)
+        q = MeanFieldGaussian([2, 32, 32, 1], "sigmoid", params.theta.copy(),
+                              np.full(params.theta.shape, -4.0))
+        grid = collocation_points(GridSpec((100, 100), ((-1.0, 1.0), (0.0, 2.0))))
+        n = 1000
+        assert n * ROW_BLOCK * 8 < 8e6 < n * len(grid) * 8
+        tracemalloc.start()
+        try:
+            predictive_moments(sample_posterior(q, n, seed=3), problem, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_grid_mismatch_rejected(self, models_10, envelopes_10):
         trained = models_10["ode1.exp"]
@@ -499,7 +529,7 @@ class TestInfiniteBoundDataset:
         q = vi_init(trained, seed=0)
         z = np.random.default_rng(5).standard_normal(q.mu.size)
         for offsets in (np.zeros_like(q.mu), z):
-            params = q.materialize(offsets)
+            params = q.materialize(offsets, softplus(q.rho))
             loglik, _ = _loglik_and_grads(ctx, params, need_grads=False)
             assert loglik == pytest.approx(oracle(params), rel=1e-12)
 
