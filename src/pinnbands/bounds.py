@@ -20,12 +20,13 @@ serves as a heuristic stand-in.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .network import row_blocks
+from .network import ROW_BLOCK
 from .problems import BurgersProblem, ODEProblem, residual_values
 
 EQUAL_RATE_TOL = 1e-8
@@ -207,21 +208,39 @@ def burgers_sigma_grid(trained, points, n_time_samples: int = 64) -> np.ndarray:
 
     On an equispaced grid many (x, t_i) rows repeat (t_j * frac_i equals
     t_k * frac_l whenever j * i = k * l), so each distinct row is evaluated
-    once and gathered back.  The distinct rows go through the network in
-    :func:`pinnbands.network.row_blocks` blocks, which bounds the memory of
-    the jets; each row's residual depends only on that row.
+    once and gathered back.  The points are grouped by x in increasing
+    order, and each group's distinct t_i in increasing order, so the distinct
+    rows come in (x, t) order.  They go through the network in blocks of
+    ``ROW_BLOCK`` consecutive rows, each evaluated as soon as it fills; a
+    group is gathered once its last row is evaluated, and its residuals are
+    then dropped.  Memory is O(ROW_BLOCK + one x group * n + N) floats,
+    whatever the grid.
     """
+    if not (np.ndim(n_time_samples) == 0 and float(n_time_samples).is_integer()
+            and n_time_samples >= 1):
+        raise ConfigurationError(f"n_time_samples must be an integer >= 1, got {n_time_samples!r}")
     pts = np.asarray(points, dtype=float)
-    n = int(n_time_samples)
-    frac = np.linspace(0.0, 1.0, n)
-    taus = pts[:, 1][:, None] * frac[None, :]
-    # a 1-D unique over complex keys sorts far faster than np.unique(axis=0)
-    keys, inverse = np.unique(np.repeat(pts[:, 0], n) + 1j * taus.ravel(), return_inverse=True)
-    rows = np.stack([keys.real, keys.imag], axis=1)
-    r = np.concatenate([
-        residual_values(trained.problem, trained.params, rows[s]) for s in row_blocks(len(rows))
-    ])
-    return pts[:, 1] * np.mean(np.abs(r)[inverse].reshape(len(pts), n), axis=1)
+    frac = np.linspace(0.0, 1.0, int(n_time_samples))
+    xs, group = np.unique(pts[:, 0], return_inverse=True)
+    members = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
+    sigma = np.empty(len(pts))
+    waiting = deque()  # (points, their t_i, distinct t_i) of groups not yet gathered
+    rows = np.empty((0, 2))  # distinct rows not yet evaluated
+    done = np.empty(0)  # |r| of the evaluated rows of the waiting groups
+    for g, (x, idx) in enumerate(zip(xs, members)):
+        taus = pts[idx, 1][:, None] * frac
+        distinct = np.unique(taus)
+        waiting.append((idx, taus, distinct))
+        rows = np.concatenate([rows, np.stack([np.full_like(distinct, x), distinct], axis=1)])
+        last = g == len(xs) - 1
+        while len(rows) >= ROW_BLOCK or (last and len(rows)):
+            block, rows = rows[:ROW_BLOCK], rows[ROW_BLOCK:]
+            done = np.concatenate([done, np.abs(residual_values(trained.problem, trained.params, block))])
+            while waiting and len(waiting[0][2]) <= len(done):
+                idx, taus, distinct = waiting.popleft()
+                r, done = done[:len(distinct)], done[len(distinct):]
+                sigma[idx] = pts[idx, 1] * np.mean(r[np.searchsorted(distinct, taus)], axis=1)
+    return sigma
 
 
 def pseudo_profile(problem, trained, envelope, grid, n_time_samples: int = 64) -> PseudoAleatoricProfile:

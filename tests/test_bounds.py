@@ -3,12 +3,16 @@
 Each kernel is reached through ``pseudo_sigma`` on a problem built from its
 decay rates (``conftest.rate_problem``)."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from pinnbands import bounds
 from pinnbands.bounds import (
     PseudoAleatoricProfile,
     ResidualEnvelope,
@@ -20,7 +24,7 @@ from pinnbands.bounds import (
     uniform_knots,
 )
 from pinnbands.errors import ConfigurationError, DomainError
-from pinnbands.network import ROW_BLOCK
+from pinnbands.network import ROW_BLOCK, init_network, row_blocks
 from pinnbands.problems import (
     ODEProblem,
     analytic_solution,
@@ -271,21 +275,52 @@ def tiny_burgers():
     return train_deterministic("burgers", cfg)
 
 
+def _stand_in(problem=None, params=None):
+    """What ``burgers_sigma_grid`` reads of a trained model."""
+    return SimpleNamespace(problem=problem, params=params)
+
+
+def _global_keys(pts, n):
+    """Every (x, tau) row of ``pts`` as one complex key x + 1j*tau, made
+    distinct by one sort: the distinct keys and each row's index into them."""
+    taus = pts[:, 1][:, None] * np.linspace(0.0, 1.0, n)[None, :]
+    return np.unique(np.repeat(pts[:, 0], n) + 1j * taus.ravel(), return_inverse=True)
+
+
+def sigma_grid_global_sort(trained, pts, n):
+    """Reference sigma_P grid: the distinct rows of one global complex-key
+    sort, in ROW_BLOCK blocks, gathered back through the sort's inverse."""
+    keys, inverse = _global_keys(pts, n)
+    rows = np.stack([keys.real, keys.imag], axis=1)
+    r = np.concatenate([
+        residual_values(trained.problem, trained.params, rows[s]) for s in row_blocks(len(rows))
+    ])
+    return pts[:, 1] * np.mean(np.abs(r)[inverse].reshape(len(pts), n), axis=1)
+
+
 class TestBurgersSigma:
 
     def test_zero_at_time_origin(self, tiny_burgers):
         assert burgers_sigma_grid(tiny_burgers, np.array([[0.3, 0.0]]))[0] == 0.0
 
-    def test_constant_residual_riemann_sum(self):
-        # sigma(t) = t * mean(|r|); constant residual c gives exactly c*t
-        taus = np.linspace(0.0, 2.0, 64)
+    def test_constant_residual_riemann_sum(self, monkeypatch):
+        # sigma(t) = t * mean_i |r(x, t_i)|; a constant residual c gives c*t
+        # at every point, whichever distinct rows its t_i were gathered from
         c = 0.7
-        assert 2.0 * np.mean(np.full_like(taus, c)) == pytest.approx(2.0 * c, rel=1e-15)
+        monkeypatch.setattr(bounds, "residual_values", lambda problem, params, rows: np.full(len(rows), -c))
+        pts = collocation_points(GridSpec((12, 30), ((-1.0, 1.0), (0.0, 2.0))))
+        sig = burgers_sigma_grid(_stand_in(), pts, 64)
+        assert sig == pytest.approx(c * pts[:, 1], rel=1e-15, abs=0.0)
 
-    def test_linear_residual_converges_to_half(self, tiny_burgers):
-        # accumulated tau over [0, 1] tends to the integral 1/2
-        taus = np.linspace(0.0, 1.0, 10_001)
-        assert 1.0 * np.mean(taus) == pytest.approx(0.5, abs=1e-12)
+    def test_linear_residual_converges_to_half(self, monkeypatch):
+        # r = tau: t * mean_i (t * frac_i) is the Riemann sum of the integral
+        # t^2 / 2, exact for a linear integrand up to rounding; a point
+        # gathered from another point's rows would be off by O(1)
+        monkeypatch.setattr(bounds, "residual_values", lambda problem, params, rows: rows[:, 1].copy())
+        pts = collocation_points(GridSpec((12, 30), ((-1.0, 1.0), (0.0, 2.0))))
+        pts = np.concatenate([pts, pts[::-5]])  # repeated points, out of order
+        sig = burgers_sigma_grid(_stand_in(), pts, 64)
+        assert sig == pytest.approx(0.5 * pts[:, 1] ** 2, rel=1e-14, abs=1e-15)
 
     def test_grid_version_matches_scalar(self, tiny_burgers):
         pts = np.array([[0.2, 0.5], [-0.4, 1.5], [0.0, 0.0]])
@@ -322,6 +357,47 @@ class TestBurgersSigma:
         r = residual_values(tiny_burgers.problem, tiny_burgers.params, flat).reshape(len(pts), n)
         one_shot = pts[:, 1] * np.mean(np.abs(r), axis=1)
         assert np.array_equal(burgers_sigma_grid(tiny_burgers, pts, n), one_shot)
+
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    def test_scattered_points_match_global_sort(self, tiny_burgers, n):
+        # repeated x values across points with different t, and repeated points
+        rng = np.random.default_rng(5)
+        m = 700
+        pts = np.stack([rng.choice(rng.uniform(-1.0, 1.0, 25), m), rng.uniform(0.0, 1.0, m)], axis=1)
+        pts = np.concatenate([pts, pts[::3], pts[:40]])
+        expected = sigma_grid_global_sort(tiny_burgers, pts, n)
+        assert np.array_equal(burgers_sigma_grid(tiny_burgers, pts, n), expected)
+
+    @pytest.mark.parametrize("shape, n", [((1100, 3), 1), ((40, 40), 2), ((40, 40), 64)])
+    def test_product_grid_matches_global_sort(self, tiny_burgers, shape, n):
+        pts = collocation_points(GridSpec(shape, ((-1.0, 1.0), (0.0, 1.0))))
+        keys, _ = _global_keys(pts, n)
+        assert len(keys) > 2 * ROW_BLOCK  # the distinct rows cross several blocks
+        expected = sigma_grid_global_sort(tiny_burgers, pts, n)
+        assert np.array_equal(burgers_sigma_grid(tiny_burgers, pts, n), expected)
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5])
+    def test_bad_time_samples_rejected(self, n):
+        grid = np.array([[0.0, 0.5], [0.2, 1.0]])
+        with pytest.raises(ConfigurationError):
+            burgers_sigma_grid(_stand_in(), grid, n)
+        with pytest.raises(ConfigurationError):
+            pseudo_profile(get_problem("burgers"), _stand_in(), None, grid, n)
+
+    def test_peak_independent_of_grid_size(self):
+        # the points are grouped by x and the distinct rows evaluated in
+        # ROW_BLOCK blocks as they accumulate: a 100x100 grid with 64 samples
+        # holds one x group's rows, not its 640000 (x, tau) keys
+        problem = get_problem("burgers")
+        trained = _stand_in(problem, init_network([2, 32, 32, 1], "sigmoid", seed=0))
+        grid = collocation_points(GridSpec((100, 100), ((-1.0, 1.0), (0.0, 2.0))))
+        tracemalloc.start()
+        try:
+            burgers_sigma_grid(trained, grid, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_profile_dispatch(self, tiny_burgers):
         grid = np.array([[0.0, 0.0], [0.0, 1.0]])
