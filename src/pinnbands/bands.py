@@ -27,13 +27,15 @@ class PredictiveBand:
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
         n = self.grid.shape[0]
-        for name in ("mean", "epistemic_var", "sigma_p2", "total_var"):
+        # NaN is never legal; +inf is, for a variance (singular source)
+        for name, lowest in (("mean", -np.inf), ("epistemic_var", 0.0), ("sigma_p2", 0.0),
+                             ("total_var", 0.0)):
             arr = np.asarray(getattr(self, name), dtype=float)
             setattr(self, name, arr)
             if arr.shape != (n,):
                 raise ShapeError(f"band field {name} has shape {arr.shape}, expected ({n},)")
-        if np.any(self.epistemic_var < 0) or np.any(self.sigma_p2 < 0):
-            raise ShapeError("variances must be nonnegative")
+            if not np.all(arr >= lowest):
+                raise ShapeError(f"band field {name} must be >= {lowest} and not NaN")
         if not np.allclose(self.total_var, self.epistemic_var + self.sigma_p2, rtol=0, atol=1e-12):
             raise ShapeError("total_var must equal epistemic_var + sigma_p2")
 
@@ -45,16 +47,10 @@ class PredictiveBand:
 def write_csv(table: dict, path):
     """One header line of the column names, then one row per entry; floats as
     ``.17g`` (exact round trip), integer and boolean columns as integers."""
-    cols = list(table)
-    arrays = [np.asarray(table[c]) for c in cols]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(len(arrays[0])):
-            cells = []
-            for arr in arrays:
-                v = arr[i]
-                cells.append(str(int(v)) if arr.dtype.kind in "ib" else f"{v:.17g}")
-            fh.write(",".join(cells) + "\n")
+    arrays = [np.asarray(column) for column in table.values()]
+    fmt = ["%d" if arr.dtype.kind in "ib" else "%.17g" for arr in arrays]
+    np.savetxt(path, np.column_stack(arrays), fmt=fmt, delimiter=",", header=",".join(table),
+               comments="")
 
 
 def band_to_csv(band: PredictiveBand, path):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, check_count, check_finite
 from .network import ROW_BLOCK
 from .problems import BurgersProblem, ODEProblem, residual_values
 
@@ -65,22 +65,21 @@ class ResidualEnvelope:
 
 def uniform_knots(problem: ODEProblem, n_intervals: int = 40) -> np.ndarray:
     """Equispaced partition of [x0, test_end]."""
-    return np.linspace(problem.x0, problem.test_domain[1], int(n_intervals) + 1)
+    n = check_count("n_intervals", n_intervals, 1)
+    return np.linspace(problem.x0, problem.test_domain[1], n + 1)
 
 
 def envelope_from_function(residual_fn, knots, oversample=10, safety_factor=1.1) -> ResidualEnvelope:
     """Envelope of an arbitrary scalar residual function (testing hook)."""
     knots = np.asarray(knots, dtype=float)
-    if int(oversample) < 1:
-        raise ConfigurationError("oversample must be >= 1")
+    oversample = check_count("oversample", oversample, 1)
     # below 1 the envelope undercuts the sampled maximum of |r| and is no
     # longer a majorant
-    if not (np.isfinite(safety_factor) and safety_factor >= 1.0):
-        raise ConfigurationError("safety_factor must be finite and >= 1")
+    safety_factor = check_finite("safety_factor", safety_factor, 1.0, inclusive=True)
     eps = np.empty(len(knots) - 1)
     with np.errstate(divide="ignore"):  # singular sources hit inf at a pole
         for k in range(len(knots) - 1):
-            xi = np.linspace(knots[k], knots[k + 1], int(oversample))
+            xi = np.linspace(knots[k], knots[k + 1], oversample)
             eps[k] = safety_factor * np.max(np.abs(residual_fn(xi)))
     if np.any(np.isnan(eps)):
         raise ConfigurationError("residual samples contain NaN; model state is broken")
@@ -97,8 +96,7 @@ def estimate_envelope(trained, knots=None, oversample=10, safety_factor=1.1) -> 
     if knots is None:
         knots = uniform_knots(problem)
     knots = np.asarray(knots, dtype=float)
-    if int(oversample) < 2:
-        raise ConfigurationError("oversample must be >= 2 for trained models")
+    check_count("oversample of a trained model", oversample, 2)
     x0, x_end = problem.x0, problem.test_domain[1]
     if knots[0] > x0 + 1e-12 or knots[-1] < x_end - 1e-12:
         raise ConfigurationError(
@@ -216,11 +214,9 @@ def burgers_sigma_grid(trained, points, n_time_samples: int = 64) -> np.ndarray:
     then dropped.  Memory is O(ROW_BLOCK + one x group * n + N) floats,
     whatever the grid.
     """
-    if not (np.ndim(n_time_samples) == 0 and float(n_time_samples).is_integer()
-            and n_time_samples >= 1):
-        raise ConfigurationError(f"n_time_samples must be an integer >= 1, got {n_time_samples!r}")
+    n_time_samples = check_count("n_time_samples", n_time_samples, 1)
     pts = np.asarray(points, dtype=float)
-    frac = np.linspace(0.0, 1.0, int(n_time_samples))
+    frac = np.linspace(0.0, 1.0, n_time_samples)
     xs, group = np.unique(pts[:, 0], return_inverse=True)
     members = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
     sigma = np.empty(len(pts))

@@ -19,6 +19,7 @@ from dataclasses import replace
 from .bands import write_csv
 from .bounds import estimate_envelope, pseudo_profile
 from .errors import (
+    CONFIG_FIELDS,
     ConditioningError,
     ConfigurationError,
     DomainError,
@@ -92,18 +93,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_INT_KEYS = ("det_epochs", "vi_epochs", "seed", "grid_points")
-
-
 def _solve(args) -> int:
     base = ExperimentConfig()
     file_values = _read_config_file(args.config) if args.config else {}
+    # every solve flag but these can stand in the config file; counts parse as their flags do
+    keys = set(vars(args)) - {"command", "config", "save_weights"}
+    unknown = set(file_values) - keys
+    if unknown:
+        raise ConfigurationError(f"unknown config-file keys: {sorted(unknown)}")
     merged = {}
-    for key in ("problem", "method", "preset", "out", *_INT_KEYS):
-        value = getattr(args, key, None)
+    for key in keys:
+        value = getattr(args, key)
         if value is None and key in file_values:
             value = file_values[key]
-            if key in _INT_KEYS:
+            if key in CONFIG_FIELDS:
                 try:
                     value = int(value)
                 except ValueError:
@@ -112,15 +115,12 @@ def _solve(args) -> int:
                     ) from None
         if value is not None:
             merged[key] = value
-    unknown = set(file_values) - {"problem", "method", "preset", "out", *_INT_KEYS}
-    if unknown:
-        raise ConfigurationError(f"unknown config-file keys: {sorted(unknown)}")
 
     out_dir = merged.get("out")
     if not out_dir:
         raise ConfigurationError("solve needs --out (or out= in the config file)")
 
-    overrides = {k: merged[k] for k in _INT_KEYS if k in merged}
+    overrides = {k: merged[k] for k in CONFIG_FIELDS if k in merged}
     if "problem" in merged:
         base = replace(base, problem=merged["problem"])
     if "method" in merged:
@@ -185,7 +185,10 @@ def _certify(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a bad flag, 0 after --help
+        return exc.code
     try:
         if args.command == "solve":
             return _solve(args)

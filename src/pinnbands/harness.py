@@ -29,7 +29,7 @@ import scipy
 from . import __version__
 from .bands import PredictiveBand, write_csv
 from .bounds import burgers_sigma_grid, estimate_envelope, pseudo_profile
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, ShapeError, check_count, check_fields, check_finite
 from .nlm import (
     PriorSearchResult,
     build_simulated_dataset,
@@ -66,16 +66,6 @@ REPORT_COLUMNS = "x,u_true,u_det,mean,sd_total,sigma_P,bound,covered_3sigma"
 _SEED_VI = 1
 _SEED_SAMPLES = 2
 
-# smallest accepted value of each integer ExperimentConfig field
-_LOWEST = {
-    "det_epochs": 0,
-    "vi_epochs": 0,
-    "seed": 0,
-    "grid_points": 2,
-    "n_posterior_samples": 1,
-    "burgers_time_samples": 1,
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -89,7 +79,8 @@ class ExperimentConfig:
     burgers_grid: tuple = (100, 100)
     burgers_time_samples: int = 64
 
-    def validate(self):
+    def validate(self) -> "ExperimentConfig":
+        """This config with its counts as ``int``; the first bad field raises."""
         problem = get_entry(self.problem).problem
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}; known: {METHODS}")
@@ -97,14 +88,10 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "error_aware_nlm is not defined for Burgers; use deterministic or a VI method"
             )
-        for name, lowest in _LOWEST.items():
-            if getattr(self, name) < lowest:
-                raise ConfigurationError(f"{name} out of range")
-        if self.method in ("baseline_vi", "error_aware_vi") and self.vi_epochs < 1:
-            raise ConfigurationError(f"{self.method} needs vi_epochs >= 1")
-        if len(self.burgers_grid) != 2 or min(self.burgers_grid) < 2:
-            raise ConfigurationError("burgers_grid needs two entries >= 2")
-        return self
+        config = replace(self, **check_fields(self))
+        if self.method in ("baseline_vi", "error_aware_vi"):
+            check_count(f"vi_epochs of a {self.method} cell", config.vi_epochs, 1)
+        return config
 
     def stem(self) -> str:
         return f"{self.problem}_{self.method}_det{self.det_epochs}".replace("/", "_")
@@ -121,18 +108,11 @@ class ExperimentReport:
     nlm_search: PriorSearchResult = None  # error_aware_nlm cells only
 
 
-def _config_hash(config: ExperimentConfig) -> str:
-    payload = json.dumps(
-        {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(config).items()},
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 def _provenance(config: ExperimentConfig) -> dict:
+    fields = {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(config).items()}
     return {
-        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(config).items()},
-        "config_hash": _config_hash(config),
+        "config": fields,
+        "config_hash": hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()[:16],
         "versions": {
             "pinnbands": __version__,
             "numpy": np.__version__,
@@ -146,8 +126,7 @@ def coverage_metrics(band: PredictiveBand, truth, k: float = 3.0):
     truth = np.asarray(truth, dtype=float)
     if truth.shape != band.mean.shape:
         raise ShapeError("truth grid does not match band grid")
-    if k <= 0:
-        raise ConfigurationError("k must be positive")
+    k = check_finite("k", k, 0.0)
     sd = band.sd_total
     covered = np.abs(truth - band.mean) <= k * sd
     return float(np.mean(covered)), float(np.mean(2.0 * k * sd))
@@ -182,7 +161,7 @@ def error_profile(trained: TrainedPINN, config: ExperimentConfig, grid):
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute one experiment cell: train, sigma_P on the report grid, head
     (deterministic, NLM or VI), then the table and metrics of the problem kind."""
-    config.validate()
+    config = config.validate()
     entry = get_entry(config.problem)
     problem = entry.problem
     det_cfg = default_train_config(
@@ -333,16 +312,10 @@ def emit_outputs(report: ExperimentReport, out_dir):
     written.append(path)
     if report.band is not None and report.band.grid.ndim == 1:
         path = os.path.join(out_dir, f"{stem}_band.dat")
-        sd = report.band.sd_total
-        truth = report.table.get("u_true", np.full_like(report.band.mean, np.nan))
-        with open(path, "w") as fh:
-            fh.write("# x mean lower3sigma upper3sigma truth\n")
-            for i in range(len(report.band.mean)):
-                fh.write(
-                    f"{report.band.grid[i]:.17g} {report.band.mean[i]:.17g} "
-                    f"{report.band.mean[i] - 3 * sd[i]:.17g} "
-                    f"{report.band.mean[i] + 3 * sd[i]:.17g} {truth[i]:.17g}\n"
-                )
+        mean, sd = report.band.mean, report.band.sd_total
+        truth = report.table.get("u_true", np.full_like(mean, np.nan))
+        rows = np.column_stack([report.band.grid, mean, mean - 3 * sd, mean + 3 * sd, truth])
+        np.savetxt(path, rows, fmt="%.17g", header="x mean lower3sigma upper3sigma truth")
         written.append(path)
     return written
 

@@ -46,6 +46,7 @@ from .errors import (
     ShapeError,
     TapeMismatchError,
     UnsupportedOrderError,
+    check_count,
 )
 
 ACTIVATIONS = ("tanh", "sigmoid")
@@ -109,8 +110,9 @@ def _act_third_deriv(name, a, f1):
 @functools.lru_cache(maxsize=None)
 def _layout(layer_sizes):
     """``(start, stop, shape)`` of every weight matrix, then every bias, in theta."""
-    if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
-        raise ConfigurationError(f"invalid layer sizes {list(layer_sizes)}")
+    check_count("number of layer sizes", len(layer_sizes), 2)
+    for size in layer_sizes:
+        check_count("layer size", size, 1)
     shapes = [(o, i) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])]
     shapes += [(o,) for o in layer_sizes[1:]]
     out, start = [], 0
@@ -156,7 +158,7 @@ class NetworkParameters:
     @classmethod
     def zeros(cls, layer_sizes, activation="tanh") -> "NetworkParameters":
         """All-zero parameters for ``layer_sizes``."""
-        sizes = [int(s) for s in layer_sizes]
+        sizes = [check_count("layer size", s, 1) for s in layer_sizes]
         return cls(sizes, np.zeros(_layout(tuple(sizes))[-1][1]), activation)
 
     def validate(self):
@@ -470,8 +472,7 @@ def hidden_features(params, X) -> np.ndarray:
     This is the learned feature basis a Bayesian linear head regresses on.
     """
     X = _check_input(params, X)
-    if len(params.weights) < 2:
-        raise ConfigurationError("network has no hidden layer to extract features from")
+    check_count("number of weight layers of a feature network", len(params.weights), 2)
     v = X
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
         v = _matmul(v, W.T)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bands import PredictiveBand
 from .bounds import PseudoAleatoricProfile, ResidualEnvelope, pseudo_profile
-from .errors import ConditioningError, ConfigurationError, ShapeError
+from .errors import ConditioningError, ConfigurationError, ShapeError, check_count, check_finite
 from .network import forward_values, hidden_features
 from .problems import surrogate_values, transform_offset_scale
 
@@ -48,8 +48,8 @@ class SimulatedDataset:
         self.variances = np.asarray(self.variances, dtype=float)
         if not (len(self.points) == len(self.targets) == len(self.variances)):
             raise ShapeError("dataset arrays must have equal length")
-        if np.any(self.variances <= 0):
-            raise ConfigurationError("dataset variances must be positive (floor them)")
+        if not np.all(self.variances > 0):
+            raise ConfigurationError("dataset variances must be positive and not NaN (floor them)")
 
 
 @dataclass
@@ -118,8 +118,7 @@ def nlm_fit(features: np.ndarray, data: SimulatedDataset, prior_sigma: float) ->
     A precision that is not finite or not numerically SPD raises
     :class:`ConditioningError`.
     """
-    if prior_sigma <= 0:
-        raise ConfigurationError("prior_sigma must be positive")
+    check_finite("prior_sigma", prior_sigma, 0.0)
     phi = features
     if phi.shape[0] != len(data.targets):
         raise ShapeError("feature rows and dataset length differ")
@@ -192,10 +191,7 @@ def optimize_prior(
     if candidate_sigmas is None:
         candidate_sigmas = default_candidate_sigmas()
     candidates = np.asarray(candidate_sigmas, dtype=float)
-    if candidates.size == 0:
-        raise ConfigurationError("candidate_sigmas must be nonempty")
-    if not np.all(np.isfinite(candidates) & (candidates > 0)):
-        raise ConfigurationError("candidate_sigmas must be positive and finite")
+    check_count("number of candidate_sigmas", candidates.size, 1)
 
     finite = np.isfinite(eval_grid.sigma_p)  # infinite bound covers trivially
     best, best_key = None, None

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ShapeError
+from .errors import ConfigurationError, DomainError, ShapeError, check_finite
 from .network import forward_jets_batch, forward_values
 
 
@@ -80,8 +80,7 @@ class ODEProblem:
 
     def __post_init__(self):
         if self.order == 1:
-            if self.lam is None or self.lam <= 0:
-                raise ConfigurationError("order-1 problems need lam > 0")
+            check_finite("lam of an order-1 problem", self.lam, 0.0)
             if self.u0 == 0:
                 raise ConfigurationError("order-1 error bounds require u(x0) != 0")
         elif self.order == 2:
@@ -130,8 +129,7 @@ class BurgersProblem:
     test_time: tuple = (0.0, 2.0)
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ConfigurationError("viscosity nu must be positive")
+        check_finite("viscosity nu", self.nu, 0.0)
 
     @property
     def input_dim(self) -> int:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, TrainingDivergedError
+from .errors import ConfigurationError, TrainingDivergedError, check_count, check_pair
 from .network import backward, forward_jets_batch, init_network, row_blocks
 from .optim import adam_step, init_adam
 from .problems import (
@@ -89,17 +89,12 @@ def default_train_config(
 def collocation_points(spec: GridSpec) -> np.ndarray:
     """Materialize a GridSpec; 1-D -> (M,), 2-D -> (M, 2) with columns (x, t)."""
     if isinstance(spec.count, (tuple, list)):
-        (nx, nt) = spec.count
+        nx, nt = check_pair("collocation count", spec.count, 1)
         (xa, xb), (ta, tb) = spec.domain
-        xs = np.linspace(xa, xb, int(nx))
-        ts = np.linspace(ta, tb, int(nt))
-        gx, gt = np.meshgrid(xs, ts, indexing="ij")
+        gx, gt = np.meshgrid(np.linspace(xa, xb, nx), np.linspace(ta, tb, nt), indexing="ij")
         return np.stack([gx.ravel(), gt.ravel()], axis=1)
     a, b = spec.domain
-    n = int(spec.count)
-    if n < 1:
-        raise ConfigurationError("collocation count must be positive")
-    return np.linspace(a, b, n)
+    return np.linspace(a, b, check_count("collocation count", spec.count, 1))
 
 
 def _check_collocation_domain(problem, spec: GridSpec):
@@ -197,8 +192,8 @@ def train_deterministic(problem_or_id, config: TrainConfig) -> TrainedPINN:
 
     # a fixed grid feeds the same points every epoch, so its pieces are reused
     pieces = _block_pieces(problem, base_points) if config.collocation.jitter <= 0 else None
-    history = np.empty(config.epochs)
-    for epoch in range(config.epochs):
+    history = np.empty(check_count("epochs", config.epochs, 0))
+    for epoch in range(len(history)):
         pts = _jittered(base_points, config.collocation, rng)
         loss, grads = residual_loss_and_grads(problem, params, pts, pieces)
         if not math.isfinite(loss):

@@ -40,7 +40,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .bands import PredictiveBand
-from .errors import ConfigurationError, ShapeError, TrainingDivergedError
+from .errors import ConfigurationError, ShapeError, TrainingDivergedError, check_count, check_fields
 from .network import (
     ROW_BLOCK,
     NetworkParameters,
@@ -101,11 +101,7 @@ class VIConfig:
     def __post_init__(self):
         if self.likelihood not in LIKELIHOODS:
             raise ConfigurationError(f"unknown likelihood {self.likelihood!r}")
-        for name in ("prior_sigma", "learning_rate"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
+        check_fields(self)
 
 
 def vi_init(trained: TrainedPINN, seed: int = 0) -> MeanFieldGaussian:
@@ -269,25 +265,27 @@ def predictive_moments(samples, problem, grid, profile=None) -> PredictiveBand:
     adds the pseudo-aleatoric variance pointwise (error-aware); without it
     only the epistemic term remains (baseline).
     """
-    if len(samples) == 0:
-        raise ConfigurationError("need at least one posterior sample")
+    check_count("number of posterior samples", len(samples), 1)
     grid = np.asarray(grid, dtype=float)
     mean, epi = np.empty(len(grid)), np.empty(len(grid))
-    buffer = np.empty((len(samples), min(len(grid), ROW_BLOCK)))
+    # the means also read a last column that stays zero: numpy sums a one-column
+    # view pairwise, but adds the rows of a wider one in sequence
+    buffer = np.zeros((len(samples), min(len(grid), ROW_BLOCK) + 1))
     for s in row_blocks(len(grid)):
         block = grid[s]
         # u~ = offset + scale * net, with the transform evaluated once for all
         # draws; the buffer's columns are worked on in place
         offset, scale = transform_offset_scale(problem, block)
-        values = buffer[:, :len(block)]
+        padded = buffer[:, -len(block) - 1:]
+        values = padded[:, :-1]
         for row, p in zip(values, samples):
             row[...] = forward_values(p, block)
         values *= scale
         values += offset
-        mean[s] = values.mean(axis=0)
+        mean[s] = padded.mean(axis=0)[:-1]
         values -= mean[s]
         values *= values
-        epi[s] = values.mean(axis=0)
+        epi[s] = padded.mean(axis=0)[:-1]
     if profile is not None:
         pgrid = np.asarray(profile.grid, dtype=float)
         if not np.array_equal(pgrid, grid):
@@ -346,6 +344,4 @@ def sample_posterior(q: MeanFieldGaussian, n: int, seed: int = 0) -> PosteriorDr
     The draws are streamed (:class:`PosteriorDraws`): a band over them needs
     O(DRAW_BLOCK_ROWS * P) memory for the draws, not O(n * P).
     """
-    if n < 1:
-        raise ConfigurationError("need n >= 1 samples")
-    return PosteriorDraws(q, int(n), seed)
+    return PosteriorDraws(q, check_count("n", n, 1), seed)

@@ -99,6 +99,13 @@ class TestEnvelope:
         with pytest.raises(ConfigurationError, match="safety_factor"):
             estimate_envelope(models_10["ode1.exp"], safety_factor=factor)
 
+    @pytest.mark.parametrize("oversample", [2.5, 10.0, True, "10"])
+    def test_non_integer_oversample_rejected(self, models_10, oversample):
+        with pytest.raises(ConfigurationError, match="oversample"):
+            estimate_envelope(models_10["ode1.exp"], oversample=oversample)
+        with pytest.raises(ConfigurationError, match="oversample"):
+            envelope_from_function(np.sin, [0.0, 1.0], oversample=oversample)
+
     def test_non_covering_knots_rejected(self, models_10):
         with pytest.raises(ConfigurationError):
             estimate_envelope(models_10["ode1.exp"], knots=[0.0, 1.0, 3.0])
@@ -409,6 +416,12 @@ class TestBurgersSigma:
 def test_uniform_knots_cover_test_domain():
     knots = uniform_knots(get_problem("ode1.exp"), 40)
     assert knots[0] == 0.0 and knots[-1] == 4.0 and len(knots) == 41
+
+
+@pytest.mark.parametrize("n", [2.7, 40.0, 0, True])
+def test_uniform_knots_need_an_interval_count(n):
+    with pytest.raises(ConfigurationError, match="n_intervals"):
+        uniform_knots(get_problem("ode1.exp"), n)
 
 
 def test_profile_csv_export(tmp_path, models_10, envelopes_10):

@@ -1,13 +1,19 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinnbands.cli import main
 from pinnbands.errors import PinnbandsError
+from pinnbands.harness import METHODS
 from pinnbands.problems import problem_ids
 from pinnbands.training import default_train_config, save_trained, train_deterministic
 
@@ -93,6 +99,22 @@ class TestSolve:
         cfg.write_text("problem=ode1.cos\nmethod=deterministic\ndet_epochs=abc\n")
         assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path)) == 2
         assert "configuration error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [
+        "det_epochs=1.5", "det_epochs=nan", "det_epochs=True", "vi_epochs=2.0",
+        "seed=1.5", "grid_points=10.7",
+    ])
+    def test_non_integer_count_in_config_file_exit_2(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"problem=ode1.exp\nmethod=error_aware_vi\n{entry}\n")
+        assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path)) == 2
+        assert entry.split("=")[0] in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
+    def test_bad_flag_returns_2(self, capsys):
+        # argparse's own exit is turned into a return code
+        assert run_cli("solve", "--det-epochs", "1.5") == 2
+        assert "invalid int value" in capsys.readouterr().err
 
 
 class TestCertify:
@@ -280,3 +302,42 @@ def test_every_error_class_maps_to_documented_exit_code(exc_class, tmp_path, mon
     code = run_cli("solve", "--out", str(tmp_path))
     assert code == _DOCUMENTED_EXIT[exc_class.__name__]
     assert "synthetic failure" in capsys.readouterr().err
+
+
+
+# flag and config-file texts for the budget keys: tiny counts (of which 0
+# and 1 are below some lowest values), and texts that are not integers or
+# are negative
+_COUNT_TEXTS = ("0", "1", "2", "3", " 2")
+_BAD_TEXTS = ("-3", "1.5", "nan", "1e3", "", "True")
+_BUDGET_KEYS = ("det_epochs", "vi_epochs", "seed", "grid_points")
+_WHERE = st.sampled_from(["flag", "file", "both"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    method=st.sampled_from(METHODS),
+    entries=st.fixed_dictionaries(
+        {key: st.tuples(st.sampled_from(_COUNT_TEXTS), _WHERE) for key in _BUDGET_KEYS}
+    ),
+    bad=st.dictionaries(
+        st.sampled_from(_BUDGET_KEYS), st.tuples(st.sampled_from(_BAD_TEXTS), _WHERE), max_size=2
+    ),
+)
+def test_solve_exits_0_2_or_3(method, entries, bad):
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["solve", "--problem", "ode1.exp", "--method", method, "--out", out]
+        lines = []
+        for key, (text, where) in {**entries, **bad}.items():
+            if where != "file":
+                argv += [f"--{key.replace('_', '-')}", text]
+            if where != "flag":
+                lines.append(f"{key}={text}")
+        config = os.path.join(out, "run.cfg")
+        with open(config, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--config", config])
+    assert code in (0, 2, 3)
+    if bad:
+        assert code == 2

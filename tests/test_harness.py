@@ -10,10 +10,10 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pinnbands.bands import PredictiveBand
+from pinnbands.bands import PredictiveBand, write_csv
 from pinnbands.bounds import estimate_envelope
 from pinnbands.errors import (
     ConditioningError,
@@ -32,6 +32,7 @@ from pinnbands.harness import (
     resolve_preset,
     run_experiment,
 )
+from pinnbands.problems import get_entry
 
 
 def synthetic_band(mean, sd):
@@ -67,8 +68,28 @@ class TestCoverageMetrics:
 
     def test_k_positive(self):
         band = synthetic_band(np.zeros(3), np.ones(3))
-        with pytest.raises(ConfigurationError):
-            coverage_metrics(band, np.zeros(3), 0.0)
+        for k in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="k must be finite"):
+                coverage_metrics(band, np.zeros(3), k)
+
+
+class TestPredictiveBand:
+    def test_nan_mean_rejected(self):
+        with pytest.raises(ShapeError, match="mean"):
+            synthetic_band([0.0, np.nan, 1.0], np.ones(3))
+
+    @pytest.mark.parametrize("name", ["epistemic_var", "sigma_p2", "total_var"])
+    def test_nan_variance_rejected_by_name(self, name):
+        fields = {"epistemic_var": np.ones(3), "sigma_p2": np.zeros(3), "total_var": np.ones(3)}
+        fields[name] = np.array([1.0, np.nan, 0.0])
+        with pytest.raises(ShapeError, match=f"{name} must be >= 0.0 and not NaN"):
+            PredictiveBand(np.arange(3.0), np.zeros(3), **fields)
+
+    def test_infinite_variance_kept(self):
+        # a singular source (ode1.logsing) has an infinite bound past its pole
+        sigma_p2 = np.array([0.0, 1.0, np.inf])
+        band = PredictiveBand(np.arange(3.0), np.zeros(3), np.ones(3), sigma_p2, 1.0 + sigma_p2)
+        assert np.isinf(band.sd_total[2])
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +177,36 @@ class TestRunExperiment:
         ExperimentConfig(method="deterministic", vi_epochs=0).validate()
 
 
+def _csv_by_loop(table):
+    """The CSV writer written out cell by cell: the reference for write_csv."""
+    cols = list(table)
+    arrays = [np.asarray(table[c]) for c in cols]
+    lines = [",".join(cols)]
+    for i in range(len(arrays[0])):
+        lines.append(",".join(str(int(a[i])) if a.dtype.kind in "ib" else f"{a[i]:.17g}"
+                              for a in arrays))
+    return "\n".join(lines) + "\n"
+
+
 class TestEmitOutputs:
+    def test_csv_matches_cell_by_cell_formatting(self, tmp_path):
+        floats = np.array([0.1, -0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 2.0 / 3.0])
+        table = {"x": floats, "n": np.arange(8) - 3, "flag": floats > 0, "y": floats[::-1]}
+        write_csv(table, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_text() == _csv_by_loop(table)
+
+    def test_band_file_matches_cell_by_cell_formatting(self, small_nlm_report, tmp_path):
+        paths = emit_outputs(small_nlm_report, tmp_path)
+        band, truth = small_nlm_report.band, small_nlm_report.table["u_true"]
+        sd = band.sd_total
+        expected = "# x mean lower3sigma upper3sigma truth\n" + "".join(
+            f"{band.grid[i]:.17g} {band.mean[i]:.17g} {band.mean[i] - 3 * sd[i]:.17g} "
+            f"{band.mean[i] + 3 * sd[i]:.17g} {truth[i]:.17g}\n"
+            for i in range(len(band.mean))
+        )
+        dat = [p for p in paths if p.endswith(".dat")][0]
+        assert open(dat).read() == expected
+
     def test_csv_header_contract(self, small_nlm_report, tmp_path):
         paths = emit_outputs(small_nlm_report, tmp_path)
         csv_path = [p for p in paths if p.endswith(".csv")][0]
@@ -344,3 +394,67 @@ class TestRobustness:
         assert np.all(band.epistemic_var >= 0)
         assert np.all(band.sigma_p2 >= 0)
         assert np.all(band.total_var >= 0)
+
+
+# values that no numeric config field accepts: bools, integral and
+# non-integral floats, NaN, infinities, negatives, strings and None
+_BAD_VALUES = (True, False, 2.0, 1.5, 10.7, float("nan"), float("inf"), float("-inf"),
+               -1, -3, "3", "", "nan", None)
+
+# valid cells at tiny budgets: at most 3 + 2 epochs, 12 grid points, 5 draws
+_CELLS = st.fixed_dictionaries({
+    "problem": st.sampled_from(["ode1.exp", "ode2.damped.exp", "ode1.logsing", "burgers"]),
+    "method": st.sampled_from(METHODS),
+    "seed": st.integers(0, 10**6),
+    "det_epochs": st.integers(0, 3),
+    "vi_epochs": st.integers(0, 2),
+    "grid_points": st.integers(2, 12),
+    "n_posterior_samples": st.integers(1, 5),
+    "burgers_grid": st.tuples(st.integers(2, 4), st.integers(2, 3)),
+    "burgers_time_samples": st.integers(1, 4),
+})
+
+# up to two fields of a cell replaced by values no field accepts; a pair
+# with one bad entry is bad for every field
+_BAD_FIELDS = st.dictionaries(
+    st.sampled_from(["seed", "det_epochs", "vi_epochs", "grid_points", "n_posterior_samples",
+                     "burgers_grid", "burgers_time_samples"]),
+    st.sampled_from(_BAD_VALUES) | st.tuples(st.sampled_from(_BAD_VALUES), st.integers(2, 3)),
+    max_size=2,
+)
+
+_VI_CELL = dict(problem="ode1.exp", method="error_aware_vi", seed=0, det_epochs=2, vi_epochs=1,
+                grid_points=5, n_posterior_samples=3, burgers_grid=(3, 3), burgers_time_samples=2)
+_BURGERS_CELL = dict(_VI_CELL, problem="burgers", method="deterministic")
+
+
+class TestFieldProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(cell=_CELLS, bad=_BAD_FIELDS)
+    @example(cell=_VI_CELL, bad={"det_epochs": 1.5})
+    @example(cell=_VI_CELL, bad={"det_epochs": float("nan")})
+    @example(cell=_VI_CELL, bad={"det_epochs": True})
+    @example(cell=_VI_CELL, bad={"vi_epochs": 2.0})
+    @example(cell=_VI_CELL, bad={"seed": 1.5})
+    @example(cell=_VI_CELL, bad={"seed": "3"})
+    @example(cell=_VI_CELL, bad={"grid_points": 10.7})
+    @example(cell=_VI_CELL, bad={"n_posterior_samples": 3.5})
+    @example(cell=_BURGERS_CELL, bad={"burgers_grid": (4.5, 4)})
+    def test_bad_field_rejected_before_training_else_no_nan(self, cell, bad):
+        cfg = ExperimentConfig(**{**cell, **bad})
+        try:
+            report = run_experiment(cfg)
+        except ConfigurationError:
+            # validate() rejects the config itself, so nothing was trained
+            with pytest.raises(ConfigurationError):
+                cfg.validate()
+            return
+        except (TrainingDivergedError, ConditioningError):
+            assert not bad
+            return  # a documented numeric failure: the CLI exits 3
+        assert not bad, "a bad field value passed validation"
+        # the singular entry has no truth on its grid; Burgers has no u_true
+        singular = get_entry(cfg.problem).singular
+        for name, column in report.table.items():
+            if not (name == "u_true" and singular):
+                assert not np.any(np.isnan(column)), name

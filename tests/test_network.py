@@ -76,6 +76,8 @@ class TestInit:
             init_network([1], "tanh", seed=0)
         with pytest.raises(ConfigurationError):
             init_network([1, 0, 1], "tanh", seed=0)
+        with pytest.raises(ConfigurationError, match="layer size"):
+            init_network([1, 32.5, 1], "tanh", seed=0)
         with pytest.raises(ConfigurationError):
             init_network([1, 4, 1], "relu", seed=0)
 

@@ -154,8 +154,9 @@ class TestFit:
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
     def test_invalid_variances_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SimulatedDataset(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(ConfigurationError):
+                SimulatedDataset(np.zeros(2), np.zeros(2), np.array([1.0, bad]))
 
     def test_prior_sigma_positive(self):
         fm = np.array([[1.0]])

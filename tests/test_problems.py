@@ -15,6 +15,7 @@ from scipy.integrate import quad, solve_ivp
 from pinnbands.errors import ConfigurationError, DomainError
 from pinnbands.network import NetworkParameters, forward_jets_batch, init_network
 from pinnbands.problems import (
+    BurgersProblem,
     ODEProblem,
     analytic_solution,
     burgers_initial_condition,
@@ -167,10 +168,16 @@ class TestRegistry:
             analytic_solution("ode9.unknown", 0.0)
 
     def test_first_order_invariants(self):
-        with pytest.raises(ConfigurationError):
-            ODEProblem(order=1, lam=-1.0, source=lambda t: t, u0=2.0)
+        for lam in (-1.0, None, float("nan")):
+            with pytest.raises(ConfigurationError, match="lam"):
+                ODEProblem(order=1, lam=lam, source=lambda t: t, u0=2.0)
         with pytest.raises(ConfigurationError):
             ODEProblem(order=1, lam=3.0, source=lambda t: t, u0=0.0)
+
+    @pytest.mark.parametrize("nu", [0.0, -1.0, float("nan"), float("inf")])
+    def test_burgers_viscosity_positive_and_finite(self, nu):
+        with pytest.raises(ConfigurationError, match="nu"):
+            BurgersProblem(nu=nu)
 
     def test_damped_real_parts(self):
         lam1, lam2 = get_problem("ode2.damped.exp").real_parts()

@@ -293,6 +293,22 @@ class TestCollocation:
         assert pts.shape == (12, 2)
         assert pts[:, 0].min() == -1.0 and pts[:, 1].max() == 1.0
 
+    @pytest.mark.parametrize("count", [5.9, 5.0, True, 0, (3, 2.5), (0, 4)])
+    def test_non_integer_or_empty_count_rejected(self, count):
+        domain = ((-1.0, 1.0), (0.0, 1.0)) if isinstance(count, tuple) else (0.0, 2.0)
+        with pytest.raises(ConfigurationError, match="collocation count"):
+            collocation_points(GridSpec(count, domain))
+
+    def test_numpy_integer_count_accepted(self):
+        assert np.array_equal(collocation_points(GridSpec(np.int64(5), (0.0, 2.0))),
+                              collocation_points(GridSpec(5, (0.0, 2.0))))
+
+    @pytest.mark.parametrize("epochs", [1.5, -1, "3"])
+    def test_bad_epochs_rejected_before_training(self, epochs):
+        cfg = replace(default_train_config("ode1.exp", seed=0), epochs=epochs)
+        with pytest.raises(ConfigurationError, match="epochs"):
+            train_deterministic("ode1.exp", cfg)
+
 
 def test_save_load_roundtrip(tmp_path, models_10):
     trained = models_10["ode1.exp"]

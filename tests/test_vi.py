@@ -9,7 +9,13 @@ from scipy.special import expit
 
 from pinnbands.bounds import estimate_envelope, pseudo_profile
 from pinnbands.errors import ConfigurationError, ShapeError
-from pinnbands.network import ROW_BLOCK, forward_jets_batch, forward_values, init_network
+from pinnbands.network import (
+    ROW_BLOCK,
+    forward_jets_batch,
+    forward_values,
+    init_network,
+    row_blocks,
+)
 from pinnbands.nlm import VAR_FLOOR, build_simulated_dataset, feature_matrix, nlm_fit
 from pinnbands.problems import get_problem, surrogate_values, transform_offset_scale
 from pinnbands.training import (
@@ -170,6 +176,20 @@ class TestElboStep:
         with pytest.raises(ConfigurationError):
             VIConfig(likelihood="exact_posterior")
 
+    @pytest.mark.parametrize("field, value", [
+        ("prior_sigma", float("nan")),
+        ("prior_sigma", float("inf")),
+        ("prior_sigma", 0.0),
+        ("learning_rate", float("nan")),
+        ("learning_rate", "0.01"),
+        ("epochs", 1.5),
+        ("epochs", 0),
+        ("seed", -1),
+    ])
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            VIConfig(**{field: value})
+
 
 class TestSampling:
     def test_sigma_zero_limit_returns_means(self, models_10):
@@ -218,6 +238,17 @@ class TestSampling:
         q = vi_init(models_10["ode1.exp"], seed=0)
         with pytest.raises(ConfigurationError):
             sample_posterior(q, 0)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+    def test_non_integer_draw_count_rejected(self, models_10, n):
+        q = vi_init(models_10["ode1.exp"], seed=0)
+        with pytest.raises(ConfigurationError, match="integer"):
+            sample_posterior(q, n)
+
+    def test_numpy_integer_draw_count_accepted(self, models_10):
+        q = vi_init(models_10["ode1.exp"], seed=0)
+        a, b = sample_posterior(q, np.int64(3), seed=2), sample_posterior(q, 3, seed=2)
+        assert [p.theta.tolist() for p in a] == [p.theta.tolist() for p in b]
 
     def test_sample_mean_clt(self, models_10):
         q = vi_init(models_10["ode1.exp"], seed=0)
@@ -309,6 +340,27 @@ class TestPredictiveMoments:
         X = grid[:, None] if grid.ndim == 1 else grid
         offset, scale = transform_offset_scale(problem, grid)
         values = offset + scale * np.stack([forward_values(p, X) for p in samples])
+        mean = values.mean(axis=0)
+        epi = np.mean((values - mean) ** 2, axis=0)
+        band = predictive_moments(samples, problem, grid)
+        assert np.array_equal(band.mean, mean)
+        assert np.array_equal(band.epistemic_var, epi)
+
+    @pytest.mark.parametrize("n_draws", [64, 1000])
+    def test_one_column_last_block_matches_stacked_formula(self, models_10, n_draws):
+        # ROW_BLOCK + 1 points end in a one-column block.  The reference runs
+        # the forward passes on the band's own blocks, since a one-row batch
+        # rounds differently from a 513-row one; the stacked means then add
+        # the rows of every column in sequence
+        trained = models_10["ode1.exp"]
+        problem, grid = trained.problem, np.linspace(0, 4, ROW_BLOCK + 1)
+        samples = sample_posterior(vi_init(trained, seed=0), n_draws, seed=11)
+        net = np.stack([
+            np.concatenate([forward_values(p, grid[s]) for s in row_blocks(len(grid))])
+            for p in samples
+        ])
+        offset, scale = transform_offset_scale(problem, grid)
+        values = offset + scale * net
         mean = values.mean(axis=0)
         epi = np.mean((values - mean) ** 2, axis=0)
         band = predictive_moments(samples, problem, grid)
