@@ -107,9 +107,13 @@ def _act_third_deriv(name, a, f1):
     return f1 * (one_minus_2s * one_minus_2s - 2.0 * f1)
 
 
-@functools.lru_cache(maxsize=None)
-def _layout(layer_sizes):
-    """``(start, stop, shape)`` of every weight matrix, then every bias, in theta."""
+@functools.lru_cache(maxsize=None, typed=True)
+def _layout(*layer_sizes):
+    """``(start, stop, shape)`` of every weight matrix, then every bias, in theta.
+
+    The cache is keyed on each size's type as well, so a float size never
+    reuses the entry of an equal integer one and always meets the checks.
+    """
     check_count("number of layer sizes", len(layer_sizes), 2)
     for size in layer_sizes:
         check_count("layer size", size, 1)
@@ -125,7 +129,7 @@ def _layout(layer_sizes):
 
 def _layer_views(layer_sizes, theta):
     """Per-layer weight and bias views of a flat vector laid out by ``_layout``."""
-    layout = _layout(tuple(layer_sizes))
+    layout = _layout(*layer_sizes)
     if theta.shape != (layout[-1][1],):
         raise ShapeError(
             f"flat parameter vector of shape {theta.shape} does not fit layer sizes "
@@ -158,8 +162,8 @@ class NetworkParameters:
     @classmethod
     def zeros(cls, layer_sizes, activation="tanh") -> "NetworkParameters":
         """All-zero parameters for ``layer_sizes``."""
-        sizes = [check_count("layer size", s, 1) for s in layer_sizes]
-        return cls(sizes, np.zeros(_layout(tuple(sizes))[-1][1]), activation)
+        sizes = list(layer_sizes)
+        return cls(sizes, np.zeros(_layout(*sizes)[-1][1]), activation)
 
     def validate(self):
         if self.activation not in ACTIVATIONS:
@@ -175,23 +179,6 @@ class NetworkParameters:
     @property
     def output_dim(self) -> int:
         return int(self.layer_sizes[-1])
-
-    def copy(self) -> "NetworkParameters":
-        return NetworkParameters(list(self.layer_sizes), self.theta.copy(), self.activation)
-
-
-@dataclass
-class Gradients:
-    """Parameter gradients in the layout of NetworkParameters: a flat
-    ``theta`` with per-layer ``weights`` and ``biases`` views."""
-
-    layer_sizes: list
-    theta: np.ndarray
-    weights: list = field(init=False, repr=False)
-    biases: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.weights, self.biases = _layer_views(self.layer_sizes, self.theta)
 
 
 def init_network(layer_sizes, activation="tanh", seed=0) -> NetworkParameters:
@@ -380,14 +367,15 @@ def forward_jets_batch(params, X, derivs=(), need_tape=False):
     return out, tape
 
 
-def backward(params, tape, value_bar, slots_bar=None) -> Gradients:
+def backward(params, tape, value_bar, slots_bar=None) -> NetworkParameters:
     """Gradient of a scalar loss w.r.t. all weights and biases.
 
     ``value_bar`` (M,) and ``slots_bar`` (S, M) are the cotangents of the
     loss with respect to the output value and slots of the forward pass that
     recorded ``tape``.  Derivative paths through the slots are included,
     which is what lets residual losses (built from u, u', u'') train the
-    network.
+    network.  The gradient is returned in the parameters' own layout, as a
+    :class:`NetworkParameters` whose ``theta`` is the flat gradient.
     """
     if not isinstance(tape, Tape):
         raise TapeMismatchError("backward needs a Tape from forward_jets_batch")
@@ -412,7 +400,7 @@ def backward(params, tape, value_bar, slots_bar=None) -> Gradients:
     if len(tape.layers) != n_layers:
         raise TapeMismatchError("tape depth does not match parameter count")
 
-    grads = Gradients(list(params.layer_sizes), np.empty_like(params.theta))
+    grads = NetworkParameters(list(tape.layer_sizes), np.empty_like(params.theta), tape.activation)
 
     for l in range(n_layers - 1, -1, -1):
         (a_v, a_G), z_G, act = tape.layers[l]
@@ -469,13 +457,9 @@ def forward_values(params, X) -> np.ndarray:
 def hidden_features(params, X) -> np.ndarray:
     """Post-activation values of the last hidden layer, shape (M, width).
 
-    This is the learned feature basis a Bayesian linear head regresses on.
+    This is the learned feature basis a Bayesian linear head regresses on:
+    the output layer's input as a tape pass records it.
     """
-    X = _check_input(params, X)
     check_count("number of weight layers of a feature network", len(params.weights), 2)
-    v = X
-    for W, b in zip(params.weights[:-1], params.biases[:-1]):
-        v = _matmul(v, W.T)
-        v += b
-        _act_with_derivs(params.activation, v, 0)
-    return v
+    _, tape = forward_jets_batch(params, X, need_tape=True)
+    return tape.layers[-1][0][0]

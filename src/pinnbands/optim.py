@@ -13,7 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, TrainingDivergedError
-from .network import Gradients, NetworkParameters
+from .network import NetworkParameters
+
+# the moment decay rates and the denominator guard, the only values in use
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -22,22 +25,11 @@ class AdamState:
     second_moment: np.ndarray
     step_count: int = 0
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam(theta, learning_rate=0.01, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
+def init_adam(theta, learning_rate=0.01) -> AdamState:
     """Zero moments shaped like the flat vector ``theta``."""
-    return AdamState(
-        first_moment=np.zeros_like(theta),
-        second_moment=np.zeros_like(theta),
-        step_count=0,
-        learning_rate=float(learning_rate),
-        beta1=float(beta1),
-        beta2=float(beta2),
-        eps=float(eps),
-    )
+    return AdamState(np.zeros_like(theta), np.zeros_like(theta), 0, float(learning_rate))
 
 
 def adam_step_arrays(theta, grad, state: AdamState):
@@ -55,16 +47,16 @@ def adam_step_arrays(theta, grad, state: AdamState):
         raise TrainingDivergedError("non-finite gradient entries")
 
     t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
-    m = b1 * state.first_moment + (1.0 - b1) * grad
-    s = b2 * state.second_moment + (1.0 - b2) * grad * grad
-    step = state.learning_rate * (m / bc1) / (np.sqrt(s / bc2) + state.eps)
-    return theta - step, AdamState(m, s, t, state.learning_rate, b1, b2, state.eps)
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
+    m = BETA1 * state.first_moment + (1.0 - BETA1) * grad
+    s = BETA2 * state.second_moment + (1.0 - BETA2) * grad * grad
+    step = state.learning_rate * (m / bc1) / (np.sqrt(s / bc2) + EPS)
+    return theta - step, AdamState(m, s, t, state.learning_rate)
 
 
-def adam_step(params: NetworkParameters, grads: Gradients, state: AdamState):
-    """Adam update for network parameters; returns (params, state)."""
+def adam_step(params: NetworkParameters, grads: NetworkParameters, state: AdamState):
+    """Adam update for network parameters, with ``grads`` in their layout
+    (as :func:`pinnbands.network.backward` returns them); returns (params, state)."""
     theta, state = adam_step_arrays(params.theta, grads.theta, state)
     return NetworkParameters(params.layer_sizes, theta, params.activation), state

@@ -531,7 +531,7 @@ def problem_ids():
 
 
 def get_entry(problem_id: str) -> ProblemEntry:
-    if problem_id not in REGISTRY:
+    if not isinstance(problem_id, str) or problem_id not in REGISTRY:
         known = ", ".join(REGISTRY)
         raise ConfigurationError(f"unknown problem id {problem_id!r} (known: {known})")
     return REGISTRY[problem_id]

