@@ -137,8 +137,8 @@ def test_sources_import_no_scipy_linalg_or_special():
 
 
 def test_every_benchmark_target_exists():
-    # perfbench wraps these functions by name; a missing one would fail only
-    # inside a benchmark run.  The file is read, nothing in perfbench changes
+    # perfbench wraps these functions by name, so a missing one would fail
+    # only inside a benchmark run; the file is only read here
     spec = importlib.util.spec_from_file_location(
         "_perfbench_intercept", ROOT / "perfbench" / "intercept.py"
     )
