@@ -35,7 +35,7 @@ PROBLEM = "ode1.cos"
 trained = train_deterministic(PROBLEM, default_train_config(PROBLEM, epochs=10000, seed=0))
 envelope = estimate_envelope(trained)
 
-train_profile = pseudo_profile(trained.problem, trained, envelope, training_grid(trained))
+train_profile = pseudo_profile(trained, envelope, training_grid(trained))
 dataset = build_simulated_dataset(trained, train_profile)
 features = feature_matrix(trained, dataset.points)
 search = optimize_prior(
@@ -45,7 +45,7 @@ print(f"prior scan: sigma* = {search.sigma:.3f}, feasible = {search.feasible}, "
       f"objective = {search.objective:.4f}")
 
 grid = np.linspace(0.0, 4.0, 401)
-profile = pseudo_profile(trained.problem, trained, envelope, grid)
+profile = pseudo_profile(trained, envelope, grid)
 band = nlm_band(trained, search.posterior, profile)
 truth = analytic_solution(PROBLEM, grid)
 fraction, width = coverage_metrics(band, truth, k=3.0)

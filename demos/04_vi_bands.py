@@ -37,22 +37,16 @@ grid = np.linspace(0.0, 4.0, 201)
 truth = analytic_solution(PROBLEM, grid)
 envelope = estimate_envelope(trained)
 dataset = build_simulated_dataset(
-    trained, pseudo_profile(trained.problem, trained, envelope, training_grid(trained))
+    trained, pseudo_profile(trained, envelope, training_grid(trained))
 )
 
+# the baseline gets no dataset, so it fits the residuals instead
 runs = {}
-for label, likelihood in (("baseline", "baseline_residual"),
-                          ("error-aware", "error_aware_simulated")):
-    config = VIConfig(
-        prior_sigma=float(np.sqrt(0.1)), epochs=5000, likelihood=likelihood, seed=0
-    )
-    run = vi_train(trained, config, dataset if likelihood == "error_aware_simulated" else None)
+for label, data, grid_profile in (("baseline", None, None),
+                                  ("error-aware", dataset, pseudo_profile(trained, envelope, grid))):
+    config = VIConfig(prior_sigma=float(np.sqrt(0.1)), epochs=5000, seed=0)
+    run = vi_train(trained, config, data)
     samples = sample_posterior(run.q, 1000, seed=2)
-    grid_profile = (
-        pseudo_profile(trained.problem, trained, envelope, grid)
-        if likelihood == "error_aware_simulated"
-        else None
-    )
     runs[label] = predictive_moments(samples, trained.problem, grid, grid_profile)
     print(f"  {label}: trained 5000 VI epochs, final ELBO {run.elbo_history[-1]:.1f}")
 

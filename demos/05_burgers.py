@@ -13,8 +13,7 @@ Run:  python demos/05_burgers.py
 
 import numpy as np
 
-from pinnbands import surrogate_values
-from pinnbands.bounds import burgers_sigma_grid
+from pinnbands import pseudo_profile, surrogate_values
 from pinnbands.problems import burgers_initial_condition, get_problem
 from pinnbands.training import default_train_config, train_deterministic
 
@@ -38,7 +37,7 @@ for xb in (-1.0, 1.0):
 print("\naccumulated-residual uncertainty, averaged over x:")
 print(f"{'t':>5} {'mean sigma_P':>13} {'max sigma_P':>13}")
 for t in (0.0, 0.5, 1.0, 1.5, 2.0):
-    sig = burgers_sigma_grid(trained, np.stack([xs, np.full_like(xs, t)], axis=1), 64)
+    sig = pseudo_profile(trained, None, np.stack([xs, np.full_like(xs, t)], axis=1)).sigma_p
     tag = "  <- beyond training time" if t > 1.0 else ""
     print(f"{t:5.1f} {np.mean(sig):13.4f} {np.max(sig):13.4f}{tag}")
 

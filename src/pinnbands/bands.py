@@ -14,30 +14,31 @@ from .errors import ShapeError
 class PredictiveBand:
     """Per-grid-point predictive moments.
 
-    ``total_var = epistemic_var + sigma_p2`` pointwise; ``sigma_p2`` is zero
-    for methods that carry no pseudo-aleatoric term.
+    ``total_var`` is ``epistemic_var + sigma_p2``, computed on each read;
+    ``sigma_p2`` is zero for methods that carry no pseudo-aleatoric term.
     """
 
     grid: np.ndarray
     mean: np.ndarray
     epistemic_var: np.ndarray
     sigma_p2: np.ndarray
-    total_var: np.ndarray
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
         n = self.grid.shape[0]
         # NaN is never legal; +inf is, for a variance (singular source)
-        for name, lowest in (("mean", -np.inf), ("epistemic_var", 0.0), ("sigma_p2", 0.0),
-                             ("total_var", 0.0)):
+        for name, lowest in (("mean", -np.inf), ("epistemic_var", 0.0), ("sigma_p2", 0.0)):
             arr = np.asarray(getattr(self, name), dtype=float)
             setattr(self, name, arr)
             if arr.shape != (n,):
                 raise ShapeError(f"band field {name} has shape {arr.shape}, expected ({n},)")
             if not np.all(arr >= lowest):
                 raise ShapeError(f"band field {name} must be >= {lowest} and not NaN")
-        if not np.allclose(self.total_var, self.epistemic_var + self.sigma_p2, rtol=0, atol=1e-12):
-            raise ShapeError("total_var must equal epistemic_var + sigma_p2")
+
+    @property
+    def total_var(self) -> np.ndarray:
+        """``epistemic_var + sigma_p2`` pointwise."""
+        return self.epistemic_var + self.sigma_p2
 
     @property
     def sd_total(self) -> np.ndarray:

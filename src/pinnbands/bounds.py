@@ -239,16 +239,16 @@ def burgers_sigma_grid(trained, points, n_time_samples: int = 64) -> np.ndarray:
     return sigma
 
 
-def pseudo_profile(problem, trained, envelope, grid, n_time_samples: int = 64) -> PseudoAleatoricProfile:
-    """sigma_P over an evaluation grid, dispatched on the problem kind."""
+def pseudo_profile(trained, envelope, grid, n_time_samples: int = 64) -> PseudoAleatoricProfile:
+    """sigma_P of ``trained`` over an evaluation grid: the closed-form bound
+    of ``envelope`` for an ODE, the accumulated-|residual| heuristic of
+    :func:`burgers_sigma_grid` over (x, t) rows for Burgers (no envelope)."""
+    problem = trained.problem
     grid = np.asarray(grid, dtype=float)
     if isinstance(problem, BurgersProblem):
         if grid.ndim != 2 or grid.shape[1] != 2:
             raise ConfigurationError("Burgers profiles need (x, t) grid rows")
-        sig = burgers_sigma_grid(trained, grid, n_time_samples)
-        return PseudoAleatoricProfile(grid, sig)
-    if not isinstance(problem, ODEProblem):
-        raise ConfigurationError(f"unsupported problem type {type(problem).__name__}")
+        return PseudoAleatoricProfile(grid, burgers_sigma_grid(trained, grid, n_time_samples))
     if envelope is None:
         raise ConfigurationError("ODE profiles need a residual envelope")
     return PseudoAleatoricProfile(grid, pseudo_sigma(problem, envelope, grid))

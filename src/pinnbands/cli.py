@@ -165,18 +165,18 @@ def _list_problems() -> int:
 def _certify(args) -> int:
     config = ExperimentConfig(problem=args.problem, grid_points=args.grid_points).validate()
     trained = load_trained(args.weights)
-    if trained.problem_id and trained.problem_id != args.problem:
+    if trained.problem_id != args.problem:
         raise ConfigurationError(
             f"weights were trained for {trained.problem_id!r}, not {args.problem!r}"
         )
     problem = trained.problem
     if isinstance(problem, BurgersProblem):
         raise ConfigurationError("certify needs an ODE problem; Burgers has no error bound")
-    grid = evaluation_grid(problem, config)
+    grid = evaluation_grid(config)
     envelope = estimate_envelope(
         trained, oversample=args.oversample, safety_factor=args.safety_factor
     )
-    profile = pseudo_profile(problem, trained, envelope, grid)
+    profile = pseudo_profile(trained, envelope, grid)
     u_det = surrogate_values(problem, trained.params, grid)
     write_csv({"x": grid, "u_det": u_det, "bound": profile.sigma_p}, args.out)
     print(args.out)

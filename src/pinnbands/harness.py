@@ -28,7 +28,7 @@ import scipy
 
 from . import __version__
 from .bands import PredictiveBand, write_csv
-from .bounds import burgers_sigma_grid, estimate_envelope, pseudo_profile
+from .bounds import estimate_envelope, pseudo_profile
 from .errors import ConfigurationError, ShapeError, check_count, check_fields, check_finite
 from .nlm import (
     PriorSearchResult,
@@ -102,9 +102,9 @@ class ExperimentReport:
     table: dict
     metrics: dict
     provenance: dict
-    band: PredictiveBand = None
-    config: ExperimentConfig = None
-    trained: TrainedPINN = None
+    band: PredictiveBand
+    config: ExperimentConfig
+    trained: TrainedPINN
     nlm_search: PriorSearchResult = None  # error_aware_nlm cells only
 
 
@@ -140,22 +140,16 @@ def _prior_sigma_for(problem) -> float:
     return 1.0
 
 
-def evaluation_grid(problem, config: ExperimentConfig) -> np.ndarray:
-    """Report grid: ``grid_points`` over [x0, test end] for an ODE; for
-    Burgers the ``burgers_grid`` over space x test time, rows x-major."""
+def evaluation_grid(config: ExperimentConfig) -> np.ndarray:
+    """Report grid of ``config.problem``: ``grid_points`` over [x0, test end]
+    for an ODE; for Burgers the ``burgers_grid`` over space x test time, rows
+    x-major."""
+    problem = get_entry(config.problem).problem
     if isinstance(problem, BurgersProblem):
         spec = GridSpec(config.burgers_grid, (problem.space_domain, problem.test_time))
     else:
         spec = GridSpec(config.grid_points, (problem.x0, problem.test_domain[1]))
     return collocation_points(spec)
-
-
-def error_profile(trained: TrainedPINN, config: ExperimentConfig, grid):
-    """(residual envelope, sigma_P profile on ``grid``); the envelope is None
-    for Burgers, whose sigma_P is the accumulated-residual heuristic."""
-    problem = trained.problem
-    envelope = None if isinstance(problem, BurgersProblem) else estimate_envelope(trained)
-    return envelope, pseudo_profile(problem, trained, envelope, grid, config.burgers_time_samples)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -169,20 +163,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
     trained = train_deterministic(config.problem, det_cfg)
 
-    grid = evaluation_grid(problem, config)
+    grid = evaluation_grid(config)
     u_det = surrogate_values(problem, trained.params, grid)
-    envelope, profile = error_profile(trained, config, grid)
+    # Burgers has no envelope: its sigma_P is the accumulated-residual heuristic
+    envelope = None if isinstance(problem, BurgersProblem) else estimate_envelope(trained)
+    profile = pseudo_profile(trained, envelope, grid, config.burgers_time_samples)
 
     extras, search, dataset = {}, None, None
     if config.method in ("error_aware_nlm", "error_aware_vi"):
         # one simulated dataset on the training grid for either Bayesian head
         train_profile = pseudo_profile(
-            problem, trained, envelope, training_grid(trained), config.burgers_time_samples
+            trained, envelope, training_grid(trained), config.burgers_time_samples
         )
         dataset = build_simulated_dataset(trained, train_profile)
     if config.method == "deterministic":
         zeros = np.zeros_like(u_det)
-        band = PredictiveBand(grid, u_det, zeros, zeros, zeros)
+        band = PredictiveBand(grid, u_det, zeros, zeros)
     elif config.method == "error_aware_nlm":
         features = feature_matrix(trained, dataset.points)
         eval_grid = make_prior_eval_grid(trained, envelope)
@@ -195,17 +191,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             "prior_objective": search.objective,
         }
     else:
-        error_aware = config.method == "error_aware_vi"
         vi_cfg = VIConfig(
             prior_sigma=_prior_sigma_for(problem),
             epochs=config.vi_epochs,
-            likelihood="error_aware_simulated" if error_aware else "baseline_residual",
             learning_rate=det_cfg.learning_rate,
             seed=config.seed + _SEED_VI,
         )
         run = vi_train(trained, vi_cfg, dataset)
         samples = sample_posterior(run.q, config.n_posterior_samples, seed=config.seed + _SEED_SAMPLES)
-        band = predictive_moments(samples, problem, grid, profile if error_aware else None)
+        band = predictive_moments(samples, problem, grid, profile if dataset is not None else None)
         extras = {"elbo_final": float(run.elbo_history[-1]) if len(run.elbo_history) else None}
 
     if isinstance(problem, BurgersProblem):
@@ -275,7 +269,7 @@ def _burgers_table(config, trained, grid, u_det, profile, band):
     for t in (0.0, 0.5, 1.0, 1.5, 2.0):
         pts = np.stack([xs, np.full_like(xs, t)], axis=1)
         metrics[f"mean_sigma_P_t{t:g}"] = float(
-            np.mean(burgers_sigma_grid(trained, pts, config.burgers_time_samples))
+            np.mean(pseudo_profile(trained, None, pts, config.burgers_time_samples).sigma_p)
         )
     table = {
         "x": grid[:, 0],
@@ -310,7 +304,7 @@ def emit_outputs(report: ExperimentReport, out_dir):
         json.dump({"metrics": metrics, "provenance": report.provenance}, fh,
                   indent=2, sort_keys=True, allow_nan=False)
     written.append(path)
-    if report.band is not None and report.band.grid.ndim == 1:
+    if report.band.grid.ndim == 1:
         path = os.path.join(out_dir, f"{stem}_band.dat")
         mean, sd = report.band.mean, report.band.sd_total
         truth = report.table.get("u_true", np.full_like(mean, np.nan))
@@ -321,14 +315,12 @@ def emit_outputs(report: ExperimentReport, out_dir):
 
 
 def save_artifacts(report: ExperimentReport, out_dir):
-    """Optional extras: trained weights + NLM posterior, when present."""
+    """Optional extras: trained weights, and the NLM posterior when present."""
     os.makedirs(out_dir, exist_ok=True)
     stem = report.config.stem()
-    paths = []
-    if report.trained is not None:
-        prefix = os.path.join(out_dir, stem)
-        save_trained(report.trained, prefix)
-        paths += [f"{prefix}.weights", f"{prefix}.meta.json"]
+    prefix = os.path.join(out_dir, stem)
+    save_trained(report.trained, prefix)
+    paths = [f"{prefix}.weights", f"{prefix}.meta.json"]
     search = report.nlm_search
     if search is not None:
         path = os.path.join(out_dir, f"{stem}_posterior.json")

@@ -164,7 +164,7 @@ def make_prior_eval_grid(trained, envelope: ResidualEnvelope) -> PriorEvalGrid:
     return PriorEvalGrid(
         features=feature_matrix(trained, pts),
         u_mse=surrogate_values(problem, trained.params, pts),
-        sigma_p=pseudo_profile(problem, trained, envelope, pts).sigma_p,
+        sigma_p=pseudo_profile(trained, envelope, pts).sigma_p,
         offset=offset,
         scale=scale,
     )
@@ -225,14 +225,11 @@ def nlm_band(
     phi = feature_matrix(trained, grid)
     mean_raw, epi_raw = _grid_moments(posterior, phi)
     offset, scale = transform_offset_scale(trained.problem, grid)
-    epi = scale**2 * epi_raw
-    sigma_p2 = profile.sigma_p * profile.sigma_p
     return PredictiveBand(
         grid=grid,
         mean=offset + scale * mean_raw,
-        epistemic_var=epi,
-        sigma_p2=sigma_p2,
-        total_var=epi + sigma_p2,
+        epistemic_var=scale**2 * epi_raw,
+        sigma_p2=profile.sigma_p * profile.sigma_p,
     )
 
 

@@ -55,10 +55,14 @@ class TrainConfig:
 @dataclass
 class TrainedPINN:
     params: object
-    problem: object
+    problem_id: str
     loss_history: np.ndarray
     config: TrainConfig
-    problem_id: str = ""
+
+    @property
+    def problem(self):
+        """The registered problem of ``problem_id``."""
+        return get_entry(self.problem_id).problem
 
 
 def default_train_config(
@@ -169,19 +173,14 @@ def mse_residual_loss(problem, params, points) -> float:
     return float(np.mean(r * r))
 
 
-def train_deterministic(problem_or_id, config: TrainConfig) -> TrainedPINN:
-    """Run residual training and return the trained surrogate.
+def train_deterministic(problem_id: str, config: TrainConfig) -> TrainedPINN:
+    """Run residual training on the registered problem ``problem_id`` and
+    return the trained surrogate.
 
     Deterministic for a fixed config (seed included).  A non-finite loss
     aborts with the epoch index instead of returning NaN output.
     """
-    if isinstance(problem_or_id, str):
-        problem_id = problem_or_id
-        problem = get_entry(problem_id).problem
-    else:
-        problem_id = ""
-        problem = problem_or_id
-
+    problem = get_entry(problem_id).problem
     _check_collocation_domain(problem, config.collocation)
     base_points = collocation_points(config.collocation)
 
@@ -206,7 +205,7 @@ def train_deterministic(problem_or_id, config: TrainConfig) -> TrainedPINN:
             ) from exc
         history[epoch] = loss
 
-    return TrainedPINN(params, problem, history, config, problem_id=problem_id)
+    return TrainedPINN(params, problem_id, history, config)
 
 
 def training_grid(trained: TrainedPINN) -> np.ndarray:
@@ -241,13 +240,15 @@ def save_trained(trained: TrainedPINN, path_prefix: str):
 
 def load_trained(path_prefix: str) -> TrainedPINN:
     """Read what :func:`save_trained` wrote; a malformed weights file or
-    metadata raises :class:`ConfigurationError` naming the file."""
+    metadata, an unregistered problem id included, raises
+    :class:`ConfigurationError` naming the file."""
     params = load_weights(f"{path_prefix}.weights")
     meta_path = f"{path_prefix}.meta.json"
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)
         problem_id = meta["problem_id"]
+        get_entry(problem_id)
         coll = meta["collocation"]
         count = coll["count"]
         domain = coll["domain"]
@@ -265,11 +266,9 @@ def load_trained(path_prefix: str) -> TrainedPINN:
             activation=meta["activation"],
         )
         final_loss = meta["final_loss"]
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, ConfigurationError) as exc:
         raise ConfigurationError(
             f"{meta_path}: malformed metadata ({type(exc).__name__}: {exc})"
         ) from exc
-    if not problem_id:
-        raise ConfigurationError(f"{meta_path}: no problem id; cannot rebuild problem")
     history = np.array([final_loss]) if final_loss is not None else np.empty(0)
-    return TrainedPINN(params, get_entry(problem_id).problem, history, config, problem_id)
+    return TrainedPINN(params, problem_id, history, config)

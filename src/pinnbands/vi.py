@@ -9,11 +9,11 @@ draw per step.  The chain-rule factor d sigma / d rho is the logistic
 sigmoid(rho), taken as exp(rho - softplus(rho)) from the sigma the step has
 already computed.
 
-Two likelihoods are supported:
+The likelihood follows from whether a simulated dataset is given:
 
-* ``baseline_residual``: zero-mean Gaussian over the equation residuals
+* without one (baseline): zero-mean Gaussian over the equation residuals
   with unit variance, sigma_D^2 = 1 (the plain B-PINN construction).
-* ``error_aware_simulated``: Gaussian over simulated observations — the
+* with one (error-aware): Gaussian over simulated observations — the
   trained network's own outputs — with the heteroscedastic pseudo-aleatoric
   variances from the error bound; the same dataset the NLM head fits.
 
@@ -38,7 +38,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .bands import PredictiveBand
-from .errors import ConfigurationError, ShapeError, TrainingDivergedError, check_count, check_fields
+from .errors import ShapeError, TrainingDivergedError, check_count, check_fields
 from .network import (
     ROW_BLOCK,
     NetworkParameters,
@@ -57,7 +57,6 @@ from .problems import (
 )
 from .training import TrainedPINN, training_grid
 
-LIKELIHOODS = ("baseline_residual", "error_aware_simulated")
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -90,15 +89,12 @@ class MeanFieldGaussian:
 class VIConfig:
     prior_sigma: float = 1.0
     epochs: int = 50000
-    likelihood: str = "error_aware_simulated"
     learning_rate: float = 0.01
     seed: int = 0
     mc_samples_per_step: ClassVar[int] = 1
     n_eval_draws: ClassVar[int] = 4
 
     def __post_init__(self):
-        if self.likelihood not in LIKELIHOODS:
-            raise ConfigurationError(f"unknown likelihood {self.likelihood!r}")
         check_fields(self)
 
 
@@ -123,12 +119,12 @@ def gaussian_kl(q: MeanFieldGaussian, prior_sigma: float, sigma) -> float:
 
 @dataclass
 class _VIContext:
-    """Precomputed quantities shared by every ELBO evaluation."""
+    """Precomputed quantities shared by every ELBO evaluation; ``pieces``
+    is set for the baseline likelihood only."""
 
     problem: object
     points: np.ndarray
     derivs: tuple
-    likelihood: str
     pieces: Optional[tuple] = None             # baseline: residual_pieces(points)
     raw_targets: Optional[np.ndarray] = None   # error-aware: dataset targets
     variances: Optional[np.ndarray] = None     # error-aware: dataset variances
@@ -136,25 +132,21 @@ class _VIContext:
     const_term: float = 0.0
 
 
-def _make_context(
-    trained: TrainedPINN, config: VIConfig, data: Optional[SimulatedDataset]
-) -> _VIContext:
+def _make_context(trained: TrainedPINN, data: Optional[SimulatedDataset]) -> _VIContext:
     problem = trained.problem
-    if config.likelihood == "baseline_residual":
+    if data is None:
         points = training_grid(trained)
         return _VIContext(
-            problem, points, problem.derivs, config.likelihood,
+            problem, points, problem.derivs,
             pieces=residual_pieces(problem, points), const_term=-0.5 * len(points) * LOG_2PI,
         )
-    if data is None:
-        raise ConfigurationError("error-aware likelihood needs a simulated dataset")
     points = data.points
     # the transform offset is shared by target and prediction, so the
     # deviation reduces to scale * (raw_det - raw_sample)
     _, scale = transform_offset_scale(problem, points)
     const = float(-0.5 * np.sum(LOG_2PI + np.log(data.variances)))
     return _VIContext(
-        problem, points, (), config.likelihood,
+        problem, points, (),
         raw_targets=data.targets, variances=data.variances, scale=scale, const_term=const,
     )
 
@@ -162,7 +154,7 @@ def _make_context(
 def _loglik_and_grads(ctx: _VIContext, params: NetworkParameters, need_grads=True):
     """Log-likelihood at sampled parameters; its flat gradient w.r.t. them if asked."""
     jets, tape = forward_jets_batch(params, ctx.points, ctx.derivs, need_tape=need_grads)
-    if ctx.likelihood == "baseline_residual":
+    if ctx.pieces is not None:
         r = residual_from_jets(ctx.problem, ctx.points, jets, ctx.pieces)
         loglik = ctx.const_term - 0.5 * float(np.add.reduce(r * r))
         if not need_grads:
@@ -228,11 +220,12 @@ def vi_train(
     """Optimize the variational distribution for ``config.epochs`` steps,
     starting from :func:`vi_init` at ``config.seed``.
 
-    The error-aware likelihood fits ``data``, the simulated observations of
-    :func:`pinnbands.nlm.build_simulated_dataset`; the baseline likelihood
-    reads the residuals on the training grid and ignores it.
+    Given ``data``, the simulated observations of
+    :func:`pinnbands.nlm.build_simulated_dataset`, the error-aware likelihood
+    fits it; without it, the baseline likelihood reads the residuals on the
+    training grid.
     """
-    ctx = _make_context(trained, config, data)
+    ctx = _make_context(trained, data)
     q = vi_init(trained, seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
     eval_offsets = rng.standard_normal((config.n_eval_draws, q.mu.size))
@@ -291,7 +284,7 @@ def predictive_moments(samples, problem, grid, profile=None) -> PredictiveBand:
         sigma_p2 = np.asarray(profile.sigma_p, dtype=float) ** 2
     else:
         sigma_p2 = np.zeros_like(mean)
-    return PredictiveBand(grid, mean, epi, sigma_p2, epi + sigma_p2)
+    return PredictiveBand(grid, mean, epi, sigma_p2)
 
 
 # rows of standard normals drawn at a time while streaming posterior draws:

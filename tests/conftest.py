@@ -39,7 +39,7 @@ def rate_problem(lam1, lam2=None):
 
 def training_dataset(trained, envelope):
     """The simulated dataset on the training grid, as run_experiment builds it."""
-    profile = pseudo_profile(trained.problem, trained, envelope, training_grid(trained))
+    profile = pseudo_profile(trained, envelope, training_grid(trained))
     return build_simulated_dataset(trained, profile)
 
 

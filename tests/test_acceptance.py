@@ -328,14 +328,14 @@ def test_c05_nlm_exactness(models_10000, envelopes_10000):
     assert mean_err < 1e-8 and cov_err < 1e-8
 
     # pipeline fit: predictive variance never falls below sigma_P^2
-    dataset = build_simulated_dataset(trained, pseudo_profile(trained.problem, trained, env, pts))
+    dataset = build_simulated_dataset(trained, pseudo_profile(trained, env, pts))
     search = optimize_prior(
         feature_matrix(trained, dataset.points),
         dataset,
         make_prior_eval_grid(trained, env),
         default_candidate_sigmas(),
     )
-    profile = pseudo_profile(trained.problem, trained, env, EVAL_GRID)
+    profile = pseudo_profile(trained, env, EVAL_GRID)
     band = nlm_band(trained, search.posterior, profile)
     assert np.all(band.total_var >= band.sigma_p2)
 
@@ -433,7 +433,7 @@ def test_c08_vi_mechanics(models_10000, envelopes_10000):
     # (b) ELBO moving average nondecreasing (fixed-draw evaluation trace)
     trained = models_10000["ode1.exp"]
     pts = training_grid(trained)
-    profile = pseudo_profile(trained.problem, trained, envelopes_10000["ode1.exp"], pts)
+    profile = pseudo_profile(trained, envelopes_10000["ode1.exp"], pts)
     config = VIConfig(prior_sigma=float(np.sqrt(0.1)), epochs=5000, seed=0)
     run = vi_train(trained, config, build_simulated_dataset(trained, profile))
     ma = moving_average(run.elbo_history, 1000)
@@ -534,7 +534,7 @@ def test_c10_bit_reproducibility(tmp_path):
 
     # variational training and posterior sampling
     env = estimate_envelope(a)
-    profile = pseudo_profile(a.problem, a, env, training_grid(a))
+    profile = pseudo_profile(a, env, training_grid(a))
     vcfg = VIConfig(prior_sigma=0.5, epochs=60, seed=2)
     ra = vi_train(a, vcfg, build_simulated_dataset(a, profile))
     rb = vi_train(b, vcfg, build_simulated_dataset(b, profile))

@@ -1,7 +1,7 @@
 """Public API guard: every name the demos and the README quick start import
-from the package resolves, every name the package re-exports is used by the
-README quick start, a demo or the CLI, and importing the package or running
-any cell loads no scipy submodule."""
+from the package resolves, the README quick start runs, every name the
+package re-exports is used by the README quick start, a demo or the CLI, and
+importing the package or running any cell loads no scipy submodule."""
 
 import ast
 import importlib.util
@@ -16,14 +16,19 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def _quick_start():
+    """The python block of the README quick start."""
+    quick_start = (ROOT / "README.md").read_text().split("## Quick start", 1)[1]
+    return re.search(r"```python\n(.*?)```", quick_start, re.S).group(1)
+
+
 def _sources():
     """(label, python source) of every demo script and the README quick start."""
     demos = sorted((ROOT / "demos").glob("*.py"))
     assert demos, "no demo scripts found"
     for path in demos:
         yield path.name, path.read_text()
-    quick_start = (ROOT / "README.md").read_text().split("## Quick start", 1)[1]
-    yield "README quick start", re.search(r"```python\n(.*?)```", quick_start, re.S).group(1)
+    yield "README quick start", _quick_start()
 
 
 def test_demo_and_readme_imports_resolve():
@@ -39,6 +44,13 @@ def test_demo_and_readme_imports_resolve():
                 assert hasattr(module, alias.name), f"{label}: {node.module}.{alias.name} is gone"
                 names += 1
     assert names > 0
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # a fresh interpreter, so the block relies on nothing other tests imported or set up
+    script = (f"import sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n" + _quick_start()
+              + "assert band.grid.shape == (401,) and bool(np.all(np.isfinite(band.sd_total)))\n")
+    subprocess.run([sys.executable, "-c", script], cwd=tmp_path, timeout=300, check=True)
 
 
 def _identifiers(source, label):

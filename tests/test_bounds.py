@@ -232,7 +232,7 @@ class TestDispatch:
     def test_first_order_kind(self, models_10, envelopes_10):
         trained = models_10["ode1.poly"]
         env = envelopes_10["ode1.poly"]
-        profile = pseudo_profile(trained.problem, trained, env, XS)
+        profile = pseudo_profile(trained, env, XS)
         assert np.array_equal(profile.sigma_p, pseudo_sigma(rate_problem(trained.problem.lam), env, XS))
         assert profile.sigma_p[0] == 0.0
 
@@ -389,7 +389,7 @@ class TestBurgersSigma:
         with pytest.raises(ConfigurationError):
             burgers_sigma_grid(_stand_in(), grid, n)
         with pytest.raises(ConfigurationError):
-            pseudo_profile(get_problem("burgers"), _stand_in(), None, grid, n)
+            pseudo_profile(_stand_in(get_problem("burgers")), None, grid, n)
 
     def test_peak_independent_of_grid_size(self):
         # the points are grouped by x and the distinct rows evaluated in
@@ -408,7 +408,7 @@ class TestBurgersSigma:
 
     def test_profile_dispatch(self, tiny_burgers):
         grid = np.array([[0.0, 0.0], [0.0, 1.0]])
-        profile = pseudo_profile(tiny_burgers.problem, tiny_burgers, None, grid)
+        profile = pseudo_profile(tiny_burgers, None, grid)
         assert np.array_equal(profile.sigma_p, burgers_sigma_grid(tiny_burgers, grid))
         assert profile.sigma_p[0] == 0.0
 
@@ -428,9 +428,7 @@ def test_profile_csv_export(tmp_path, models_10, envelopes_10):
     from pinnbands.bands import write_csv
 
     trained = models_10["ode1.exp"]
-    profile = pseudo_profile(
-        trained.problem, trained, envelopes_10["ode1.exp"], np.linspace(0, 4, 5)
-    )
+    profile = pseudo_profile(trained, envelopes_10["ode1.exp"], np.linspace(0, 4, 5))
     path = tmp_path / "profile.csv"
     write_csv({"x": profile.grid, "sigma_P": profile.sigma_p}, path)
     lines = path.read_text().strip().splitlines()

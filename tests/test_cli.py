@@ -179,17 +179,20 @@ class TestCertify:
         assert "oversample" in capsys.readouterr().err
         assert not os.path.exists(out_csv)
 
-    @pytest.mark.parametrize("meta", ["seedless", "not json"])
+    @pytest.mark.parametrize("meta", ["seedless", "not json", "unknown id", "empty id"])
     def test_malformed_metadata_exit_2(self, tmp_path, capsys, models_10, meta):
         prefix = str(tmp_path / "model")
         save_trained(models_10["ode1.exp"], prefix)
         path = tmp_path / "model.meta.json"
-        if meta == "seedless":
-            record = json.loads(path.read_text())
-            del record["seed"]
-            path.write_text(json.dumps(record))
-        else:
+        if meta == "not json":
             path.write_text("{not json")
+        else:
+            record = json.loads(path.read_text())
+            if meta == "seedless":
+                del record["seed"]
+            else:
+                record["problem_id"] = "nope" if meta == "unknown id" else ""
+            path.write_text(json.dumps(record))
         code = run_cli(
             "certify", "--weights", prefix, "--problem", "ode1.exp",
             "--out", str(tmp_path / "c.csv"),

@@ -39,7 +39,7 @@ def synthetic_band(mean, sd):
     n = len(mean)
     mean = np.asarray(mean, dtype=float)
     var = np.asarray(sd, dtype=float) ** 2
-    return PredictiveBand(np.arange(n, dtype=float), mean, var, np.zeros(n), var)
+    return PredictiveBand(np.arange(n, dtype=float), mean, var, np.zeros(n))
 
 
 class TestCoverageMetrics:
@@ -78,9 +78,9 @@ class TestPredictiveBand:
         with pytest.raises(ShapeError, match="mean"):
             synthetic_band([0.0, np.nan, 1.0], np.ones(3))
 
-    @pytest.mark.parametrize("name", ["epistemic_var", "sigma_p2", "total_var"])
+    @pytest.mark.parametrize("name", ["epistemic_var", "sigma_p2"])
     def test_nan_variance_rejected_by_name(self, name):
-        fields = {"epistemic_var": np.ones(3), "sigma_p2": np.zeros(3), "total_var": np.ones(3)}
+        fields = {"epistemic_var": np.ones(3), "sigma_p2": np.zeros(3)}
         fields[name] = np.array([1.0, np.nan, 0.0])
         with pytest.raises(ShapeError, match=f"{name} must be >= 0.0 and not NaN"):
             PredictiveBand(np.arange(3.0), np.zeros(3), **fields)
@@ -88,7 +88,7 @@ class TestPredictiveBand:
     def test_infinite_variance_kept(self):
         # a singular source (ode1.logsing) has an infinite bound past its pole
         sigma_p2 = np.array([0.0, 1.0, np.inf])
-        band = PredictiveBand(np.arange(3.0), np.zeros(3), np.ones(3), sigma_p2, 1.0 + sigma_p2)
+        band = PredictiveBand(np.arange(3.0), np.zeros(3), np.ones(3), sigma_p2)
         assert np.isinf(band.sd_total[2])
 
 

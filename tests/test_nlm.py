@@ -28,7 +28,6 @@ from pinnbands.nlm import (
     optimize_prior,
 )
 from pinnbands.network import NetworkParameters, init_network
-from pinnbands.problems import get_problem
 from pinnbands.training import TrainedPINN, training_grid
 
 from conftest import training_dataset
@@ -58,7 +57,7 @@ def one_feature_model(hidden_bias):
     """ode1.exp with a 1-1-1 tanh net whose hidden feature is tanh(hidden_bias)."""
     params = NetworkParameters.zeros([1, 1, 1])
     params.biases[0][:] = hidden_bias
-    return TrainedPINN(params, get_problem("ode1.exp"), np.empty(0), None)
+    return TrainedPINN(params, "ode1.exp", np.empty(0), None)
 
 
 class TestFeatures:
@@ -170,7 +169,7 @@ class TestPredict:
         trained = one_feature_model(0.3)
         post = NLMPosterior(np.array([1.0, 2.0]), np.zeros((2, 2)), 1.0)
         zero_env = ResidualEnvelope(np.array([0.0, 4.0]), np.array([0.0]))
-        profile = pseudo_profile(trained.problem, trained, zero_env, np.linspace(0, 4, 9))
+        profile = pseudo_profile(trained, zero_env, np.linspace(0, 4, 9))
         band = nlm_band(trained, post, profile)
         assert np.all(band.total_var == 0.0)
 
@@ -180,7 +179,7 @@ class TestPredict:
         post = NLMPosterior(np.array([2.0, 1.0]), np.array([[0.5, 0.1], [0.1, 0.2]]), 1.0)
         eps = 0.5
         env = ResidualEnvelope(np.array([0.0, 4.0]), np.array([eps]))
-        profile = pseudo_profile(trained.problem, trained, env, np.array([1.0]))
+        profile = pseudo_profile(trained, env, np.array([1.0]))
         band = nlm_band(trained, post, profile)
         phi = np.array([np.tanh(0.5), 1.0])
         m = 1.0 - np.exp(-1.0)
@@ -196,7 +195,7 @@ class TestPredict:
         fm = feature_matrix(trained, training_grid(trained))
         data = training_dataset(trained, env)
         post = nlm_fit(fm, data, 0.5)
-        profile = pseudo_profile(trained.problem, trained, env, np.linspace(0, 4, 101))
+        profile = pseudo_profile(trained, env, np.linspace(0, 4, 101))
         band = nlm_band(trained, post, profile)
         assert np.all(band.total_var >= band.sigma_p2)
 
@@ -209,9 +208,7 @@ class TestPredict:
                 training_dataset(trained, envelopes_10000["ode1.cos"]),
                 0.5,
             ),
-            pseudo_profile(
-                trained.problem, trained, envelopes_10000["ode1.cos"], np.linspace(0, 4, 51)
-            ),
+            pseudo_profile(trained, envelopes_10000["ode1.cos"], np.linspace(0, 4, 51)),
         )
         assert band.mean[0] == trained.problem.u0
         assert band.epistemic_var[0] == 0.0

@@ -347,6 +347,13 @@ def test_load_sidecar_with_removed_keys(tmp_path, pid):
     assert back.config == default_train_config(pid, epochs=50, seed=0, grid=(12, 10))
 
 
+def test_problem_object_rejected():
+    # training takes a registry id, so the trained model can rebuild its problem
+    cfg = default_train_config("ode1.exp", epochs=1, seed=0)
+    with pytest.raises(ConfigurationError, match="unknown problem id"):
+        train_deterministic(get_problem("ode1.exp"), cfg)
+
+
 def test_collocation_outside_training_domain_rejected():
     cfg = default_train_config("ode1.exp", epochs=1, seed=0)
     cfg.collocation = GridSpec(32, (0.0, 3.0))

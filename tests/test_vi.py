@@ -123,8 +123,7 @@ class TestElboStep:
         from pinnbands.vi import _make_context, _loglik_and_grads
 
         trained = models_10000["ode1.exp"]
-        config = VIConfig(prior_sigma=1.0, epochs=1, likelihood="baseline_residual")
-        ctx = _make_context(trained, config, None)
+        ctx = _make_context(trained, None)
         q = vi_init(trained, seed=0)
         params = q.materialize(np.zeros_like(q.mu), softplus(q.rho))
         loglik, _ = _loglik_and_grads(ctx, params, need_grads=False)
@@ -146,12 +145,6 @@ class TestElboStep:
         assert np.array_equal(q.mu, q2.mu)
         assert not np.array_equal(q.rho, q2.rho)
 
-    def test_error_aware_needs_profile(self, models_10):
-        trained = models_10["ode1.exp"]
-        config = VIConfig(prior_sigma=0.5, epochs=1, likelihood="error_aware_simulated")
-        with pytest.raises(ConfigurationError):
-            vi_train(trained, config, None)
-
     @pytest.mark.parametrize("likelihood", ["error_aware_simulated", "baseline_residual"])
     def test_forward_calls_per_epoch(self, models_10, envelopes_10, likelihood, monkeypatch):
         # one step draw plus the fixed evaluation draws, each one forward pass
@@ -166,15 +159,13 @@ class TestElboStep:
         monkeypatch.setattr(vi, "forward_jets_batch", counting)
         trained = models_10["ode1.exp"]
         data = training_dataset(trained, envelopes_10["ode1.exp"])
-        config = VIConfig(prior_sigma=0.5, epochs=3, likelihood=likelihood)
+        if likelihood == "baseline_residual":
+            data = None
+        config = VIConfig(prior_sigma=0.5, epochs=3)
         vi_train(trained, config, data)
         per_epoch = VIConfig.mc_samples_per_step + VIConfig.n_eval_draws
         assert per_epoch == 5
         assert len(calls) == config.epochs * per_epoch
-
-    def test_unknown_likelihood_rejected(self):
-        with pytest.raises(ConfigurationError):
-            VIConfig(likelihood="exact_posterior")
 
     @pytest.mark.parametrize("field, value", [
         ("prior_sigma", float("nan")),
@@ -253,7 +244,7 @@ class TestPredictiveMoments:
     def test_identical_samples_epistemic_zero(self, models_10, envelopes_10):
         trained = models_10["ode1.exp"]
         grid = np.linspace(0, 4, 21)
-        profile = pseudo_profile(trained.problem, trained, envelopes_10["ode1.exp"], grid)
+        profile = pseudo_profile(trained, envelopes_10["ode1.exp"], grid)
         band = predictive_moments([trained.params] * 5, trained.problem, grid, profile)
         # averaging k identical floats can round in the last bits
         assert np.all(band.epistemic_var < 1e-28)
@@ -393,9 +384,7 @@ class TestPredictiveMoments:
 
     def test_grid_mismatch_rejected(self, models_10, envelopes_10):
         trained = models_10["ode1.exp"]
-        profile = pseudo_profile(
-            trained.problem, trained, envelopes_10["ode1.exp"], np.linspace(0, 4, 5)
-        )
+        profile = pseudo_profile(trained, envelopes_10["ode1.exp"], np.linspace(0, 4, 5))
         with pytest.raises(ShapeError):
             predictive_moments(
                 [trained.params], trained.problem, np.linspace(0, 4, 7), profile
@@ -425,12 +414,14 @@ class TestTraining:
 
         trained = models_10["ode1.exp"]
         data = training_dataset(trained, envelopes_10["ode1.exp"])
-        config = VIConfig(prior_sigma=0.5, epochs=epochs, seed=5, likelihood=likelihood)
+        if likelihood == "baseline_residual":
+            data = None
+        config = VIConfig(prior_sigma=0.5, epochs=epochs, seed=5)
         run = vi_train(trained, config, data)
         offsets = np.random.default_rng(config.seed + 1).standard_normal(
             (config.n_eval_draws, run.q.mu.size)
         )
-        ctx = _make_context(trained, config, data)
+        ctx = _make_context(trained, data)
         sigma, kl = _sigma_and_kl(run.q, config.prior_sigma)
         assert run.elbo_history[-1] == eval_elbo(ctx, run.q, offsets, sigma, kl)
 
@@ -439,7 +430,7 @@ class TestTraining:
         # equals sigma_P^2 exactly, pointwise
         trained = models_10["ode1.exp"]
         grid = np.linspace(0, 4, 31)
-        profile = pseudo_profile(trained.problem, trained, envelopes_10["ode1.exp"], grid)
+        profile = pseudo_profile(trained, envelopes_10["ode1.exp"], grid)
         q = vi_init(trained, seed=0)
         samples = sample_posterior(q, 64, seed=11)
         aware = predictive_moments(samples, trained.problem, grid, profile)
@@ -491,7 +482,9 @@ class TestFlatLayoutOracles:
 
         trained = models_10["ode1.exp"]
         data = training_dataset(trained, envelopes_10["ode1.exp"])
-        config = VIConfig(prior_sigma=0.5, epochs=1, seed=3, likelihood=likelihood)
+        if likelihood == "baseline_residual":
+            data = None
+        config = VIConfig(prior_sigma=0.5, epochs=1, seed=3)
         run = vi_train(trained, config, data)
 
         # the step written array by array, as one list entry per weight/bias
@@ -509,7 +502,7 @@ class TestFlatLayoutOracles:
         sigmas = [np.log1p(np.exp(r)) for r in rhos]
         theta = np.concatenate([(m + s * z).ravel() for m, s, z in zip(mus, sigmas, zs)])
         sampled = NetworkParameters(params.layer_sizes, theta, params.activation)
-        _, dl = _loglik_and_grads(_make_context(trained, config, data), sampled)
+        _, dl = _loglik_and_grads(_make_context(trained, data), sampled)
         sp2 = config.prior_sigma**2
         lr, b1, b2, eps = config.learning_rate, 0.9, 0.999, 1e-8
         new_rhos = []
@@ -530,7 +523,7 @@ def logsing_10():
         "ode1.logsing", default_train_config("ode1.logsing", epochs=10, seed=0)
     )
     envelope = estimate_envelope(trained, oversample=10, safety_factor=1.1)
-    return trained, pseudo_profile(trained.problem, trained, envelope, training_grid(trained))
+    return trained, pseudo_profile(trained, envelope, training_grid(trained))
 
 
 class TestInfiniteBoundDataset:
@@ -556,7 +549,7 @@ class TestInfiniteBoundDataset:
 
         trained, profile = logsing_10
         problem = trained.problem
-        ctx = _make_context(trained, VIConfig(epochs=1), build_simulated_dataset(trained, profile))
+        ctx = _make_context(trained, build_simulated_dataset(trained, profile))
         kept = [(x, s) for x, s in zip(profile.grid, profile.sigma_p) if math.isfinite(s)]
         xs = np.array([x for x, _ in kept])
         u_det = surrogate_values(problem, trained.params, xs)
