@@ -12,18 +12,21 @@ Run:  python demos/01_deterministic_pinn.py
 import numpy as np
 
 from pinnbands import (
+    TrainConfig,
     analytic_solution,
-    default_train_config,
     mse_residual_loss,
     surrogate_values,
     train_deterministic,
 )
+from pinnbands.problems import get_problem
 
 PROBLEM = "ode1.exp"  # u' + 3u = 4 e^t, u(0) = 2
 
-config = default_train_config(PROBLEM, epochs=10000, seed=0)
+# the problem states the set-up: a 2x32 tanh network, Adam at its learning
+# rate, 32 equally spaced points on its training domain
+config = TrainConfig(epochs=10000, seed=0)
 print(f"training {PROBLEM} for {config.epochs} epochs "
-      f"(2x32 tanh, lr {config.learning_rate}, 32 points on [0, 2]) ...")
+      f"(2x32 tanh, lr {get_problem(PROBLEM).learning_rate}, 32 points on [0, 2]) ...")
 trained = train_deterministic(PROBLEM, config)
 print(f"final residual MSE on the training grid: {trained.loss_history[-1]:.3e}")
 

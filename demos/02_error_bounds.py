@@ -17,22 +17,20 @@ Run:  python demos/02_error_bounds.py
 import numpy as np
 
 from pinnbands import (
+    TrainConfig,
     analytic_solution,
-    default_train_config,
     estimate_envelope,
     pseudo_sigma,
     surrogate_values,
     train_deterministic,
-    uniform_knots,
 )
 
 PROBLEM = "ode1.poly"
 
 for epochs in (10, 10000):
-    trained = train_deterministic(PROBLEM, default_train_config(PROBLEM, epochs=epochs, seed=0))
-    envelope = estimate_envelope(
-        trained, uniform_knots(trained.problem, 40), oversample=10, safety_factor=1.1
-    )
+    trained = train_deterministic(PROBLEM, TrainConfig(epochs=epochs, seed=0))
+    # 40 equal pieces of [0, 4]
+    envelope = estimate_envelope(trained, oversample=10, safety_factor=1.1)
     grid = np.linspace(0.0, 4.0, 401)
     bound = pseudo_sigma(trained.problem, envelope, grid)
     error = np.abs(

@@ -14,11 +14,11 @@ Run:  python demos/03_nlm_band.py
 import numpy as np
 
 from pinnbands import (
+    TrainConfig,
     analytic_solution,
     build_simulated_dataset,
     coverage_metrics,
     default_candidate_sigmas,
-    default_train_config,
     estimate_envelope,
     feature_matrix,
     nlm_band,
@@ -32,7 +32,7 @@ from pinnbands.training import training_grid
 
 PROBLEM = "ode1.cos"
 
-trained = train_deterministic(PROBLEM, default_train_config(PROBLEM, epochs=10000, seed=0))
+trained = train_deterministic(PROBLEM, TrainConfig(epochs=10000, seed=0))
 envelope = estimate_envelope(trained)
 
 train_profile = pseudo_profile(trained, envelope, training_grid(trained))

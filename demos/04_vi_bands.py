@@ -14,10 +14,10 @@ Run:  python demos/04_vi_bands.py     (about ten seconds)
 import numpy as np
 
 from pinnbands import (
+    TrainConfig,
     VIConfig,
     analytic_solution,
     build_simulated_dataset,
-    default_train_config,
     estimate_envelope,
     predictive_moments,
     pseudo_profile,
@@ -29,7 +29,7 @@ from pinnbands.training import training_grid
 
 PROBLEM = "ode1.exp"
 
-trained = train_deterministic(PROBLEM, default_train_config(PROBLEM, epochs=10, seed=0))
+trained = train_deterministic(PROBLEM, TrainConfig(epochs=10, seed=0))
 print(f"{PROBLEM}: 10-epoch underfit network, residual MSE "
       f"{trained.loss_history[-1]:.3f}")
 

@@ -15,10 +15,10 @@ import numpy as np
 
 from pinnbands import pseudo_profile, surrogate_values
 from pinnbands.problems import burgers_initial_condition, get_problem
-from pinnbands.training import default_train_config, train_deterministic
+from pinnbands.training import TrainConfig, train_deterministic
 
 nx = nt = 50
-config = default_train_config("burgers", epochs=2000, seed=0, grid=(nx, nt))
+config = TrainConfig(epochs=2000, seed=0, burgers_grid=(nx, nt))
 print(f"training Burgers (nu = 0.01/pi) on a {nx}x{nt} jittered grid, "
       f"{config.epochs} epochs ...")
 trained = train_deterministic("burgers", config)

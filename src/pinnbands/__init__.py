@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 # the names the README quick start, the demos and the CLI use; everything
 # else is imported from its module
-from .bounds import estimate_envelope, pseudo_profile, pseudo_sigma, uniform_knots
+from .bounds import estimate_envelope, pseudo_profile, pseudo_sigma
 from .errors import (
     ConditioningError,
     ConfigurationError,
@@ -39,10 +39,5 @@ from .nlm import (
     optimize_prior,
 )
 from .problems import analytic_solution, surrogate_values
-from .training import (
-    default_train_config,
-    load_trained,
-    mse_residual_loss,
-    train_deterministic,
-)
+from .training import TrainConfig, load_trained, mse_residual_loss, train_deterministic
 from .vi import VIConfig, predictive_moments, sample_posterior, vi_train

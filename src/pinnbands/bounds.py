@@ -88,23 +88,16 @@ def envelope_from_function(residual_fn, knots, oversample=10, safety_factor=1.1)
     return ResidualEnvelope(knots, eps)
 
 
-def estimate_envelope(trained, knots=None, oversample=10, safety_factor=1.1) -> ResidualEnvelope:
-    """Sampled residual envelope of a trained surrogate over its test domain."""
+def estimate_envelope(trained, oversample=10, safety_factor=1.1) -> ResidualEnvelope:
+    """Sampled residual envelope of a trained surrogate on the
+    :func:`uniform_knots` of its test domain."""
     problem = trained.problem
     if isinstance(problem, BurgersProblem):
         raise ConfigurationError("envelopes are defined for ODE problems only")
-    if knots is None:
-        knots = uniform_knots(problem)
-    knots = np.asarray(knots, dtype=float)
     check_count("oversample of a trained model", oversample, 2)
-    x0, x_end = problem.x0, problem.test_domain[1]
-    if knots[0] > x0 + 1e-12 or knots[-1] < x_end - 1e-12:
-        raise ConfigurationError(
-            f"knots [{knots[0]}, {knots[-1]}] do not cover [{x0}, {x_end}]"
-        )
     return envelope_from_function(
         lambda xs: residual_values(problem, trained.params, xs),
-        knots,
+        uniform_knots(problem),
         oversample,
         safety_factor,
     )

@@ -94,7 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _solve(args) -> int:
-    base = ExperimentConfig()
     file_values = _read_config_file(args.config) if args.config else {}
     # every solve flag but these can stand in the config file; counts parse as their flags do
     keys = set(vars(args)) - {"command", "config", "save_weights"}
@@ -121,25 +120,20 @@ def _solve(args) -> int:
         raise ConfigurationError("solve needs --out (or out= in the config file)")
 
     overrides = {k: merged[k] for k in CONFIG_FIELDS if k in merged}
-    if "problem" in merged:
-        base = replace(base, problem=merged["problem"])
-    if "method" in merged:
-        base = replace(base, method=merged["method"])
-
+    explicit_cell = "problem" in merged
+    if explicit_cell != ("method" in merged):
+        raise ConfigurationError("solve needs --problem and --method together, or neither")
     preset = merged.get("preset")
-    explicit_cell = "problem" in merged and "method" in merged
-    if preset and explicit_cell:
-        # preset supplies budget defaults for the explicitly named cell
-        budgets = resolve_preset(preset)["overrides"]
-        configs = [replace(base, **budgets)]
+    if explicit_cell:
+        cell = ExperimentConfig(problem=merged["problem"], method=merged["method"])
+        # a preset supplies budget defaults for the explicitly named cell
+        configs = [replace(cell, **resolve_preset(preset)["overrides"]) if preset else cell]
     elif preset:
-        configs = preset_configs(preset, base)
         if resolve_preset(preset)["cells"] is None:
             raise ConfigurationError(
                 f"preset {preset!r} defines budgets only; also pass --problem and --method"
             )
-    elif explicit_cell:
-        configs = [base]
+        configs = preset_configs(preset)
     else:
         raise ConfigurationError("solve needs --problem and --method, or a preset with cells")
     configs = [replace(c, **overrides) for c in configs]
@@ -163,7 +157,10 @@ def _list_problems() -> int:
 
 
 def _certify(args) -> int:
-    config = ExperimentConfig(problem=args.problem, grid_points=args.grid_points).validate()
+    # certify reads only the problem and the grid; every problem has a deterministic cell
+    config = ExperimentConfig(
+        problem=args.problem, method="deterministic", grid_points=args.grid_points
+    ).validate()
     trained = load_trained(args.weights)
     if trained.problem_id != args.problem:
         raise ConfigurationError(

@@ -85,7 +85,6 @@ CONFIG_FIELDS = {
     "burgers_time_samples": (check_count, 1),
     "epochs": (check_count, 1),
     "prior_sigma": (check_finite, 0.0),
-    "learning_rate": (check_finite, 0.0),
 }
 
 

@@ -49,9 +49,9 @@ from .problems import (
 )
 from .training import (
     GridSpec,
+    TrainConfig,
     TrainedPINN,
     collocation_points,
-    default_train_config,
     save_trained,
     train_deterministic,
     training_grid,
@@ -158,10 +158,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config = config.validate()
     entry = get_entry(config.problem)
     problem = entry.problem
-    det_cfg = default_train_config(
-        config.problem, epochs=config.det_epochs, seed=config.seed, grid=config.burgers_grid
+    trained = train_deterministic(
+        config.problem, TrainConfig(config.det_epochs, config.seed, config.burgers_grid)
     )
-    trained = train_deterministic(config.problem, det_cfg)
 
     grid = evaluation_grid(config)
     u_det = surrogate_values(problem, trained.params, grid)
@@ -194,7 +193,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         vi_cfg = VIConfig(
             prior_sigma=_prior_sigma_for(problem),
             epochs=config.vi_epochs,
-            learning_rate=det_cfg.learning_rate,
             seed=config.seed + _SEED_VI,
         )
         run = vi_train(trained, vi_cfg, dataset)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -77,6 +77,9 @@ class ODEProblem:
     train_domain: tuple = (0.0, 2.0)
     test_domain: tuple = (0.0, 4.0)
     source_name: str = ""
+    # the training set-up of every ODE: hidden activation and Adam step size
+    activation: ClassVar[str] = "tanh"
+    learning_rate: ClassVar[float] = 0.01
 
     def __post_init__(self):
         if self.order == 1:
@@ -127,6 +130,8 @@ class BurgersProblem:
     space_domain: tuple = (-1.0, 1.0)
     train_time: tuple = (0.0, 1.0)
     test_time: tuple = (0.0, 2.0)
+    activation: ClassVar[str] = "sigmoid"
+    learning_rate: ClassVar[float] = 1e-3
 
     def __post_init__(self):
         check_finite("viscosity nu", self.nu, 0.0)

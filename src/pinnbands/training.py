@@ -1,5 +1,14 @@
 """Deterministic residual training: minimize mean squared residual with Adam.
 
+The problem states its training set-up: a ``[input_dim, *HIDDEN, 1]``
+network with the problem's ``activation``, trained by Adam at its
+``learning_rate``.  An ODE trains on ``ODE_POINTS`` equally spaced points of
+its training domain; Burgers on an (nx, nt) grid over its training window,
+moved every epoch by uniform noise of up to half an x cell in each coordinate
+and clipped to the window.
+:class:`TrainConfig` keeps only what a run chooses: the epochs, the seed and
+the Burgers grid.
+
 One epoch is one full-batch Adam step over the collocation grid, whose loss
 and gradient are summed over fixed blocks of ``ROW_BLOCK`` rows.  Runs are
 bit-reproducible for a fixed seed.
@@ -9,8 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,29 +35,24 @@ from .problems import (
 )
 from .weights_io import load_weights, save_weights
 
+HIDDEN = (32, 32)
+ODE_POINTS = 32
+
 
 @dataclass
 class GridSpec:
     """Equally spaced collocation grid: ``count`` points (or (nx, nt) for
-    space-time grids).
+    space-time grids) over ``domain``."""
 
-    ``jitter`` > 0 adds per-epoch uniform coordinate noise of that amplitude,
-    clipped to the domain; 0 keeps the grid fixed.
-    """
-
-    count: object = 32
-    domain: object = (0.0, 2.0)
-    jitter: float = 0.0
+    count: object
+    domain: object
 
 
 @dataclass
 class TrainConfig:
     epochs: int = 10000
-    learning_rate: float = 0.01
-    collocation: GridSpec = field(default_factory=GridSpec)
     seed: int = 0
-    hidden: tuple = (32, 32)
-    activation: str = "tanh"
+    burgers_grid: tuple = (100, 100)  # (nx, nt); ODE problems ignore it
 
 
 @dataclass
@@ -65,31 +68,6 @@ class TrainedPINN:
         return get_entry(self.problem_id).problem
 
 
-def default_train_config(
-    problem_id: str, epochs: Optional[int] = None, seed: int = 0, grid: tuple = (100, 100)
-) -> TrainConfig:
-    """Benchmark defaults: 2x32 tanh, lr 0.01, 32 equally spaced points for
-    ODEs; 2x32 sigmoid, lr 1e-3, a jittered ``grid`` = (nx, nt) for Burgers."""
-    pr = get_entry(problem_id).problem
-    if isinstance(pr, BurgersProblem):
-        nx, nt = grid
-        cell = (pr.space_domain[1] - pr.space_domain[0]) / (nx - 1)
-        return TrainConfig(
-            epochs=20000 if epochs is None else epochs,
-            learning_rate=1e-3,
-            collocation=GridSpec((nx, nt), (pr.space_domain, pr.train_time), jitter=cell / 2.0),
-            seed=seed,
-            activation="sigmoid",
-        )
-    return TrainConfig(
-        epochs=10000 if epochs is None else epochs,
-        learning_rate=0.01,
-        collocation=GridSpec(count=32, domain=tuple(pr.train_domain)),
-        seed=seed,
-        activation="tanh",
-    )
-
-
 def collocation_points(spec: GridSpec) -> np.ndarray:
     """Materialize a GridSpec; 1-D -> (M,), 2-D -> (M, 2) with columns (x, t)."""
     if isinstance(spec.count, (tuple, list)):
@@ -101,26 +79,22 @@ def collocation_points(spec: GridSpec) -> np.ndarray:
     return np.linspace(a, b, check_count("collocation count", spec.count, 1))
 
 
-def _check_collocation_domain(problem, spec: GridSpec):
+def _collocation(problem, burgers_grid):
+    """The training grid of ``problem`` and the amplitude of its per-epoch
+    jitter: ``ODE_POINTS`` fixed points, or ``burgers_grid`` moved by half a
+    cell."""
     if isinstance(problem, BurgersProblem):
-        (xa, xb), (ta, tb) = spec.domain
-        sa, sb = problem.space_domain
-        wa, wb = problem.train_time
-        if xa < sa or xb > sb or ta < wa or tb > wb:
-            raise ConfigurationError("collocation grid outside the Burgers training window")
-        return
-    a, b = spec.domain
-    pa, pb = problem.train_domain
-    if a < pa - 1e-12 or b > pb + 1e-12:
-        raise ConfigurationError(
-            f"collocation domain [{a}, {b}] outside training domain [{pa}, {pb}]"
-        )
+        nx, nt = check_pair("burgers_grid", burgers_grid, 2)
+        a, b = problem.space_domain
+        cell = (b - a) / (nx - 1)
+        return GridSpec((nx, nt), (problem.space_domain, problem.train_time)), cell / 2.0
+    return GridSpec(ODE_POINTS, tuple(problem.train_domain)), 0.0
 
 
-def _jittered(points, spec: GridSpec, rng) -> np.ndarray:
-    if spec.jitter <= 0:
+def _jittered(points, spec: GridSpec, jitter, rng) -> np.ndarray:
+    if jitter <= 0:
         return points
-    noise = rng.uniform(-spec.jitter, spec.jitter, size=points.shape)
+    noise = rng.uniform(-jitter, jitter, size=points.shape)
     moved = points + noise
     if points.ndim == 1:
         a, b = spec.domain
@@ -181,19 +155,18 @@ def train_deterministic(problem_id: str, config: TrainConfig) -> TrainedPINN:
     aborts with the epoch index instead of returning NaN output.
     """
     problem = get_entry(problem_id).problem
-    _check_collocation_domain(problem, config.collocation)
-    base_points = collocation_points(config.collocation)
+    spec, jitter = _collocation(problem, config.burgers_grid)
+    base_points = collocation_points(spec)
 
-    layer_sizes = [problem.input_dim, *config.hidden, 1]
-    params = init_network(layer_sizes, config.activation, seed=config.seed)
-    state = init_adam(params.theta, learning_rate=config.learning_rate)
+    params = init_network([problem.input_dim, *HIDDEN, 1], problem.activation, seed=config.seed)
+    state = init_adam(params.theta, learning_rate=problem.learning_rate)
     rng = np.random.default_rng(config.seed + 1)
 
     # a fixed grid feeds the same points every epoch, so its pieces are reused
-    pieces = _block_pieces(problem, base_points) if config.collocation.jitter <= 0 else None
+    pieces = _block_pieces(problem, base_points) if jitter <= 0 else None
     history = np.empty(check_count("epochs", config.epochs, 0))
     for epoch in range(len(history)):
-        pts = _jittered(base_points, config.collocation, rng)
+        pts = _jittered(base_points, spec, jitter, rng)
         loss, grads = residual_loss_and_grads(problem, params, pts, pieces)
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"non-finite residual loss at epoch {epoch}", epoch=epoch)
@@ -209,7 +182,8 @@ def train_deterministic(problem_id: str, config: TrainConfig) -> TrainedPINN:
 
 
 def training_grid(trained: TrainedPINN) -> np.ndarray:
-    return collocation_points(trained.config.collocation)
+    """The unjittered collocation grid ``trained`` was fit on."""
+    return collocation_points(_collocation(trained.problem, trained.config.burgers_grid)[0])
 
 
 # --- serialization: weights file plus sidecar metadata -----------------------
@@ -223,16 +197,8 @@ def save_trained(trained: TrainedPINN, path_prefix: str):
         "problem_id": trained.problem_id,
         "final_loss": float(trained.loss_history[-1]) if len(trained.loss_history) else None,
         "epochs": cfg.epochs,
-        "learning_rate": cfg.learning_rate,
         "seed": cfg.seed,
-        "hidden": list(cfg.hidden),
-        "activation": cfg.activation,
-        "collocation": {
-            "count": cfg.collocation.count if not isinstance(cfg.collocation.count, tuple)
-            else list(cfg.collocation.count),
-            "domain": np.asarray(cfg.collocation.domain, dtype=float).tolist(),
-            "jitter": cfg.collocation.jitter,
-        },
+        "collocation": {"count": _collocation(trained.problem, cfg.burgers_grid)[0].count},
     }
     with open(f"{path_prefix}.meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -241,32 +207,20 @@ def save_trained(trained: TrainedPINN, path_prefix: str):
 def load_trained(path_prefix: str) -> TrainedPINN:
     """Read what :func:`save_trained` wrote; a malformed weights file or
     metadata, an unregistered problem id included, raises
-    :class:`ConfigurationError` naming the file."""
+    :class:`ConfigurationError` naming the file.  Other keys, such as the
+    set-up earlier versions recorded, are ignored."""
     params = load_weights(f"{path_prefix}.weights")
     meta_path = f"{path_prefix}.meta.json"
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)
         problem_id = meta["problem_id"]
-        get_entry(problem_id)
-        coll = meta["collocation"]
-        count = coll["count"]
-        domain = coll["domain"]
-        if isinstance(count, list):
-            count = tuple(count)
-            domain = (tuple(domain[0]), tuple(domain[1]))
-        else:
-            domain = tuple(domain)
-        config = TrainConfig(
-            epochs=meta["epochs"],
-            learning_rate=meta["learning_rate"],
-            collocation=GridSpec(count, domain, coll["jitter"]),
-            seed=meta["seed"],
-            hidden=tuple(meta["hidden"]),
-            activation=meta["activation"],
-        )
+        problem = get_entry(problem_id).problem
+        config = TrainConfig(meta["epochs"], meta["seed"])
+        if isinstance(problem, BurgersProblem):
+            config.burgers_grid = tuple(meta["collocation"]["count"])
         final_loss = meta["final_loss"]
-    except (ValueError, KeyError, TypeError, IndexError, ConfigurationError) as exc:
+    except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
         raise ConfigurationError(
             f"{meta_path}: malformed metadata ({type(exc).__name__}: {exc})"
         ) from exc

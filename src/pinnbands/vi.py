@@ -89,7 +89,6 @@ class MeanFieldGaussian:
 class VIConfig:
     prior_sigma: float = 1.0
     epochs: int = 50000
-    learning_rate: float = 0.01
     seed: int = 0
     mc_samples_per_step: ClassVar[int] = 1
     n_eval_draws: ClassVar[int] = 4
@@ -229,7 +228,7 @@ def vi_train(
     q = vi_init(trained, seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
     eval_offsets = rng.standard_normal((config.n_eval_draws, q.mu.size))
-    adam_state = init_adam(q.rho, config.learning_rate)
+    adam_state = init_adam(q.rho, trained.problem.learning_rate)
 
     # sigma and the KL of a state serve its evaluation and the next step
     sigma_kl = _sigma_and_kl(q, config.prior_sigma)

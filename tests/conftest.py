@@ -9,7 +9,7 @@ from pinnbands.bounds import estimate_envelope, pseudo_profile
 from pinnbands.errors import ConfigurationError
 from pinnbands.nlm import build_simulated_dataset
 from pinnbands.problems import NONSINGULAR_FIRST_ORDER_IDS, ODEProblem
-from pinnbands.training import default_train_config, train_deterministic, training_grid
+from pinnbands.training import TrainConfig, train_deterministic, training_grid
 
 BENCH_SEED = 0
 
@@ -49,7 +49,7 @@ def models_10000():
     out = {}
     for pid in NONSINGULAR_FIRST_ORDER_IDS:
         start = time.perf_counter()
-        out[pid] = train_deterministic(pid, default_train_config(pid, epochs=10000, seed=BENCH_SEED))
+        out[pid] = train_deterministic(pid, TrainConfig(10000, BENCH_SEED))
         TRAIN_SECONDS[pid] = time.perf_counter() - start
     return out
 
@@ -58,7 +58,7 @@ def models_10000():
 def models_10():
     """Deliberately underfit first-order models (10 epochs, seed 0)."""
     return {
-        pid: train_deterministic(pid, default_train_config(pid, epochs=10, seed=BENCH_SEED))
+        pid: train_deterministic(pid, TrainConfig(10, BENCH_SEED))
         for pid in NONSINGULAR_FIRST_ORDER_IDS
     }
 

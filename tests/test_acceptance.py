@@ -39,12 +39,7 @@ from pinnbands.problems import (
     residual_jet_partials,
     surrogate_values,
 )
-from pinnbands.training import (
-    GridSpec,
-    TrainConfig,
-    train_deterministic,
-    training_grid,
-)
+from pinnbands.training import TrainConfig, train_deterministic, training_grid
 from pinnbands.vi import (
     MeanFieldGaussian,
     gaussian_kl,
@@ -467,15 +462,7 @@ def test_c08_vi_mechanics(models_10000, envelopes_10000):
 
 @pytest.fixture(scope="module")
 def burgers_desk():
-    nx = nt = 50
-    cell = 2.0 / (nx - 1)
-    cfg = TrainConfig(
-        epochs=2000,
-        learning_rate=1e-3,
-        collocation=GridSpec((nx, nt), ((-1.0, 1.0), (0.0, 1.0)), jitter=cell / 2.0),
-        seed=0,
-        activation="sigmoid",
-    )
+    cfg = TrainConfig(2000, 0, (50, 50))
     start = time.perf_counter()
     trained = train_deterministic("burgers", cfg)
     return trained, time.perf_counter() - start
@@ -524,9 +511,7 @@ def test_c09_burgers_desk_scale(burgers_desk):
 
 def test_c10_bit_reproducibility(tmp_path):
     # deterministic training
-    from pinnbands.training import default_train_config
-
-    cfg = default_train_config("ode1.cos", epochs=300, seed=11)
+    cfg = TrainConfig(300, 11)
     a = train_deterministic("ode1.cos", cfg)
     b = train_deterministic("ode1.cos", cfg)
     assert np.array_equal(a.params.theta, b.params.theta)

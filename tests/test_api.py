@@ -1,7 +1,7 @@
 """Public API guard: every name the demos and the README quick start import
-from the package resolves, the README quick start runs, every name the
-package re-exports is used by the README quick start, a demo or the CLI, and
-importing the package or running any cell loads no scipy submodule."""
+from the package resolves, the README quick start and demos 01-04 run, every
+name the package re-exports is used by the README quick start, a demo or the
+CLI, and importing the package or running any cell loads no scipy submodule."""
 
 import ast
 import importlib.util
@@ -51,6 +51,19 @@ def test_readme_quick_start_runs(tmp_path):
     script = (f"import sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n" + _quick_start()
               + "assert band.grid.shape == (401,) and bool(np.all(np.isfinite(band.sd_total)))\n")
     subprocess.run([sys.executable, "-c", script], cwd=tmp_path, timeout=300, check=True)
+
+
+# demo 05 (Burgers, about 25 s) stays a manual run
+_TIER1_DEMOS = sorted(path.name for path in (ROOT / "demos").glob("0[1-4]_*.py"))
+
+
+@pytest.mark.parametrize("demo", _TIER1_DEMOS)
+def test_demo_runs(tmp_path, demo):
+    # a fresh interpreter in an empty directory, as a reader would run it
+    script = (f"import runpy, sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n"
+              f"runpy.run_path({str(ROOT / 'demos' / demo)!r}, run_name='__main__')\n")
+    subprocess.run([sys.executable, "-c", script], cwd=tmp_path, timeout=300, check=True,
+                   capture_output=True)
 
 
 def _identifiers(source, label):

@@ -15,7 +15,7 @@ from pinnbands.cli import main
 from pinnbands.errors import PinnbandsError
 from pinnbands.harness import METHODS
 from pinnbands.problems import problem_ids
-from pinnbands.training import default_train_config, save_trained, train_deterministic
+from pinnbands.training import TrainConfig, save_trained, train_deterministic
 
 
 def run_cli(*argv):
@@ -60,6 +60,17 @@ class TestSolve:
     def test_missing_cell_and_preset_exit_2(self, tmp_path, capsys):
         assert run_cli("solve", "--out", str(tmp_path)) == 2
         assert run_cli("solve", "--preset", "desk", "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("lone", [("--problem", "ode1.exp"), ("--method", "deterministic")])
+    def test_lone_problem_or_method_exit_2(self, tmp_path, capsys, lone):
+        # a preset's cells never take a lone --problem or --method
+        code = run_cli(
+            "solve", "--preset", "fig2", *lone, "--det-epochs", "1", "--vi-epochs", "1",
+            "--grid-points", "5", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "--problem and --method together" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_config_file_mirrors_flags(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -220,9 +231,7 @@ class TestCertify:
         assert not os.path.exists(tmp_path / "c.csv")
 
     def test_burgers_weights_exit_2(self, tmp_path, capsys):
-        trained = train_deterministic(
-            "burgers", default_train_config("burgers", epochs=1, seed=0, grid=(3, 3))
-        )
+        trained = train_deterministic("burgers", TrainConfig(1, 0, (3, 3)))
         prefix = str(tmp_path / "model")
         save_trained(trained, prefix)
         code = run_cli(
@@ -230,7 +239,8 @@ class TestCertify:
             "--out", str(tmp_path / "c.csv"),
         )
         assert code == 2
-        assert "configuration error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error: certify needs an ODE problem" in err
         assert not os.path.exists(tmp_path / "c.csv")
 
 

@@ -299,7 +299,7 @@ class TestBurgersCell:
     def test_tiny_cell(self, method, tmp_path):
         cfg = ExperimentConfig(method=method, **_TINY_BURGERS)
         report = run_experiment(cfg)
-        assert report.trained.config.collocation.count == cfg.burgers_grid
+        assert report.trained.config.burgers_grid == cfg.burgers_grid
         assert report.metrics["max_ic_error"] == report.metrics["max_bc_error"] == 0.0
         at_origin = report.table["t"] == 0.0
         assert np.count_nonzero(at_origin) == 6

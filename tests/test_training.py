@@ -1,5 +1,6 @@
 """Deterministic residual training: determinism, loss behavior, oracles."""
 
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from pinnbands.network import ROW_BLOCK, backward, forward_jets_batch, init_netw
 from pinnbands.weights_io import save_weights
 from pinnbands.problems import (
     NONSINGULAR_FIRST_ORDER_IDS,
+    ODEProblem,
     analytic_solution,
     get_problem,
     residual_from_jets,
@@ -19,8 +21,8 @@ from pinnbands.problems import (
 )
 from pinnbands.training import (
     GridSpec,
+    TrainConfig,
     collocation_points,
-    default_train_config,
     load_trained,
     mse_residual_loss,
     residual_loss_and_grads,
@@ -213,14 +215,13 @@ class TestRowBlocks:
 
 class TestTrainDeterministic:
     def test_zero_epochs_returns_initialization(self):
-        cfg = default_train_config("ode1.poly", epochs=0, seed=0)
-        trained = train_deterministic("ode1.poly", cfg)
+        trained = train_deterministic("ode1.poly", TrainConfig(0, 0))
         init = init_network([1, 32, 32, 1], "tanh", seed=0)
         assert np.array_equal(trained.params.theta, init.theta)
         assert len(trained.loss_history) == 0
 
     def test_bit_identical_reruns(self):
-        cfg = default_train_config("ode1.cos", epochs=50, seed=3)
+        cfg = TrainConfig(50, 3)
         a = train_deterministic("ode1.cos", cfg)
         b = train_deterministic("ode1.cos", cfg)
         assert np.array_equal(a.params.theta, b.params.theta)
@@ -250,13 +251,12 @@ class TestTrainDeterministic:
             err = np.max(np.abs(u - analytic_solution(pid, xs)))
             assert err < 5e-2
 
-    def test_divergence_is_an_error_with_epoch(self):
+    def test_divergence_is_an_error_with_epoch(self, monkeypatch):
         # Adam steps scale with the learning rate, so an overflow-sized rate
         # drives the squared residual past float range within one update
-        cfg = default_train_config("ode1.exp", epochs=200, seed=0)
-        cfg.learning_rate = 1e200
+        monkeypatch.setattr(ODEProblem, "learning_rate", 1e200)
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as err:
-            train_deterministic("ode1.exp", cfg)
+            train_deterministic("ode1.exp", TrainConfig(200, 0))
         assert err.value.epoch is not None
 
     def test_non_finite_gradient_reports_epoch(self, monkeypatch):
@@ -275,9 +275,8 @@ class TestTrainDeterministic:
             return loss, grads
 
         monkeypatch.setattr(training_mod, "residual_loss_and_grads", nan_at_third)
-        cfg = default_train_config("ode1.exp", epochs=10, seed=0)
         with pytest.raises(TrainingDivergedError) as err:
-            train_deterministic("ode1.exp", cfg)
+            train_deterministic("ode1.exp", TrainConfig(10, 0))
         assert err.value.epoch == 2
 
 
@@ -305,23 +304,56 @@ class TestCollocation:
 
     @pytest.mark.parametrize("epochs", [1.5, -1, "3"])
     def test_bad_epochs_rejected_before_training(self, epochs):
-        cfg = replace(default_train_config("ode1.exp", seed=0), epochs=epochs)
         with pytest.raises(ConfigurationError, match="epochs"):
-            train_deterministic("ode1.exp", cfg)
+            train_deterministic("ode1.exp", TrainConfig(epochs, 0))
 
 
-def test_save_load_roundtrip(tmp_path, models_10):
-    trained = models_10["ode1.exp"]
-    prefix = str(tmp_path / "model")
-    save_trained(trained, prefix)
-    back = load_trained(prefix)
-    assert back.problem_id == "ode1.exp"
-    assert np.array_equal(trained.params.theta, back.params.theta)
-    assert back.config.epochs == trained.config.epochs
+class TestDerivedSetUp:
+    @pytest.mark.parametrize("pid, sizes, activation", [
+        ("ode1.exp", [1, 32, 32, 1], "tanh"),
+        ("burgers", [2, 32, 32, 1], "sigmoid"),
+    ])
+    def test_network_follows_the_problem(self, pid, sizes, activation):
+        trained = train_deterministic(pid, TrainConfig(1, 0, (4, 3)))
+        assert trained.params.layer_sizes == sizes
+        assert trained.params.activation == activation
+
+    def test_ode_grid_is_fixed_points_on_the_training_domain(self):
+        trained = train_deterministic("ode1.exp", TrainConfig(1, 0, (4, 3)))
+        a, b = trained.problem.train_domain
+        assert np.array_equal(training_grid(trained), np.linspace(a, b, 32))
+
+    def test_burgers_grid_spans_the_training_window(self):
+        trained = train_deterministic("burgers", TrainConfig(1, 0, (4, 3)))
+        grid = training_grid(trained)
+        assert grid.shape == (12, 2)
+        assert np.array_equal(np.unique(grid[:, 0]), np.linspace(-1.0, 1.0, 4))
+        assert np.array_equal(np.unique(grid[:, 1]), np.linspace(0.0, 1.0, 3))
+
+    @pytest.mark.parametrize("grid", [(1, 3), (4, 2.5), (4,)])
+    def test_bad_burgers_grid_rejected(self, grid):
+        with pytest.raises(ConfigurationError, match="burgers_grid"):
+            train_deterministic("burgers", TrainConfig(1, 0, grid))
 
 
-# sidecars written by earlier versions carry batch_size and equally_spaced;
-# loading ignores both
+def test_save_load_roundtrip(tmp_path):
+    for pid, config in (("ode1.exp", TrainConfig(3, 2)), ("burgers", TrainConfig(3, 2, (4, 3)))):
+        trained = train_deterministic(pid, config)
+        prefix = str(tmp_path / pid)
+        save_trained(trained, prefix)
+        with open(f"{prefix}.meta.json") as fh:
+            keys = sorted(json.load(fh))
+        assert keys == ["collocation", "epochs", "final_loss", "problem_id", "seed"]
+        back = load_trained(prefix)
+        assert back.problem_id == pid
+        assert np.array_equal(trained.params.theta, back.params.theta)
+        assert back.params.activation == trained.params.activation
+        assert back.config == config
+        assert back.loss_history[-1] == trained.loss_history[-1]
+
+
+# sidecars written by earlier versions carry batch_size, equally_spaced and
+# the set-up the problem now states; loading ignores them
 _OLD_META = {
     "ode1.exp": '{"activation": "tanh", "batch_size": 32, "collocation": {"count": 32, '
                 '"domain": [0.0, 2.0], "equally_spaced": true, "jitter": 0.0}, "epochs": 50, '
@@ -338,24 +370,19 @@ _OLD_META = {
 def test_load_sidecar_with_removed_keys(tmp_path, pid):
     problem = get_problem(pid)
     prefix = str(tmp_path / "model")
-    save_weights(init_network([problem.input_dim, 32, 32, 1], "tanh", seed=0), f"{prefix}.weights")
+    params = init_network([problem.input_dim, 32, 32, 1], problem.activation, seed=0)
+    save_weights(params, f"{prefix}.weights")
     with open(f"{prefix}.meta.json", "w") as fh:
         fh.write(_OLD_META[pid])
     back = load_trained(prefix)
     assert back.problem_id == pid
     assert back.config.epochs == 50 and back.loss_history.shape == (1,)
-    assert back.config == default_train_config(pid, epochs=50, seed=0, grid=(12, 10))
+    # an ODE sidecar's count is the fixed point count, so the grid stays at its default
+    grid = (12, 10) if pid == "burgers" else TrainConfig().burgers_grid
+    assert back.config == TrainConfig(50, 0, grid)
 
 
 def test_problem_object_rejected():
     # training takes a registry id, so the trained model can rebuild its problem
-    cfg = default_train_config("ode1.exp", epochs=1, seed=0)
     with pytest.raises(ConfigurationError, match="unknown problem id"):
-        train_deterministic(get_problem("ode1.exp"), cfg)
-
-
-def test_collocation_outside_training_domain_rejected():
-    cfg = default_train_config("ode1.exp", epochs=1, seed=0)
-    cfg.collocation = GridSpec(32, (0.0, 3.0))
-    with pytest.raises(ConfigurationError):
-        train_deterministic("ode1.exp", cfg)
+        train_deterministic(get_problem("ode1.exp"), TrainConfig(1, 0))

@@ -20,8 +20,8 @@ from pinnbands.nlm import VAR_FLOOR, build_simulated_dataset, feature_matrix, nl
 from pinnbands.problems import get_problem, surrogate_values, transform_offset_scale
 from pinnbands.training import (
     GridSpec,
+    TrainConfig,
     collocation_points,
-    default_train_config,
     train_deterministic,
     training_grid,
 )
@@ -171,8 +171,6 @@ class TestElboStep:
         ("prior_sigma", float("nan")),
         ("prior_sigma", float("inf")),
         ("prior_sigma", 0.0),
-        ("learning_rate", float("nan")),
-        ("learning_rate", "0.01"),
         ("epochs", 1.5),
         ("epochs", 0),
         ("seed", -1),
@@ -504,7 +502,7 @@ class TestFlatLayoutOracles:
         sampled = NetworkParameters(params.layer_sizes, theta, params.activation)
         _, dl = _loglik_and_grads(_make_context(trained, data), sampled)
         sp2 = config.prior_sigma**2
-        lr, b1, b2, eps = config.learning_rate, 0.9, 0.999, 1e-8
+        lr, b1, b2, eps = trained.problem.learning_rate, 0.9, 0.999, 1e-8
         new_rhos = []
         for r, s, z, d in zip(rhos, sigmas, zs, split_layers(dl, shapes)):
             g = (-1.0 / s + s / sp2) * np.exp(r - s) - d * z * np.exp(r - s)
@@ -519,9 +517,7 @@ class TestFlatLayoutOracles:
 def logsing_10():
     """ode1.logsing at 10 epochs and its sigma_P on the training grid, which
     is infinite from the pole's subinterval on."""
-    trained = train_deterministic(
-        "ode1.logsing", default_train_config("ode1.logsing", epochs=10, seed=0)
-    )
+    trained = train_deterministic("ode1.logsing", TrainConfig(10, 0))
     envelope = estimate_envelope(trained, oversample=10, safety_factor=1.1)
     return trained, pseudo_profile(trained, envelope, training_grid(trained))
 
