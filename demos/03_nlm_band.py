@@ -18,7 +18,6 @@ from pinnbands import (
     analytic_solution,
     build_simulated_dataset,
     coverage_metrics,
-    default_candidate_sigmas,
     estimate_envelope,
     feature_matrix,
     nlm_band,
@@ -38,9 +37,7 @@ envelope = estimate_envelope(trained)
 train_profile = pseudo_profile(trained, envelope, training_grid(trained))
 dataset = build_simulated_dataset(trained, train_profile)
 features = feature_matrix(trained, dataset.points)
-search = optimize_prior(
-    features, dataset, make_prior_eval_grid(trained, envelope), default_candidate_sigmas()
-)
+search = optimize_prior(features, dataset, make_prior_eval_grid(trained, envelope))
 print(f"prior scan: sigma* = {search.sigma:.3f}, feasible = {search.feasible}, "
       f"objective = {search.objective:.4f}")
 

@@ -44,7 +44,7 @@ dataset = build_simulated_dataset(
 runs = {}
 for label, data, grid_profile in (("baseline", None, None),
                                   ("error-aware", dataset, pseudo_profile(trained, envelope, grid))):
-    config = VIConfig(prior_sigma=float(np.sqrt(0.1)), epochs=5000, seed=0)
+    config = VIConfig(epochs=5000, seed=0)
     run = vi_train(trained, config, data)
     samples = sample_posterior(run.q, 1000, seed=2)
     runs[label] = predictive_moments(samples, trained.problem, grid, grid_profile)

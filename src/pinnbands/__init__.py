@@ -33,7 +33,6 @@ from .harness import (
 )
 from .nlm import (
     build_simulated_dataset,
-    default_candidate_sigmas,
     feature_matrix,
     nlm_band,
     optimize_prior,

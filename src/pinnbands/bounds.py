@@ -30,6 +30,7 @@ from .network import ROW_BLOCK
 from .problems import BurgersProblem, ODEProblem, residual_values
 
 EQUAL_RATE_TOL = 1e-8
+N_INTERVALS = 40  # subintervals of the envelope's partition of [x0, test end]
 
 @dataclass
 class ResidualEnvelope:
@@ -63,10 +64,9 @@ class ResidualEnvelope:
         return float(self.knots[-1])
 
 
-def uniform_knots(problem: ODEProblem, n_intervals: int = 40) -> np.ndarray:
-    """Equispaced partition of [x0, test_end]."""
-    n = check_count("n_intervals", n_intervals, 1)
-    return np.linspace(problem.x0, problem.test_domain[1], n + 1)
+def uniform_knots(problem: ODEProblem) -> np.ndarray:
+    """Equispaced partition of [x0, test_end] into ``N_INTERVALS`` subintervals."""
+    return np.linspace(problem.x0, problem.test_domain[1], N_INTERVALS + 1)
 
 
 def envelope_from_function(residual_fn, knots, oversample=10, safety_factor=1.1) -> ResidualEnvelope:

@@ -129,10 +129,6 @@ def _solve(args) -> int:
         # a preset supplies budget defaults for the explicitly named cell
         configs = [replace(cell, **resolve_preset(preset)["overrides"]) if preset else cell]
     elif preset:
-        if resolve_preset(preset)["cells"] is None:
-            raise ConfigurationError(
-                f"preset {preset!r} defines budgets only; also pass --problem and --method"
-            )
         configs = preset_configs(preset)
     else:
         raise ConfigurationError("solve needs --problem and --method, or a preset with cells")

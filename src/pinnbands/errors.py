@@ -84,7 +84,6 @@ CONFIG_FIELDS = {
     "burgers_grid": (check_pair, 2),
     "burgers_time_samples": (check_count, 1),
     "epochs": (check_count, 1),
-    "prior_sigma": (check_finite, 0.0),
 }
 
 

@@ -33,7 +33,6 @@ from .errors import ConfigurationError, ShapeError, check_count, check_fields, c
 from .nlm import (
     PriorSearchResult,
     build_simulated_dataset,
-    default_candidate_sigmas,
     export_posterior_json,
     feature_matrix,
     make_prior_eval_grid,
@@ -132,14 +131,6 @@ def coverage_metrics(band: PredictiveBand, truth, k: float = 3.0):
     return float(np.mean(covered)), float(np.mean(2.0 * k * sd))
 
 
-def _prior_sigma_for(problem) -> float:
-    # N(0, 0.1) prior for first-order equations, N(0, 1) otherwise,
-    # reading the second argument as a variance
-    if getattr(problem, "order", None) == 1:
-        return float(np.sqrt(0.1))
-    return 1.0
-
-
 def evaluation_grid(config: ExperimentConfig) -> np.ndarray:
     """Report grid of ``config.problem``: ``grid_points`` over [x0, test end]
     for an ODE; for Burgers the ``burgers_grid`` over space x test time, rows
@@ -181,7 +172,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     elif config.method == "error_aware_nlm":
         features = feature_matrix(trained, dataset.points)
         eval_grid = make_prior_eval_grid(trained, envelope)
-        search = optimize_prior(features, dataset, eval_grid, default_candidate_sigmas())
+        search = optimize_prior(features, dataset, eval_grid)
         band = nlm_band(trained, search.posterior, profile)
         extras = {
             "prior_sigma": search.sigma,
@@ -190,12 +181,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             "prior_objective": search.objective,
         }
     else:
-        vi_cfg = VIConfig(
-            prior_sigma=_prior_sigma_for(problem),
-            epochs=config.vi_epochs,
-            seed=config.seed + _SEED_VI,
-        )
-        run = vi_train(trained, vi_cfg, dataset)
+        run = vi_train(trained, VIConfig(config.vi_epochs, config.seed + _SEED_VI), dataset)
         samples = sample_posterior(run.q, config.n_posterior_samples, seed=config.seed + _SEED_SAMPLES)
         band = predictive_moments(samples, problem, grid, profile if dataset is not None else None)
         extras = {"elbo_final": float(run.elbo_history[-1]) if len(run.elbo_history) else None}
@@ -343,26 +329,26 @@ _HARMONIC = tuple(f"ode2.harmonic.{s}" for s in ("exp", "poly", "log", "chirp"))
 _DAMPED = tuple(f"ode2.damped.{s}" for s in ("exp", "poly", "log", "trig"))
 
 PRESETS = {
-    # figure-style bundles at benchmark budgets
+    # figure-style bundles at benchmark budgets: ExperimentConfig defaults unless overridden
     "fig1": {
         "cells": [(p, "baseline_vi") for p in FIRST_ORDER_IDS],
-        "overrides": {"det_epochs": 10, "vi_epochs": 50000},
+        "overrides": {"det_epochs": 10},
     },
     "fig2": {
         "cells": [(p, m) for p in FIRST_ORDER_IDS for m in ("error_aware_nlm", "error_aware_vi")],
-        "overrides": {"det_epochs": 10000, "vi_epochs": 50000},
+        "overrides": {},
     },
     "fig4": {
         "cells": [(p, m) for p in _HARMONIC for m in ("error_aware_nlm", "error_aware_vi")],
-        "overrides": {"det_epochs": 10000, "vi_epochs": 50000},
+        "overrides": {},
     },
     "fig5": {
         "cells": [(p, m) for p in _DAMPED for m in ("error_aware_nlm", "error_aware_vi")],
-        "overrides": {"det_epochs": 10000, "vi_epochs": 50000},
+        "overrides": {},
     },
     "burgers": {
         "cells": [("burgers", "error_aware_vi")],
-        "overrides": {"det_epochs": 20000, "vi_epochs": 20000, "burgers_grid": (100, 100)},
+        "overrides": {"det_epochs": 20000, "vi_epochs": 20000},
     },
     # reduced budgets for desk-scale runs and CI
     "desk": {
@@ -383,15 +369,15 @@ def resolve_preset(name: str):
     return PRESETS[name]
 
 
-def preset_configs(name: str, base: ExperimentConfig = None):
-    """Experiment configs for a preset's cells (or the base cell with its
-    budget overrides when the preset defines no cells)."""
+def preset_configs(name: str):
+    """Experiment configs for a preset's cells; a preset of budgets only
+    raises :class:`ConfigurationError`."""
     preset = resolve_preset(name)
-    base = base or ExperimentConfig()
-    overrides = dict(preset["overrides"])
     if preset["cells"] is None:
-        return [replace(base, **overrides)]
+        raise ConfigurationError(
+            f"preset {name!r} defines budgets only; also pass --problem and --method"
+        )
     return [
-        replace(base, problem=problem, method=method, **overrides)
+        ExperimentConfig(problem=problem, method=method, **preset["overrides"])
         for problem, method in preset["cells"]
     ]

@@ -152,7 +152,7 @@ class NetworkParameters:
 
     layer_sizes: list
     theta: np.ndarray
-    activation: str = "tanh"
+    activation: str
     weights: list = field(init=False, repr=False)
     biases: list = field(init=False, repr=False)
 
@@ -160,7 +160,7 @@ class NetworkParameters:
         self.weights, self.biases = _layer_views(self.layer_sizes, self.theta)
 
     @classmethod
-    def zeros(cls, layer_sizes, activation="tanh") -> "NetworkParameters":
+    def zeros(cls, layer_sizes, activation) -> "NetworkParameters":
         """All-zero parameters for ``layer_sizes``."""
         sizes = list(layer_sizes)
         return cls(sizes, np.zeros(_layout(*sizes)[-1][1]), activation)
@@ -181,7 +181,7 @@ class NetworkParameters:
         return int(self.layer_sizes[-1])
 
 
-def init_network(layer_sizes, activation="tanh", seed=0) -> NetworkParameters:
+def init_network(layer_sizes, activation, seed=0) -> NetworkParameters:
     """Deterministic Glorot-uniform initialization with zero biases.
 
     Weights for a layer with ``fan_in`` inputs and ``fan_out`` outputs are

@@ -5,7 +5,8 @@ Gaussian linear head on those features admits an exact posterior.  The
 likelihood is heteroscedastic: each simulated observation (the trained
 network's own output at a collocation point) carries the pseudo-aleatoric
 variance at that point, so the head is constrained tightly where the error
-bound is tight and left to the prior where it is loose.
+bound is tight and left to the prior where it is loose.  The prior scale is
+searched: :func:`optimize_prior` fits the head at each of ``CANDIDATE_SIGMAS``.
 
 The hard-IC transform is applied outside the linear head: the head is fit
 on raw network outputs, and predictions push the head mean through the
@@ -31,6 +32,7 @@ VAR_FLOOR = 1e-10
 
 # points of the prior-selection grid over [x0, test end]
 PRIOR_EVAL_POINTS = 200
+CANDIDATE_SIGMAS = np.linspace(0.1, 1.0, 100)  # the prior scales the search tries
 
 
 @dataclass
@@ -152,11 +154,6 @@ def _grid_moments(posterior: NLMPosterior, features: np.ndarray):
     return mean_raw, np.maximum(epi_raw, 0.0)
 
 
-def default_candidate_sigmas() -> np.ndarray:
-    """100 equally spaced prior standard deviations in [0.1, 1]."""
-    return np.linspace(0.1, 1.0, 100)
-
-
 def make_prior_eval_grid(trained, envelope: ResidualEnvelope) -> PriorEvalGrid:
     problem = trained.problem
     pts = np.linspace(problem.x0, problem.test_domain[1], PRIOR_EVAL_POINTS)
@@ -174,9 +171,9 @@ def optimize_prior(
     features: np.ndarray,
     data: SimulatedDataset,
     eval_grid: PriorEvalGrid,
-    candidate_sigmas=None,
+    candidate_sigmas=CANDIDATE_SIGMAS,
 ) -> PriorSearchResult:
-    """Grid-search the prior scale.
+    """Grid-search the prior scale over ``candidate_sigmas``.
 
     A candidate is feasible when the 3-sigma predictive tube covers the
     error bound at every evaluation point:
@@ -188,8 +185,6 @@ def optimize_prior(
     is feasible the least-violating candidate is returned, flagged.  Every
     candidate is fit exactly, in order, and the first of equal keys wins.
     """
-    if candidate_sigmas is None:
-        candidate_sigmas = default_candidate_sigmas()
     candidates = np.asarray(candidate_sigmas, dtype=float)
     check_count("number of candidate_sigmas", candidates.size, 1)
 

@@ -23,11 +23,11 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 class AdamState:
     first_moment: np.ndarray
     second_moment: np.ndarray
-    step_count: int = 0
-    learning_rate: float = 0.01
+    step_count: int
+    learning_rate: float
 
 
-def init_adam(theta, learning_rate=0.01) -> AdamState:
+def init_adam(theta, learning_rate) -> AdamState:
     """Zero moments shaped like the flat vector ``theta``."""
     return AdamState(np.zeros_like(theta), np.zeros_like(theta), 0, float(learning_rate))
 

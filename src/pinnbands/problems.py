@@ -107,6 +107,11 @@ class ODEProblem:
         """Derivative slots the residual reads: u', and u'' at order 2."""
         return ((0,),) if self.order == 1 else ((0,), (0, 0))
 
+    @property
+    def prior_sigma(self) -> float:
+        """Sd of the VI weight prior: N(0, 0.1) at order 1, else N(0, 1) (variances)."""
+        return math.sqrt(0.1) if self.order == 1 else 1.0
+
     def real_parts(self):
         """Real parts (lam1, lam2) of the characteristic-root negatives.
 
@@ -132,6 +137,7 @@ class BurgersProblem:
     test_time: tuple = (0.0, 2.0)
     activation: ClassVar[str] = "sigmoid"
     learning_rate: ClassVar[float] = 1e-3
+    prior_sigma: ClassVar[float] = 1.0
 
     def __post_init__(self):
         check_finite("viscosity nu", self.nu, 0.0)

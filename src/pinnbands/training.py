@@ -92,13 +92,10 @@ def _collocation(problem, burgers_grid):
 
 
 def _jittered(points, spec: GridSpec, jitter, rng) -> np.ndarray:
+    # only a Burgers grid, of (x, t) rows, has a jitter
     if jitter <= 0:
         return points
-    noise = rng.uniform(-jitter, jitter, size=points.shape)
-    moved = points + noise
-    if points.ndim == 1:
-        a, b = spec.domain
-        return np.clip(moved, a, b)
+    moved = points + rng.uniform(-jitter, jitter, size=points.shape)
     (xa, xb), (ta, tb) = spec.domain
     moved[:, 0] = np.clip(moved[:, 0], xa, xb)
     moved[:, 1] = np.clip(moved[:, 1], ta, tb)
@@ -159,7 +156,7 @@ def train_deterministic(problem_id: str, config: TrainConfig) -> TrainedPINN:
     base_points = collocation_points(spec)
 
     params = init_network([problem.input_dim, *HIDDEN, 1], problem.activation, seed=config.seed)
-    state = init_adam(params.theta, learning_rate=problem.learning_rate)
+    state = init_adam(params.theta, problem.learning_rate)
     rng = np.random.default_rng(config.seed + 1)
 
     # a fixed grid feeds the same points every epoch, so its pieces are reused
@@ -206,7 +203,8 @@ def save_trained(trained: TrainedPINN, path_prefix: str):
 
 def load_trained(path_prefix: str) -> TrainedPINN:
     """Read what :func:`save_trained` wrote; a malformed weights file or
-    metadata, an unregistered problem id included, raises
+    metadata, an unregistered problem id included, or a network other than
+    the ``[input_dim, *HIDDEN, 1]`` one of the problem's activation raises
     :class:`ConfigurationError` naming the file.  Other keys, such as the
     set-up earlier versions recorded, are ignored."""
     params = load_weights(f"{path_prefix}.weights")
@@ -224,5 +222,10 @@ def load_trained(path_prefix: str) -> TrainedPINN:
         raise ConfigurationError(
             f"{meta_path}: malformed metadata ({type(exc).__name__}: {exc})"
         ) from exc
+    sizes = [problem.input_dim, *HIDDEN, 1]
+    if params.layer_sizes != sizes or params.activation != problem.activation:
+        raise ConfigurationError(f"{path_prefix}.weights: a {params.layer_sizes} "
+                                 f"{params.activation} network, but {problem_id} trains "
+                                 f"{sizes} {problem.activation}")
     history = np.array([final_loss]) if final_loss is not None else np.empty(0)
     return TrainedPINN(params, problem_id, history, config)

@@ -7,9 +7,11 @@ training adjusts only rho via reparameterization-trick gradient steps on
 the negative ELBO (closed-form KL minus a Monte Carlo log-likelihood), one
 draw per step.  The chain-rule factor d sigma / d rho is the logistic
 sigmoid(rho), taken as exp(rho - softplus(rho)) from the sigma the step has
-already computed.
+already computed.  The prior N(0, prior_sigma^2 I) is the problem's: its
+``prior_sigma`` is sqrt(0.1) for a first-order ODE and 1 otherwise, so
+:class:`VIConfig` keeps only what a run chooses, its epochs and seed.
 
-The likelihood follows from whether a simulated dataset is given:
+Each cell builds one log-likelihood, from whether a simulated dataset is given:
 
 * without one (baseline): zero-mean Gaussian over the equation residuals
   with unit variance, sigma_D^2 = 1 (the plain B-PINN construction).
@@ -87,7 +89,6 @@ class MeanFieldGaussian:
 
 @dataclass
 class VIConfig:
-    prior_sigma: float = 1.0
     epochs: int = 50000
     seed: int = 0
     mc_samples_per_step: ClassVar[int] = 1
@@ -116,57 +117,43 @@ def gaussian_kl(q: MeanFieldGaussian, prior_sigma: float, sigma) -> float:
     return float(np.add.reduce(terms))
 
 
-@dataclass
-class _VIContext:
-    """Precomputed quantities shared by every ELBO evaluation; ``pieces``
-    is set for the baseline likelihood only."""
-
-    problem: object
-    points: np.ndarray
-    derivs: tuple
-    pieces: Optional[tuple] = None             # baseline: residual_pieces(points)
-    raw_targets: Optional[np.ndarray] = None   # error-aware: dataset targets
-    variances: Optional[np.ndarray] = None     # error-aware: dataset variances
-    scale: Optional[np.ndarray] = None         # error-aware: transform mask
-    const_term: float = 0.0
-
-
-def _make_context(trained: TrainedPINN, data: Optional[SimulatedDataset]) -> _VIContext:
+def _likelihood(trained: TrainedPINN, data: Optional[SimulatedDataset]):
+    """``loglik(params, need_grads=True)`` -> (log-likelihood at sampled
+    parameters, its flat gradient w.r.t. them or None): the baseline residual
+    likelihood without ``data``, the error-aware one with it."""
     problem = trained.problem
     if data is None:
         points = training_grid(trained)
-        return _VIContext(
-            problem, points, problem.derivs,
-            pieces=residual_pieces(problem, points), const_term=-0.5 * len(points) * LOG_2PI,
-        )
-    points = data.points
+        derivs, pieces = problem.derivs, residual_pieces(problem, points)
+        const = -0.5 * len(points) * LOG_2PI
+
+        def loglik(params, need_grads=True):
+            jets, tape = forward_jets_batch(params, points, derivs, need_tape=need_grads)
+            r = residual_from_jets(problem, points, jets, pieces)
+            value = const - 0.5 * float(np.add.reduce(r * r))
+            if not need_grads:
+                return value, None
+            dv, dslots = residual_jet_partials(problem, points, jets, pieces)
+            rbar = -r
+            return value, backward(params, tape, rbar * dv, rbar * dslots).theta
+
+        return loglik
+
+    points, targets, variances = data.points, data.targets, data.variances
     # the transform offset is shared by target and prediction, so the
     # deviation reduces to scale * (raw_det - raw_sample)
     _, scale = transform_offset_scale(problem, points)
-    const = float(-0.5 * np.sum(LOG_2PI + np.log(data.variances)))
-    return _VIContext(
-        problem, points, (),
-        raw_targets=data.targets, variances=data.variances, scale=scale, const_term=const,
-    )
+    const = float(-0.5 * np.sum(LOG_2PI + np.log(variances)))
 
-
-def _loglik_and_grads(ctx: _VIContext, params: NetworkParameters, need_grads=True):
-    """Log-likelihood at sampled parameters; its flat gradient w.r.t. them if asked."""
-    jets, tape = forward_jets_batch(params, ctx.points, ctx.derivs, need_tape=need_grads)
-    if ctx.pieces is not None:
-        r = residual_from_jets(ctx.problem, ctx.points, jets, ctx.pieces)
-        loglik = ctx.const_term - 0.5 * float(np.add.reduce(r * r))
+    def loglik(params, need_grads=True):
+        jets, tape = forward_jets_batch(params, points, (), need_tape=need_grads)
+        dev = scale * (targets - jets.value)
+        value = const - 0.5 * float(np.add.reduce(dev * dev / variances))
         if not need_grads:
-            return loglik, None
-        dv, dslots = residual_jet_partials(ctx.problem, ctx.points, jets, ctx.pieces)
-        rbar = -r
-        return loglik, backward(params, tape, rbar * dv, rbar * dslots).theta
-    dev = ctx.scale * (ctx.raw_targets - jets.value)
-    loglik = ctx.const_term - 0.5 * float(np.add.reduce(dev * dev / ctx.variances))
-    if not need_grads:
-        return loglik, None
-    value_bar = ctx.scale * dev / ctx.variances
-    return loglik, backward(params, tape, value_bar).theta
+            return value, None
+        return value, backward(params, tape, scale * dev / variances).theta
+
+    return loglik
 
 
 def _sigma_and_kl(q: MeanFieldGaussian, prior_sigma: float):
@@ -175,29 +162,26 @@ def _sigma_and_kl(q: MeanFieldGaussian, prior_sigma: float):
     return sigma, gaussian_kl(q, prior_sigma, sigma)
 
 
-def eval_elbo(ctx, q: MeanFieldGaussian, offsets, sigma, kl) -> float:
+def eval_elbo(loglik, q: MeanFieldGaussian, offsets, sigma, kl) -> float:
     """ELBO evaluated with fixed draws (rows of ``offsets``): deterministic
-    in the variational state.  ``sigma, kl`` are :func:`_sigma_and_kl` of
-    ``q``."""
-    logliks = [
-        _loglik_and_grads(ctx, q.materialize(z, sigma), need_grads=False)[0]
-        for z in offsets
-    ]
+    in the variational state.  ``loglik`` is :func:`_likelihood` of the
+    cell; ``sigma, kl`` are :func:`_sigma_and_kl` of ``q``."""
+    logliks = [loglik(q.materialize(z, sigma), need_grads=False)[0] for z in offsets]
     return float(np.mean(logliks) - kl)
 
 
-def _step(ctx, q, config, rng, adam_state, sigma, kl):
+def _step(loglik, q, prior_sigma, rng, adam_state, sigma, kl):
     """One reparameterization-trick gradient step on the negative ELBO in rho
-    (the means stay frozen), from one draw.  ``sigma, kl`` are
+    (the means stay frozen), from one draw of ``loglik``.  ``sigma, kl`` are
     :func:`_sigma_and_kl` of ``q``."""
-    sp2 = config.prior_sigma * config.prior_sigma
+    sp2 = prior_sigma * prior_sigma
     # d sigma / d rho = sigmoid(rho) = exp(rho - softplus(rho)); the exponent
     # is never positive, so it cannot overflow
     dsigma = np.exp(q.rho - sigma)
     kl_rho = (-1.0 / sigma + sigma / sp2) * dsigma
     z = rng.standard_normal(q.mu.size)
-    loglik, dl = _loglik_and_grads(ctx, q.materialize(z, sigma))
-    if not np.isfinite(loglik - kl):
+    value, dl = loglik(q.materialize(z, sigma))
+    if not np.isfinite(value - kl):
         raise TrainingDivergedError("non-finite ELBO estimate")
     # minimize -ELBO = KL - loglik;  d theta / d rho = zeta * sigmoid(rho)
     g_rho = kl_rho - dl * z * dsigma
@@ -217,31 +201,33 @@ def vi_train(
     trained: TrainedPINN, config: VIConfig, data: Optional[SimulatedDataset] = None
 ) -> VIRun:
     """Optimize the variational distribution for ``config.epochs`` steps,
-    starting from :func:`vi_init` at ``config.seed``.
+    starting from :func:`vi_init` at ``config.seed``, under the weight prior
+    N(0, ``trained.problem.prior_sigma``^2 I).
 
     Given ``data``, the simulated observations of
     :func:`pinnbands.nlm.build_simulated_dataset`, the error-aware likelihood
     fits it; without it, the baseline likelihood reads the residuals on the
     training grid.
     """
-    ctx = _make_context(trained, data)
+    loglik = _likelihood(trained, data)
+    prior_sigma = trained.problem.prior_sigma
     q = vi_init(trained, seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
     eval_offsets = rng.standard_normal((config.n_eval_draws, q.mu.size))
     adam_state = init_adam(q.rho, trained.problem.learning_rate)
 
     # sigma and the KL of a state serve its evaluation and the next step
-    sigma_kl = _sigma_and_kl(q, config.prior_sigma)
+    sigma_kl = _sigma_and_kl(q, prior_sigma)
     evals = np.empty(config.epochs)
     for epoch in range(config.epochs):
         try:
-            q, adam_state = _step(ctx, q, config, rng, adam_state, *sigma_kl)
+            q, adam_state = _step(loglik, q, prior_sigma, rng, adam_state, *sigma_kl)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(
                 f"VI diverged at epoch {epoch}: {exc}", epoch=epoch
             ) from exc
-        sigma_kl = _sigma_and_kl(q, config.prior_sigma)
-        evals[epoch] = eval_elbo(ctx, q, eval_offsets, *sigma_kl)
+        sigma_kl = _sigma_and_kl(q, prior_sigma)
+        evals[epoch] = eval_elbo(loglik, q, eval_offsets, *sigma_kl)
     return VIRun(q, evals)
 
 

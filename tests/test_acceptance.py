@@ -21,9 +21,9 @@ from pinnbands.bounds import (
 from pinnbands.harness import ExperimentConfig, emit_outputs, run_experiment
 from pinnbands.network import backward, forward_jets_batch, forward_values, init_network
 from pinnbands.nlm import (
+    CANDIDATE_SIGMAS,
     SimulatedDataset,
     build_simulated_dataset,
-    default_candidate_sigmas,
     feature_matrix,
     make_prior_eval_grid,
     nlm_band,
@@ -328,13 +328,12 @@ def test_c05_nlm_exactness(models_10000, envelopes_10000):
         feature_matrix(trained, dataset.points),
         dataset,
         make_prior_eval_grid(trained, env),
-        default_candidate_sigmas(),
     )
     profile = pseudo_profile(trained, env, EVAL_GRID)
     band = nlm_band(trained, search.posterior, profile)
     assert np.all(band.total_var >= band.sigma_p2)
 
-    candidates = default_candidate_sigmas()
+    candidates = CANDIDATE_SIGMAS
     assert len(candidates) == 100
     assert candidates[0] == 0.1 and candidates[-1] == 1.0
     assert isinstance(search.feasible, bool)
@@ -429,7 +428,7 @@ def test_c08_vi_mechanics(models_10000, envelopes_10000):
     trained = models_10000["ode1.exp"]
     pts = training_grid(trained)
     profile = pseudo_profile(trained, envelopes_10000["ode1.exp"], pts)
-    config = VIConfig(prior_sigma=float(np.sqrt(0.1)), epochs=5000, seed=0)
+    config = VIConfig(epochs=5000, seed=0)
     run = vi_train(trained, config, build_simulated_dataset(trained, profile))
     ma = moving_average(run.elbo_history, 1000)
     skip = int(0.05 * config.epochs)
@@ -520,7 +519,7 @@ def test_c10_bit_reproducibility(tmp_path):
     # variational training and posterior sampling
     env = estimate_envelope(a)
     profile = pseudo_profile(a, env, training_grid(a))
-    vcfg = VIConfig(prior_sigma=0.5, epochs=60, seed=2)
+    vcfg = VIConfig(epochs=60, seed=2)
     ra = vi_train(a, vcfg, build_simulated_dataset(a, profile))
     rb = vi_train(b, vcfg, build_simulated_dataset(b, profile))
     assert np.array_equal(ra.elbo_history, rb.elbo_history)

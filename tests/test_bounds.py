@@ -405,14 +405,8 @@ class TestBurgersSigma:
 
 
 def test_uniform_knots_cover_test_domain():
-    knots = uniform_knots(get_problem("ode1.exp"), 40)
+    knots = uniform_knots(get_problem("ode1.exp"))
     assert knots[0] == 0.0 and knots[-1] == 4.0 and len(knots) == 41
-
-
-@pytest.mark.parametrize("n", [2.7, 40.0, 0, True])
-def test_uniform_knots_need_an_interval_count(n):
-    with pytest.raises(ConfigurationError, match="n_intervals"):
-        uniform_knots(get_problem("ode1.exp"), n)
 
 
 def test_profile_csv_export(tmp_path, models_10, envelopes_10):

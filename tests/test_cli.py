@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from pinnbands.cli import main
 from pinnbands.errors import PinnbandsError
 from pinnbands.harness import METHODS
+from pinnbands.network import init_network
 from pinnbands.problems import problem_ids
 from pinnbands.training import TrainConfig, save_trained, train_deterministic
+from pinnbands.weights_io import save_weights
 
 
 def run_cli(*argv):
@@ -228,6 +230,19 @@ class TestCertify:
         assert code == 2
         err = capsys.readouterr().err
         assert f"'{record}'" in err and "model.weights" in err
+        assert not os.path.exists(tmp_path / "c.csv")
+
+    def test_network_the_problem_does_not_train_exit_2(self, tmp_path, capsys, models_10):
+        prefix = str(tmp_path / "model")
+        save_trained(models_10["ode1.exp"], prefix)
+        save_weights(init_network([1, 8, 1], "tanh", seed=0), f"{prefix}.weights")
+        code = run_cli(
+            "certify", "--weights", prefix, "--problem", "ode1.exp",
+            "--out", str(tmp_path / "c.csv"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and "model.weights" in err
         assert not os.path.exists(tmp_path / "c.csv")
 
     def test_burgers_weights_exit_2(self, tmp_path, capsys):

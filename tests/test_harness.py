@@ -33,6 +33,9 @@ from pinnbands.harness import (
     run_experiment,
 )
 from pinnbands.problems import get_entry
+from pinnbands.vi import VIConfig, vi_train
+
+from conftest import training_dataset
 
 
 def synthetic_band(mean, sd):
@@ -175,6 +178,18 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match="vi_epochs"):
             ExperimentConfig(method=method, vi_epochs=0).validate()
         ExperimentConfig(method="deterministic", vi_epochs=0).validate()
+
+    @pytest.mark.parametrize("pid", ["ode1.exp", "ode2.damped.exp"])
+    def test_vi_cell_fits_the_problem_prior(self, pid):
+        # the cell's VI run is vi_train at its epochs and seed + 1; the prior
+        # comes from the problem
+        cfg = ExperimentConfig(problem=pid, method="error_aware_vi", det_epochs=5, vi_epochs=3,
+                               grid_points=11, n_posterior_samples=4, seed=2)
+        report = run_experiment(cfg)
+        trained = report.trained
+        dataset = training_dataset(trained, estimate_envelope(trained))
+        run = vi_train(trained, VIConfig(cfg.vi_epochs, cfg.seed + 1), dataset)
+        assert report.metrics["elbo_final"] == run.elbo_history[-1]
 
 
 def _csv_by_loop(table):
@@ -327,8 +342,23 @@ class TestPresets:
         assert methods == {"error_aware_nlm", "error_aware_vi"}
 
     def test_desk_overrides_budgets(self):
-        cfg = preset_configs("desk", ExperimentConfig(problem="ode1.exp", method="deterministic"))[0]
+        # the CLI applies a budget-only preset to the cell it names
+        cell = ExperimentConfig(problem="ode1.exp", method="deterministic")
+        cfg = replace(cell, **PRESETS["desk"]["overrides"])
         assert cfg.det_epochs == 2000 and cfg.vi_epochs == 5000 and cfg.grid_points == 201
+        assert cfg.burgers_grid == (50, 50)
+
+    def test_budget_only_preset_has_no_cells(self):
+        with pytest.raises(ConfigurationError, match="budgets only"):
+            preset_configs("desk")
+
+    @pytest.mark.parametrize("name, det, vi", [
+        ("fig1", 10, 50000), ("fig2", 10000, 50000), ("fig4", 10000, 50000),
+        ("fig5", 10000, 50000), ("burgers", 20000, 20000),
+    ])
+    def test_figure_preset_budgets(self, name, det, vi):
+        for cfg in preset_configs(name):
+            assert (cfg.det_epochs, cfg.vi_epochs, cfg.burgers_grid) == (det, vi, (100, 100))
 
     def test_preset_stem_follows_det_epochs(self):
         cfg = replace(preset_configs("fig1")[0], det_epochs=3)

@@ -328,7 +328,7 @@ def matmul_reference(params, X, derivs, value_bar, slots_bar):
         layers.append((a_in, z_G, act))
 
     vb, Gb = value_bar.reshape(M, 1), slots_bar.reshape(S, M, 1)
-    grads = NetworkParameters(list(params.layer_sizes), np.empty_like(params.theta))
+    grads = NetworkParameters(list(params.layer_sizes), np.empty_like(params.theta), "tanh")
     for l in range(n_layers - 1, -1, -1):
         (a_v, a_G), z_G, act = layers[l]
         W = params.weights[l]
@@ -453,16 +453,16 @@ class TestFlatLayout:
 
     def test_wrong_vector_length_rejected(self):
         with pytest.raises(ShapeError):
-            NetworkParameters([1, 2, 1], np.zeros(6))
+            NetworkParameters([1, 2, 1], np.zeros(6), "tanh")
         with pytest.raises(ShapeError):
-            NetworkParameters([1, 2, 1], np.zeros(8))
+            NetworkParameters([1, 2, 1], np.zeros(8), "tanh")
         with pytest.raises(ConfigurationError):
-            NetworkParameters.zeros([1, 0, 1])
+            NetworkParameters.zeros([1, 0, 1], "tanh")
 
     def test_float_size_rejected_after_equal_integer_size(self):
         # the layout cache must not let 32.0 reuse the checked entry of 32
-        assert NetworkParameters([1, 32, 1], np.zeros(97)).layer_sizes == [1, 32, 1]
+        assert NetworkParameters([1, 32, 1], np.zeros(97), "tanh").layer_sizes == [1, 32, 1]
         with pytest.raises(ConfigurationError):
-            NetworkParameters([1, 32.0, 1], np.zeros(97))
+            NetworkParameters([1, 32.0, 1], np.zeros(97), "tanh")
         with pytest.raises(ConfigurationError):
-            NetworkParameters.zeros([1, 32.0, 1])
+            NetworkParameters.zeros([1, 32.0, 1], "tanh")

@@ -18,8 +18,8 @@ from pinnbands.nlm import (
     VAR_FLOOR,
     NLMPosterior,
     PriorEvalGrid,
+    CANDIDATE_SIGMAS,
     SimulatedDataset,
-    default_candidate_sigmas,
     export_posterior_json,
     feature_matrix,
     make_prior_eval_grid,
@@ -55,7 +55,7 @@ def features_at(trained, x):
 
 def one_feature_model(hidden_bias):
     """ode1.exp with a 1-1-1 tanh net whose hidden feature is tanh(hidden_bias)."""
-    params = NetworkParameters.zeros([1, 1, 1])
+    params = NetworkParameters.zeros([1, 1, 1], "tanh")
     params.biases[0][:] = hidden_bias
     return TrainedPINN(params, "ode1.exp", np.empty(0), None)
 
@@ -217,7 +217,7 @@ class TestPredict:
 
 class TestPriorSearch:
     def test_default_candidate_grid(self):
-        cands = default_candidate_sigmas()
+        cands = CANDIDATE_SIGMAS
         assert len(cands) == 100
         assert cands[0] == 0.1 and cands[-1] == 1.0
         assert np.allclose(np.diff(cands), cands[1] - cands[0])
@@ -313,7 +313,8 @@ def desk_searches():
     real = harness.optimize_prior
     try:
         for pid in DESK_IDS:
-            def grab(features, data, eval_grid, candidates, pid=pid):
+            # the harness passes no candidates, so the search reads CANDIDATE_SIGMAS
+            def grab(features, data, eval_grid, candidates=CANDIDATE_SIGMAS, pid=pid):
                 captured[pid] = (features, data, eval_grid, candidates)
                 return real(features, data, eval_grid, candidates)
 

@@ -11,7 +11,7 @@ from pinnbands.optim import adam_step, adam_step_arrays, init_adam
 def test_zero_gradient_keeps_parameters():
     p = init_network([1, 4, 1], "tanh", seed=0)
     state = init_adam(p.theta, learning_rate=0.01)
-    zero = NetworkParameters(p.layer_sizes, np.zeros_like(p.theta))
+    zero = NetworkParameters(p.layer_sizes, np.zeros_like(p.theta), "tanh")
     new_p, new_state = adam_step(p, zero, state)
     assert np.array_equal(p.theta, new_p.theta)
     assert new_state.step_count == 1
@@ -47,14 +47,14 @@ def test_quadratic_convergence_matches_scalar_recursion():
 
 def test_nan_gradients_raise():
     values = np.array([0.0])
-    state = init_adam(values)
+    state = init_adam(values, 0.01)
     with pytest.raises(TrainingDivergedError):
         adam_step_arrays(values, np.array([np.nan]), state)
 
 
 def test_update_is_pure():
     values = np.array([1.0, 2.0])
-    state = init_adam(values)
+    state = init_adam(values, 0.01)
     before = values.copy()
     adam_step_arrays(values, np.array([0.5, 0.5]), state)
     assert np.array_equal(values, before)
@@ -85,8 +85,8 @@ def test_flat_step_matches_per_array_adam():
 
 def test_adam_step_keeps_layer_views():
     p = init_network([1, 4, 1], "tanh", seed=0)
-    state = init_adam(p.theta)
-    new_p, _ = adam_step(p, NetworkParameters(p.layer_sizes, np.ones_like(p.theta)), state)
+    state = init_adam(p.theta, 0.01)
+    new_p, _ = adam_step(p, NetworkParameters(p.layer_sizes, np.ones_like(p.theta), "tanh"), state)
     assert all(np.shares_memory(a, new_p.theta) for a in new_p.weights + new_p.biases)
     assert not np.shares_memory(new_p.theta, p.theta)
 

@@ -124,7 +124,7 @@ def ode_residual(problem, x, u, du, ddu=0.0):
 
 def linear_net(value, slope=0.0):
     """One-input network value + slope * x (a single linear layer)."""
-    net = NetworkParameters.zeros([1, 1])
+    net = NetworkParameters.zeros([1, 1], "tanh")
     net.weights[0][:] = slope
     net.biases[0][:] = value
     return net
@@ -191,6 +191,13 @@ class TestRegistry:
         lam1, lam2 = get_problem("ode2.harmonic.exp").real_parts()
         assert lam1 == 0.0 and lam2 == 0.0
 
+    @pytest.mark.parametrize("pid", problem_ids())
+    def test_vi_prior_follows_the_order(self, pid):
+        # N(0, 0.1) for a first-order equation, N(0, 1) otherwise
+        expect = float(np.sqrt(0.1)) if pid.startswith("ode1.") else 1.0
+        prior_sigma = get_problem(pid).prior_sigma
+        assert type(prior_sigma) is float and prior_sigma == expect
+
 
 class TestReparameterize:
     def test_order1_pins_value_exactly(self):
@@ -224,7 +231,7 @@ class TestResidual:
     def test_hand_arithmetic_cancellation(self):
         # zero network: u~ = u0 = 2 everywhere, so u' + 3u - 6 = 0 exactly
         problem = ODEProblem(order=1, lam=3.0, source=lambda t: np.full_like(np.asarray(t, dtype=float), 6.0), u0=2.0)
-        net = NetworkParameters.zeros([1, 4, 1])
+        net = NetworkParameters.zeros([1, 4, 1], "tanh")
         assert residual_values(problem, net, np.array([1.3]))[0] == 0.0
 
     def test_hand_arithmetic_exp_source(self):

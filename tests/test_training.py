@@ -382,6 +382,19 @@ def test_load_sidecar_with_removed_keys(tmp_path, pid):
     assert back.config == TrainConfig(50, 0, grid)
 
 
+@pytest.mark.parametrize("sizes, activation", [
+    ([2, 8, 1], "tanh"), ([2, 32, 32, 1], "tanh"), ([2, 8, 1], "sigmoid"),
+])
+def test_load_rejects_a_network_the_problem_does_not_train(tmp_path, sizes, activation):
+    # burgers trains a [2, 32, 32, 1] sigmoid network and nothing else
+    prefix = str(tmp_path / "model")
+    save_weights(init_network(sizes, activation, seed=0), f"{prefix}.weights")
+    with open(f"{prefix}.meta.json", "w") as fh:
+        fh.write(_OLD_META["burgers"])
+    with pytest.raises(ConfigurationError, match="model.weights: a .* network, but burgers"):
+        load_trained(prefix)
+
+
 def test_problem_object_rejected():
     # training takes a registry id, so the trained model can rebuild its problem
     with pytest.raises(ConfigurationError, match="unknown problem id"):

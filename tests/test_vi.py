@@ -120,13 +120,12 @@ class TestElboStep:
     def test_baseline_loglik_constant_at_zero_residual(self, models_10000):
         # with sigma_D = 1 and all residuals zero the log-likelihood reduces
         # to -(M/2) ln(2 pi); check via the recorded ELBO of a prior-matching q
-        from pinnbands.vi import _make_context, _loglik_and_grads
+        from pinnbands.vi import _likelihood
 
         trained = models_10000["ode1.exp"]
-        ctx = _make_context(trained, None)
         q = vi_init(trained, seed=0)
         params = q.materialize(np.zeros_like(q.mu), softplus(q.rho))
-        loglik, _ = _loglik_and_grads(ctx, params, need_grads=False)
+        loglik, _ = _likelihood(trained, None)(params, need_grads=False)
         m = len(training_grid(trained))
         from pinnbands.training import mse_residual_loss
 
@@ -137,7 +136,7 @@ class TestElboStep:
     def test_single_step_runs_and_updates_rho_only(self, models_10, envelopes_10):
         trained = models_10["ode1.exp"]
         data = training_dataset(trained, envelopes_10["ode1.exp"])
-        config = VIConfig(prior_sigma=0.5, epochs=1, seed=0)
+        config = VIConfig(epochs=1, seed=0)
         q = vi_init(trained, seed=config.seed)
         run = vi_train(trained, config, data)
         q2, elbo = run.q, run.elbo_history[0]
@@ -161,16 +160,13 @@ class TestElboStep:
         data = training_dataset(trained, envelopes_10["ode1.exp"])
         if likelihood == "baseline_residual":
             data = None
-        config = VIConfig(prior_sigma=0.5, epochs=3)
+        config = VIConfig(epochs=3)
         vi_train(trained, config, data)
         per_epoch = VIConfig.mc_samples_per_step + VIConfig.n_eval_draws
         assert per_epoch == 5
         assert len(calls) == config.epochs * per_epoch
 
     @pytest.mark.parametrize("field, value", [
-        ("prior_sigma", float("nan")),
-        ("prior_sigma", float("inf")),
-        ("prior_sigma", 0.0),
         ("epochs", 1.5),
         ("epochs", 0),
         ("seed", -1),
@@ -397,31 +393,36 @@ class TestTraining:
     def test_short_run_reproducible(self, models_10, envelopes_10):
         trained = models_10["ode1.exp"]
         data = training_dataset(trained, envelopes_10["ode1.exp"])
-        config = VIConfig(prior_sigma=0.5, epochs=40, seed=4)
+        config = VIConfig(epochs=40, seed=4)
         a = vi_train(trained, config, data)
         b = vi_train(trained, config, data)
         assert np.array_equal(a.elbo_history, b.elbo_history)
         assert np.array_equal(a.q.rho, b.q.rho)
 
-    @pytest.mark.parametrize("likelihood", ["error_aware_simulated", "baseline_residual"])
+    @pytest.mark.parametrize("likelihood, pid", [
+        pytest.param(likelihood, pid, id=likelihood + suffix)
+        for pid, suffix in (("ode1.exp", ""), ("ode2.damped.exp", "-ode2.damped.exp"))
+        for likelihood in ("error_aware_simulated", "baseline_residual")
+    ])
     @pytest.mark.parametrize("epochs", [1, 3])
-    def test_last_elbo_matches_fresh_evaluation(self, models_10, envelopes_10, likelihood, epochs):
+    def test_last_elbo_matches_fresh_evaluation(self, likelihood, pid, epochs):
         # the trace reuses each state's sigma and KL; recomputing them from
-        # the final state must give the same last entry
-        from pinnbands.vi import _make_context, _sigma_and_kl, eval_elbo
+        # the final state must give the same last entry, at the prior of a
+        # first-order (sqrt(0.1)) and a second-order (1.0) problem
+        from pinnbands.vi import _likelihood, _sigma_and_kl, eval_elbo
 
-        trained = models_10["ode1.exp"]
-        data = training_dataset(trained, envelopes_10["ode1.exp"])
+        trained = train_deterministic(pid, TrainConfig(10, 0))
+        data = training_dataset(trained, estimate_envelope(trained))
         if likelihood == "baseline_residual":
             data = None
-        config = VIConfig(prior_sigma=0.5, epochs=epochs, seed=5)
+        config = VIConfig(epochs=epochs, seed=5)
         run = vi_train(trained, config, data)
         offsets = np.random.default_rng(config.seed + 1).standard_normal(
             (config.n_eval_draws, run.q.mu.size)
         )
-        ctx = _make_context(trained, data)
-        sigma, kl = _sigma_and_kl(run.q, config.prior_sigma)
-        assert run.elbo_history[-1] == eval_elbo(ctx, run.q, offsets, sigma, kl)
+        sigma, kl = _sigma_and_kl(run.q, trained.problem.prior_sigma)
+        loglik = _likelihood(trained, data)
+        assert run.elbo_history[-1] == eval_elbo(loglik, run.q, offsets, sigma, kl)
 
     def test_total_variance_decomposition(self, models_10, envelopes_10):
         # identical posterior samples: error-aware total minus baseline total
@@ -476,13 +477,13 @@ class TestFlatLayoutOracles:
     @pytest.mark.parametrize("likelihood", ["error_aware_simulated", "baseline_residual"])
     def test_one_step_matches_list_oracle(self, models_10, envelopes_10, likelihood):
         from pinnbands.network import NetworkParameters
-        from pinnbands.vi import _loglik_and_grads, _make_context
+        from pinnbands.vi import _likelihood
 
         trained = models_10["ode1.exp"]
         data = training_dataset(trained, envelopes_10["ode1.exp"])
         if likelihood == "baseline_residual":
             data = None
-        config = VIConfig(prior_sigma=0.5, epochs=1, seed=3)
+        config = VIConfig(epochs=1, seed=3)
         run = vi_train(trained, config, data)
 
         # the step written array by array, as one list entry per weight/bias
@@ -500,8 +501,8 @@ class TestFlatLayoutOracles:
         sigmas = [np.log1p(np.exp(r)) for r in rhos]
         theta = np.concatenate([(m + s * z).ravel() for m, s, z in zip(mus, sigmas, zs)])
         sampled = NetworkParameters(params.layer_sizes, theta, params.activation)
-        _, dl = _loglik_and_grads(_make_context(trained, data), sampled)
-        sp2 = config.prior_sigma**2
+        _, dl = _likelihood(trained, data)(sampled)
+        sp2 = trained.problem.prior_sigma**2
         lr, b1, b2, eps = trained.problem.learning_rate, 0.9, 0.999, 1e-8
         new_rhos = []
         for r, s, z, d in zip(rhos, sigmas, zs, split_layers(dl, shapes)):
@@ -537,15 +538,15 @@ class TestInfiniteBoundDataset:
         data = build_simulated_dataset(trained, profile)
         post = nlm_fit(feature_matrix(trained, data.points), data, 0.5)
         assert np.all(np.isfinite(post.mean)) and np.all(np.isfinite(post.covariance))
-        run = vi_train(trained, VIConfig(prior_sigma=0.5, epochs=2, seed=0), data)
+        run = vi_train(trained, VIConfig(epochs=2, seed=0), data)
         assert np.all(np.isfinite(run.elbo_history)) and np.all(np.isfinite(run.q.rho))
 
     def test_loglik_matches_oracle_over_kept_points(self, logsing_10):
-        from pinnbands.vi import _loglik_and_grads, _make_context
+        from pinnbands.vi import _likelihood
 
         trained, profile = logsing_10
         problem = trained.problem
-        ctx = _make_context(trained, build_simulated_dataset(trained, profile))
+        loglik = _likelihood(trained, build_simulated_dataset(trained, profile))
         kept = [(x, s) for x, s in zip(profile.grid, profile.sigma_p) if math.isfinite(s)]
         xs = np.array([x for x, _ in kept])
         u_det = surrogate_values(problem, trained.params, xs)
@@ -561,8 +562,8 @@ class TestInfiniteBoundDataset:
         z = np.random.default_rng(5).standard_normal(q.mu.size)
         for offsets in (np.zeros_like(q.mu), z):
             params = q.materialize(offsets, softplus(q.rho))
-            loglik, _ = _loglik_and_grads(ctx, params, need_grads=False)
-            assert loglik == pytest.approx(oracle(params), rel=1e-12)
+            value, _ = loglik(params, need_grads=False)
+            assert value == pytest.approx(oracle(params), rel=1e-12)
 
 
 def test_band_csv_header(tmp_path, models_10):
