@@ -40,7 +40,7 @@ class DomainError(PinnbandsError):
 
 
 class ConditioningError(PinnbandsError):
-    """A symmetric positive definite solve failed numerically."""
+    """A linear-algebra factorization met non-finite input or failed to converge."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

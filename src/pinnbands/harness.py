@@ -47,6 +47,7 @@ from .problems import (
     surrogate_values,
 )
 from .training import (
+    BURGERS_GRID,
     GridSpec,
     TrainConfig,
     TrainedPINN,
@@ -75,7 +76,7 @@ class ExperimentConfig:
     seed: int = 0
     grid_points: int = 401
     n_posterior_samples: int = 1000
-    burgers_grid: tuple = (100, 100)
+    burgers_grid: tuple = BURGERS_GRID
     burgers_time_samples: int = 64
 
     def validate(self) -> "ExperimentConfig":

@@ -5,8 +5,9 @@ Gaussian linear head on those features admits an exact posterior.  The
 likelihood is heteroscedastic: each simulated observation (the trained
 network's own output at a collocation point) carries the pseudo-aleatoric
 variance at that point, so the head is constrained tightly where the error
-bound is tight and left to the prior where it is loose.  The prior scale is
-searched: :func:`optimize_prior` fits the head at each of ``CANDIDATE_SIGMAS``.
+bound is tight and left to the prior where it is loose.  One SVD of the
+whitened design gives the posterior at every prior scale, and
+:func:`optimize_prior` scores each of ``CANDIDATE_SIGMAS`` from it.
 
 The hard-IC transform is applied outside the linear head: the head is fit
 on raw network outputs, and predictions push the head mean through the
@@ -110,48 +111,47 @@ def build_simulated_dataset(trained, profile: PseudoAleatoricProfile) -> Simulat
     return SimulatedDataset(pts[keep], targets[keep], variances[keep])
 
 
+def _whitened_svd(features: np.ndarray, data: SimulatedDataset, **context):
+    """``(V, s2, p)`` of the SVD S^-1/2 Phi = U Sigma V^T with V square: s2
+    holds Sigma^2 and p = Sigma U^T S^-1/2 y, zero-padded to the feature
+    dimension, so the precision at any prior scale is V (s2 + sigma^-2) V^T.
+    """
+    if features.shape[0] != len(data.targets):
+        raise ShapeError("feature rows and dataset length differ")
+    root = np.sqrt(data.variances)
+    design, targets = features / root[:, None], data.targets / root
+    n, dim = design.shape
+    diagnostics = dict(feature_dim=dim, n_points=n, min_variance=float(np.min(data.variances)))
+    diagnostics.update(context)
+    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(targets))):
+        raise ConditioningError("whitened design or targets are not finite", diagnostics)
+    try:  # a full U only when n < dim, where it is n x n; V is square either way
+        u, s, vt = np.linalg.svd(design, full_matrices=n < dim)
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError("SVD of the whitened design did not converge", diagnostics) from exc
+    s2, proj = np.zeros(dim), np.zeros(dim)
+    s2[: len(s)] = s * s
+    proj[: len(s)] = s * (u.T @ targets)
+    return vt.T, s2, proj
+
+
+def _posterior(v, s2, proj, prior_sigma: float) -> NLMPosterior:
+    d = 1.0 / (s2 + 1.0 / (prior_sigma * prior_sigma))
+    cov = (v * d) @ v.T
+    return NLMPosterior(v @ (d * proj), 0.5 * (cov + cov.T), float(prior_sigma))
+
+
 def nlm_fit(features: np.ndarray, data: SimulatedDataset, prior_sigma: float) -> NLMPosterior:
     """Exact posterior of the linear head under the heteroscedastic likelihood;
     ``features`` holds one :func:`feature_matrix` row per dataset point.
 
-    Factors the precision A = Phi^T S^-1 Phi + sigma^-2 I = L L^T and takes
-    the covariance L^-T L^-1 and the mean L^-T (L^-1 Phi^T S^-1 y) from the
-    inverse factor; never forms an explicit inverse of the noise matrix.
-    A precision that is not finite or not numerically SPD raises
-    :class:`ConditioningError`.
+    With the SVD S^-1/2 Phi = U Sigma V^T and D = 1 / (Sigma^2 + sigma^-2),
+    the mean is V D Sigma U^T S^-1/2 y and the covariance V D V^T.  The SVD
+    never forms Phi^T S^-1 Phi, whose condition number would be squared.
+    Non-finite input raises :class:`ConditioningError`.
     """
     check_finite("prior_sigma", prior_sigma, 0.0)
-    phi = features
-    if phi.shape[0] != len(data.targets):
-        raise ShapeError("feature rows and dataset length differ")
-    weighted = phi / data.variances[:, None]
-    a = phi.T @ weighted
-    a.flat[:: a.shape[0] + 1] += 1.0 / (prior_sigma * prior_sigma)
-    diagnostics = {
-        "feature_dim": phi.shape[1],
-        "n_points": phi.shape[0],
-        "min_variance": float(np.min(data.variances)),
-        "prior_sigma": float(prior_sigma),
-    }
-    # numpy factors NaN and inf entries without raising
-    if not np.all(np.isfinite(a)):
-        raise ConditioningError("posterior precision matrix is not finite", diagnostics=diagnostics)
-    try:
-        linv = np.linalg.inv(np.linalg.cholesky(a))
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(
-            "posterior precision matrix is not numerically SPD", diagnostics=diagnostics
-        ) from exc
-    cov = linv.T @ linv
-    cov = 0.5 * (cov + cov.T)
-    mean = linv.T @ (linv @ (weighted.T @ data.targets))
-    return NLMPosterior(mean, cov, float(prior_sigma))
-
-
-def _grid_moments(posterior: NLMPosterior, features: np.ndarray):
-    mean_raw = features @ posterior.mean
-    epi_raw = np.sum((features @ posterior.covariance) * features, axis=1)
-    return mean_raw, np.maximum(epi_raw, 0.0)
+    return _posterior(*_whitened_svd(features, data, prior_sigma=float(prior_sigma)), prior_sigma)
 
 
 def make_prior_eval_grid(trained, envelope: ResidualEnvelope) -> PriorEvalGrid:
@@ -168,9 +168,7 @@ def make_prior_eval_grid(trained, envelope: ResidualEnvelope) -> PriorEvalGrid:
 
 
 def optimize_prior(
-    features: np.ndarray,
-    data: SimulatedDataset,
-    eval_grid: PriorEvalGrid,
+    features: np.ndarray, data: SimulatedDataset, eval_grid: PriorEvalGrid,
     candidate_sigmas=CANDIDATE_SIGMAS,
 ) -> PriorSearchResult:
     """Grid-search the prior scale over ``candidate_sigmas``.
@@ -182,34 +180,34 @@ def optimize_prior(
 
     Among feasible candidates the winner minimizes
     ||mean - u_mse|| + ||sd - sigma_P|| (Euclidean over the grid); if none
-    is feasible the least-violating candidate is returned, flagged.  Every
-    candidate is fit exactly, in order, and the first of equal keys wins.
+    is feasible the least-violating candidate is returned, flagged.  The
+    first of equal keys wins.  One SVD of the whitened design serves every
+    candidate: with FV = F V on the grid features F, the head mean is
+    FV (D p) and the epistemic variance (FV o FV) D, a sum of non-negative
+    terms.  Only the winner's covariance is formed.
     """
-    candidates = np.asarray(candidate_sigmas, dtype=float)
-    check_count("number of candidate_sigmas", candidates.size, 1)
+    candidates = [check_finite("candidate sigma", s, 0.0) for s in np.ravel(candidate_sigmas)]
+    check_count("number of candidate_sigmas", len(candidates), 1)
 
+    v, s2, proj = _whitened_svd(features, data)
+    fv = eval_grid.features @ v
+    fv2 = fv * fv
     finite = np.isfinite(eval_grid.sigma_p)  # infinite bound covers trivially
-    best, best_key = None, None
+    sigma_p = eval_grid.sigma_p[finite]
+    best = None
     for sigma in candidates:
-        posterior = nlm_fit(features, data, float(sigma))
-        mean_raw, epi_raw = _grid_moments(posterior, eval_grid.features)
-        mean = eval_grid.offset + eval_grid.scale * mean_raw
-        sd = np.sqrt(eval_grid.sigma_p**2 + eval_grid.scale**2 * epi_raw)
+        d = 1.0 / (s2 + 1.0 / (sigma * sigma))
+        mean = eval_grid.offset + eval_grid.scale * (fv @ (d * proj))
+        sd = np.sqrt(eval_grid.sigma_p**2 + eval_grid.scale**2 * (fv2 @ d))[finite]
         dev = mean[finite] - eval_grid.u_mse[finite]
-        n_viol = int(np.sum(np.abs(dev) - (3.0 * sd[finite] - eval_grid.sigma_p[finite]) > 0))
-        objective = float(
-            np.linalg.norm(dev) + np.linalg.norm(sd[finite] - eval_grid.sigma_p[finite])
-        )
-        key = (n_viol > 0, n_viol, objective)
-        if best is None or key < best_key:
-            best = PriorSearchResult(float(sigma), n_viol == 0, n_viol, objective, posterior)
-            best_key = key
-    return best
+        n_viol = int(np.sum(np.abs(dev) - (3.0 * sd - sigma_p) > 0))
+        objective = float(np.linalg.norm(dev) + np.linalg.norm(sd - sigma_p))
+        if best is None or (n_viol, objective) < best[2:]:
+            best = (sigma, n_viol == 0, n_viol, objective)
+    return PriorSearchResult(*best, _posterior(v, s2, proj, best[0]))
 
 
-def nlm_band(
-    trained, posterior: NLMPosterior, profile: PseudoAleatoricProfile
-) -> PredictiveBand:
+def nlm_band(trained, posterior: NLMPosterior, profile: PseudoAleatoricProfile) -> PredictiveBand:
     """Predictive band on the grid of ``profile`` with the transform applied.
 
     Mean and epistemic spread go through the hard-IC transform (the mask
@@ -218,12 +216,12 @@ def nlm_band(
     """
     grid = profile.grid
     phi = feature_matrix(trained, grid)
-    mean_raw, epi_raw = _grid_moments(posterior, phi)
+    epi_raw = np.sum((phi @ posterior.covariance) * phi, axis=1)
     offset, scale = transform_offset_scale(trained.problem, grid)
     return PredictiveBand(
         grid=grid,
-        mean=offset + scale * mean_raw,
-        epistemic_var=scale**2 * epi_raw,
+        mean=offset + scale * (phi @ posterior.mean),
+        epistemic_var=scale**2 * np.maximum(epi_raw, 0.0),
         sigma_p2=profile.sigma_p * profile.sigma_p,
     )
 

@@ -37,6 +37,7 @@ from .weights_io import load_weights, save_weights
 
 HIDDEN = (32, 32)
 ODE_POINTS = 32
+BURGERS_GRID = (100, 100)  # the default (nx, nt) of every Burgers run
 
 
 @dataclass
@@ -50,9 +51,9 @@ class GridSpec:
 
 @dataclass
 class TrainConfig:
-    epochs: int = 10000
+    epochs: int
     seed: int = 0
-    burgers_grid: tuple = (100, 100)  # (nx, nt); ODE problems ignore it
+    burgers_grid: tuple = BURGERS_GRID  # (nx, nt); ODE problems ignore it
 
 
 @dataclass

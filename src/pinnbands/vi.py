@@ -89,7 +89,7 @@ class MeanFieldGaussian:
 
 @dataclass
 class VIConfig:
-    epochs: int = 50000
+    epochs: int
     seed: int = 0
     mc_samples_per_step: ClassVar[int] = 1
     n_eval_draws: ClassVar[int] = 4

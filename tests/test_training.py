@@ -378,7 +378,7 @@ def test_load_sidecar_with_removed_keys(tmp_path, pid):
     assert back.problem_id == pid
     assert back.config.epochs == 50 and back.loss_history.shape == (1,)
     # an ODE sidecar's count is the fixed point count, so the grid stays at its default
-    grid = (12, 10) if pid == "burgers" else TrainConfig().burgers_grid
+    grid = (12, 10) if pid == "burgers" else TrainConfig(50).burgers_grid
     assert back.config == TrainConfig(50, 0, grid)
 
 

@@ -173,7 +173,7 @@ class TestElboStep:
     ])
     def test_bad_field_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
-            VIConfig(**{field: value})
+            VIConfig(**{"epochs": 1, field: value})
 
 
 class TestSampling:
