@@ -48,7 +48,6 @@ from .problems import (
 )
 from .training import (
     BURGERS_GRID,
-    GridSpec,
     TrainConfig,
     TrainedPINN,
     collocation_points,
@@ -59,8 +58,6 @@ from .training import (
 from .vi import VIConfig, predictive_moments, sample_posterior, vi_train
 
 METHODS = ("deterministic", "baseline_vi", "error_aware_vi", "error_aware_nlm")
-
-REPORT_COLUMNS = "x,u_true,u_det,mean,sd_total,sigma_P,bound,covered_3sigma"
 
 # seed offsets for the pipeline stages, derived from the master seed
 _SEED_VI = 1
@@ -138,10 +135,8 @@ def evaluation_grid(config: ExperimentConfig) -> np.ndarray:
     x-major."""
     problem = get_entry(config.problem).problem
     if isinstance(problem, BurgersProblem):
-        spec = GridSpec(config.burgers_grid, (problem.space_domain, problem.test_time))
-    else:
-        spec = GridSpec(config.grid_points, (problem.x0, problem.test_domain[1]))
-    return collocation_points(spec)
+        return collocation_points(config.burgers_grid, (problem.space_domain, problem.test_time))
+    return collocation_points(config.grid_points, (problem.x0, problem.test_domain[1]))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -15,6 +15,12 @@ network output, so every parameter setting of the network satisfies them:
     order 2:  u~(x) = u0 + u0' m + m^2 net(x),   m = 1 - e^(-(x-x0))
     Burgers:  u~(x,t) = -sin(pi x) e^(-t) + (1-x^2)(1-e^(-t)) net(x,t)
 
+The residual of u~ reads the raw network jet through point factors that
+:func:`residual_pieces` alone forms: the Burgers transform and its partials,
+or the ODE coefficients with the transform folded into the operator.
+Callers compute them once per set of points and pass them to
+:func:`residual_from_jets` and :func:`residual_jet_partials`.
+
 Analytic solutions are provided for every registered equation and are used
 only for evaluation, never during training.  Two equations have no
 elementary closed form as printed (``ode1.logsing`` and ``ode2.damped.log``);
@@ -76,7 +82,6 @@ class ODEProblem:
     u0_prime: Optional[float] = None
     train_domain: tuple = (0.0, 2.0)
     test_domain: tuple = (0.0, 4.0)
-    source_name: str = ""
     # the training set-up of every ODE: hidden activation and Adam step size
     activation: ClassVar[str] = "tanh"
     learning_rate: ClassVar[float] = 0.01
@@ -172,10 +177,8 @@ def _ode_masks(problem, x):
 def transform_offset_scale(problem, points):
     """(offset, scale) with u~(x) = offset(x) + scale(x) * net(x) pointwise."""
     if isinstance(problem, BurgersProblem):
-        x = np.asarray(points, dtype=float)[:, 0]
-        t = np.asarray(points, dtype=float)[:, 1]
-        emt = np.exp(-t)
-        return -sin_pi(x) * emt, (1.0 - x * x) * (1.0 - emt)
+        A, _, _, _, B, _, _, _ = _burgers_pieces(points)
+        return A, B
     m, _, _ = _ode_masks(problem, points)
     if problem.order == 1:
         return np.full_like(m, problem.u0), m
@@ -186,35 +189,6 @@ def surrogate_values(problem, params, points) -> np.ndarray:
     """Transformed surrogate values on a batch of points."""
     offset, scale = transform_offset_scale(problem, points)
     return offset + scale * forward_values(params, points)
-
-
-def residual_coefficients(problem: ODEProblem, points):
-    """Linear-ODE residual as r = a0*u + a1*u' + a2*u'' + beta in the raw net.
-
-    The coefficients fold the hard-IC transform into the operator, so the
-    residual of the transformed surrogate is an affine function of the raw
-    network jet at each point.
-    """
-    x = np.asarray(points, dtype=float)
-    m, mp, mpp = _ode_masks(problem, x)
-    f = problem.source(x)
-    if problem.order == 1:
-        a0 = mp + problem.lam * m
-        a1 = m
-        a2 = np.zeros_like(m)
-        beta = problem.lam * problem.u0 - f
-    else:
-        c1, c0 = problem.c1, problem.c0
-        a0 = 2.0 * (mp * mp + m * mpp) + 2.0 * c1 * m * mp + c0 * m * m
-        a1 = 4.0 * m * mp + c1 * m * m
-        a2 = m * m
-        beta = (
-            problem.u0_prime * mpp
-            + c1 * problem.u0_prime * mp
-            + c0 * (problem.u0 + problem.u0_prime * m)
-            - f
-        )
-    return a0, a1, a2, beta
 
 
 def _burgers_pieces(points):
@@ -237,32 +211,47 @@ def _burgers_pieces(points):
 
 
 def residual_pieces(problem, points):
-    """The point-dependent factors of the residual at ``points``: the Burgers
-    transform pieces, or the ODE coefficients of :func:`residual_coefficients`
-    followed by their slot rows, the ``dslots`` of :func:`residual_jet_partials`.
+    """The point-dependent factors of the residual at ``points``, formed here
+    and nowhere else.
 
-    They depend on the points only, so a caller that evaluates the residual
-    and its partials on the same points computes them once and passes them
-    to both.
+    Burgers: the transform u~ = A + B net as (A, A_x, A_t, A_xx, B, B_x, B_t,
+    B_xx).  ODE: (a0, a1, a2, beta, dslots) with r = a0*net + a1*net' +
+    a2*net'' + beta, the hard-IC transform folded into the operator, and
+    dslots the slot rows of :func:`residual_jet_partials`.  Callers compute
+    them once per set of points and pass them to :func:`residual_from_jets`
+    and :func:`residual_jet_partials`.
     """
     if isinstance(problem, BurgersProblem):
         return _burgers_pieces(points)
-    a0, a1, a2, beta = residual_coefficients(problem, points)
+    x = np.asarray(points, dtype=float)
+    m, mp, mpp = _ode_masks(problem, x)
+    f = problem.source(x)
+    if problem.order == 1:
+        a0 = mp + problem.lam * m
+        a1 = m
+        a2 = np.zeros_like(m)
+        beta = problem.lam * problem.u0 - f
+    else:
+        c1, c0 = problem.c1, problem.c0
+        a0 = 2.0 * (mp * mp + m * mpp) + 2.0 * c1 * m * mp + c0 * m * m
+        a1 = 4.0 * m * mp + c1 * m * m
+        a2 = m * m
+        beta = (
+            problem.u0_prime * mpp
+            + c1 * problem.u0_prime * mp
+            + c0 * (problem.u0 + problem.u0_prime * m)
+            - f
+        )
     # the slot partials of an ODE residual are its slot coefficients
     dslots = a1[None, :] if problem.order == 1 else np.stack([a1, a2])
     return a0, a1, a2, beta, dslots
 
 
-def residual_from_jets(problem, points, jets, pieces=None):
-    """Residual values from a raw-network JetBatch at ``points``.
-
-    ``pieces`` is :func:`residual_pieces` at the same points; when not
-    given, only the factors the residual reads are computed here.
-    """
+def residual_from_jets(problem, jets, pieces):
+    """Residual values from a raw-network JetBatch, with ``pieces`` the
+    :func:`residual_pieces` at the jets' points."""
     if isinstance(problem, BurgersProblem):
-        A, A_x, A_t, A_xx, B, B_x, B_t, B_xx = (
-            _burgers_pieces(points) if pieces is None else pieces
-        )
+        A, A_x, A_t, A_xx, B, B_x, B_t, B_xx = pieces
         v = jets.value
         gx, gt, hxx = jets.slot((0,)), jets.slot((1,)), jets.slot((0, 0))
         u = A + B * v
@@ -270,14 +259,14 @@ def residual_from_jets(problem, points, jets, pieces=None):
         u_t = A_t + B_t * v + B * gt
         u_xx = A_xx + B_xx * v + 2.0 * B_x * gx + B * hxx
         return u_t + u * u_x - problem.nu * u_xx
-    a0, a1, a2, beta = residual_coefficients(problem, points) if pieces is None else pieces[:4]
+    a0, a1, a2, beta, _ = pieces
     r = a0 * jets.value + a1 * jets.slot((0,)) + beta
     if problem.order == 2:
         r = r + a2 * jets.slot((0, 0))
     return r
 
 
-def residual_jet_partials(problem, points, jets, pieces=None):
+def residual_jet_partials(problem, jets, pieces):
     """Partials of the residual w.r.t. the raw network value and slots.
 
     Returns ``(dv, dslots)``: dv has shape (M,) and dslots (S, M), one row
@@ -287,8 +276,6 @@ def residual_jet_partials(problem, points, jets, pieces=None):
     """
     if jets.derivs != problem.derivs:
         raise ShapeError(f"jets carry slots {jets.derivs}, the problem reads {problem.derivs}")
-    if pieces is None:
-        pieces = residual_pieces(problem, points)
     if isinstance(problem, BurgersProblem):
         A, A_x, A_t, A_xx, B, B_x, B_t, B_xx = pieces
         v = jets.value
@@ -306,7 +293,7 @@ def residual_values(problem, params, points) -> np.ndarray:
     """Residuals of the transformed surrogate on a batch of points."""
     pts = np.asarray(points, dtype=float)
     jets, _ = forward_jets_batch(params, pts, problem.derivs)
-    return residual_from_jets(problem, pts, jets)
+    return residual_from_jets(problem, jets, residual_pieces(problem, pts))
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +466,14 @@ class ProblemEntry:
     problem: object
     analytic: Optional[Callable] = None
     singular: bool = False
-    notes: str = ""
 
 
-def _ode1(source, name):
-    return ODEProblem(order=1, lam=3.0, source=source, u0=2.0, source_name=name)
+def _ode1(source):
+    return ODEProblem(order=1, lam=3.0, source=source, u0=2.0)
 
 
-def _ode2(c1, c0, source, u0, u0p, name):
-    return ODEProblem(
-        order=2, c1=c1, c0=c0, source=source, u0=u0, u0_prime=u0p, source_name=name
-    )
+def _ode2(c1, c0, source, u0, u0p):
+    return ODEProblem(order=2, c1=c1, c0=c0, source=source, u0=u0, u0_prime=u0p)
 
 
 REGISTRY = {}
@@ -500,45 +484,35 @@ def _register(entry: ProblemEntry):
 
 
 _register(ProblemEntry("ode1.poly", "u' + 3u = 3t^2 + 5t + 4, u(0)=2",
-                       _ode1(_f1_poly, "3t^2+5t+4"), _u1_poly))
+                       _ode1(_f1_poly), _u1_poly))
 _register(ProblemEntry("ode1.cos", "u' + 3u = 6cos(3t), u(0)=2",
-                       _ode1(_f1_cos, "6cos(3t)"), _u1_cos))
+                       _ode1(_f1_cos), _u1_cos))
 _register(ProblemEntry("ode1.exp", "u' + 3u = 4e^t, u(0)=2",
-                       _ode1(_f1_exp, "4e^t"), _u1_exp))
+                       _ode1(_f1_exp), _u1_exp))
 _register(ProblemEntry("ode1.logsing", "u' + 3u = -9ln(t+1) - (1-t)^-2, u(0)=2",
-                       _ode1(_f1_logsing, "-9ln(t+1)-(1-t)^-2"), _u1_logsing,
-                       singular=True,
-                       notes="source singular at t=1; excluded from accuracy thresholds"))
+                       _ode1(_f1_logsing), _u1_logsing, singular=True))
 _register(ProblemEntry("ode2.harmonic.exp", "u'' + u = 2e^t, u(0)=2, u'(0)=2",
-                       _ode2(0.0, 1.0, _f2h_exp, 2.0, 2.0, "2e^t"), _u2h_exp))
+                       _ode2(0.0, 1.0, _f2h_exp, 2.0, 2.0), _u2h_exp))
 _register(ProblemEntry("ode2.harmonic.poly", "u'' + u = t^2 + t + 3, u(0)=2, u'(0)=2",
-                       _ode2(0.0, 1.0, _f2h_poly, 2.0, 2.0, "t^2+t+3"), _u2h_poly))
+                       _ode2(0.0, 1.0, _f2h_poly, 2.0, 2.0), _u2h_poly))
 _register(ProblemEntry("ode2.harmonic.log", "u'' + u = ln(t+1) - (t+1)^-2, u(0)=1, u'(0)=2",
-                       _ode2(0.0, 1.0, _f2h_log, 1.0, 2.0, "ln(t+1)-(t+1)^-2"), _u2h_log))
+                       _ode2(0.0, 1.0, _f2h_log, 1.0, 2.0), _u2h_log))
 _register(ProblemEntry("ode2.harmonic.chirp",
                        "u'' + u = 2cos(t^2) + (1-4t^2)sin(t^2), u(0)=1, u'(0)=1",
-                       _ode2(0.0, 1.0, _f2h_chirp, 1.0, 1.0, "2cos(t^2)+(1-4t^2)sin(t^2)"),
-                       _u2h_chirp))
+                       _ode2(0.0, 1.0, _f2h_chirp, 1.0, 1.0), _u2h_chirp))
 _register(ProblemEntry("ode2.damped.exp", "u'' + 3u' + 4u = 8e^t, u(0)=3, u'(0)=-3",
-                       _ode2(3.0, 4.0, _f2d_exp, 3.0, -3.0, "8e^t"), _u2d_exp))
+                       _ode2(3.0, 4.0, _f2d_exp, 3.0, -3.0), _u2d_exp))
 _register(ProblemEntry("ode2.damped.poly", "u'' + 3u' + 4u = 3t^2 + 11t + 9, u(0)=3, u'(0)=-3",
-                       _ode2(3.0, 4.0, _f2d_poly, 3.0, -3.0, "3t^2+11t+9"), _u2d_poly))
+                       _ode2(3.0, 4.0, _f2d_poly, 3.0, -3.0), _u2d_poly))
 _register(ProblemEntry("ode2.damped.log",
                        "u'' + 3u' + 4u = 3ln(t+1) + 4(t+1)^-1 - (t+1)^-2, u(0)=2, u'(0)=-3",
-                       _ode2(3.0, 4.0, _f2d_log, 2.0, -3.0, "3ln(t+1)+4/(t+1)-(t+1)^-2"),
-                       _u2d_log,
-                       notes="no elementary closed form; reference via exact impulse-response quadrature"))
+                       _ode2(3.0, 4.0, _f2d_log, 2.0, -3.0), _u2d_log))
 _register(ProblemEntry("ode2.damped.trig", "u'' + 3u' + 4u = 6cos(t) - 2sin(t), u(0)=3, u'(0)=-3",
-                       _ode2(3.0, 4.0, _f2d_trig, 3.0, -3.0, "6cos(t)-2sin(t)"), _u2d_trig))
+                       _ode2(3.0, 4.0, _f2d_trig, 3.0, -3.0), _u2d_trig))
 _register(ProblemEntry("burgers", "u_t + u u_x = (0.01/pi) u_xx, u(x,0)=-sin(pi x), u(+-1,t)=0",
                        BurgersProblem()))
 
 FIRST_ORDER_IDS = ("ode1.poly", "ode1.cos", "ode1.exp", "ode1.logsing")
-NONSINGULAR_FIRST_ORDER_IDS = ("ode1.poly", "ode1.cos", "ode1.exp")
-
-
-def problem_ids():
-    return list(REGISTRY)
 
 
 def get_entry(problem_id: str) -> ProblemEntry:

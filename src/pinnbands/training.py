@@ -41,15 +41,6 @@ BURGERS_GRID = (100, 100)  # the default (nx, nt) of every Burgers run
 
 
 @dataclass
-class GridSpec:
-    """Equally spaced collocation grid: ``count`` points (or (nx, nt) for
-    space-time grids) over ``domain``."""
-
-    count: object
-    domain: object
-
-
-@dataclass
 class TrainConfig:
     epochs: int
     seed: int = 0
@@ -69,35 +60,37 @@ class TrainedPINN:
         return get_entry(self.problem_id).problem
 
 
-def collocation_points(spec: GridSpec) -> np.ndarray:
-    """Materialize a GridSpec; 1-D -> (M,), 2-D -> (M, 2) with columns (x, t)."""
-    if isinstance(spec.count, (tuple, list)):
-        nx, nt = check_pair("collocation count", spec.count, 1)
-        (xa, xb), (ta, tb) = spec.domain
+def collocation_points(count, domain) -> np.ndarray:
+    """Equally spaced collocation grid: ``count`` points over ``domain``
+    (a, b) -> (M,), or an (nx, nt) count over ((xa, xb), (ta, tb)) ->
+    (M, 2) with columns (x, t)."""
+    if isinstance(count, (tuple, list)):
+        nx, nt = check_pair("collocation count", count, 1)
+        (xa, xb), (ta, tb) = domain
         gx, gt = np.meshgrid(np.linspace(xa, xb, nx), np.linspace(ta, tb, nt), indexing="ij")
         return np.stack([gx.ravel(), gt.ravel()], axis=1)
-    a, b = spec.domain
-    return np.linspace(a, b, check_count("collocation count", spec.count, 1))
+    a, b = domain
+    return np.linspace(a, b, check_count("collocation count", count, 1))
 
 
 def _collocation(problem, burgers_grid):
-    """The training grid of ``problem`` and the amplitude of its per-epoch
-    jitter: ``ODE_POINTS`` fixed points, or ``burgers_grid`` moved by half a
-    cell."""
+    """The training grid of ``problem`` as (count, domain) and the amplitude
+    of its per-epoch jitter: ``ODE_POINTS`` fixed points, or ``burgers_grid``
+    moved by half a cell."""
     if isinstance(problem, BurgersProblem):
         nx, nt = check_pair("burgers_grid", burgers_grid, 2)
         a, b = problem.space_domain
         cell = (b - a) / (nx - 1)
-        return GridSpec((nx, nt), (problem.space_domain, problem.train_time)), cell / 2.0
-    return GridSpec(ODE_POINTS, tuple(problem.train_domain)), 0.0
+        return (nx, nt), (problem.space_domain, problem.train_time), cell / 2.0
+    return ODE_POINTS, tuple(problem.train_domain), 0.0
 
 
-def _jittered(points, spec: GridSpec, jitter, rng) -> np.ndarray:
+def _jittered(points, domain, jitter, rng) -> np.ndarray:
     # only a Burgers grid, of (x, t) rows, has a jitter
     if jitter <= 0:
         return points
     moved = points + rng.uniform(-jitter, jitter, size=points.shape)
-    (xa, xb), (ta, tb) = spec.domain
+    (xa, xb), (ta, tb) = domain
     moved[:, 0] = np.clip(moved[:, 0], xa, xb)
     moved[:, 1] = np.clip(moved[:, 1], ta, tb)
     return moved
@@ -126,10 +119,10 @@ def residual_loss_and_grads(problem, params, points, pieces=None):
         block = pts[s]
         jets, tape = forward_jets_batch(params, block, problem.derivs, need_tape=True)
         bp = residual_pieces(problem, block) if pieces is None else pieces[k]
-        r = residual_from_jets(problem, block, jets, bp)
+        r = residual_from_jets(problem, jets, bp)
         # np.add.reduce(.) is np.sum without its wrapper
         total += float(np.add.reduce(r * r))
-        dv, dslots = residual_jet_partials(problem, block, jets, bp)
+        dv, dslots = residual_jet_partials(problem, jets, bp)
         rbar = 2.0 * r / m
         g = backward(params, tape, rbar * dv, rbar * dslots)
         if grads is None:
@@ -153,8 +146,8 @@ def train_deterministic(problem_id: str, config: TrainConfig) -> TrainedPINN:
     aborts with the epoch index instead of returning NaN output.
     """
     problem = get_entry(problem_id).problem
-    spec, jitter = _collocation(problem, config.burgers_grid)
-    base_points = collocation_points(spec)
+    count, domain, jitter = _collocation(problem, config.burgers_grid)
+    base_points = collocation_points(count, domain)
 
     params = init_network([problem.input_dim, *HIDDEN, 1], problem.activation, seed=config.seed)
     state = init_adam(params.theta, problem.learning_rate)
@@ -164,7 +157,7 @@ def train_deterministic(problem_id: str, config: TrainConfig) -> TrainedPINN:
     pieces = _block_pieces(problem, base_points) if jitter <= 0 else None
     history = np.empty(check_count("epochs", config.epochs, 0))
     for epoch in range(len(history)):
-        pts = _jittered(base_points, spec, jitter, rng)
+        pts = _jittered(base_points, domain, jitter, rng)
         loss, grads = residual_loss_and_grads(problem, params, pts, pieces)
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"non-finite residual loss at epoch {epoch}", epoch=epoch)
@@ -181,7 +174,7 @@ def train_deterministic(problem_id: str, config: TrainConfig) -> TrainedPINN:
 
 def training_grid(trained: TrainedPINN) -> np.ndarray:
     """The unjittered collocation grid ``trained`` was fit on."""
-    return collocation_points(_collocation(trained.problem, trained.config.burgers_grid)[0])
+    return collocation_points(*_collocation(trained.problem, trained.config.burgers_grid)[:2])
 
 
 # --- serialization: weights file plus sidecar metadata -----------------------
@@ -196,18 +189,19 @@ def save_trained(trained: TrainedPINN, path_prefix: str):
         "final_loss": float(trained.loss_history[-1]) if len(trained.loss_history) else None,
         "epochs": cfg.epochs,
         "seed": cfg.seed,
-        "collocation": {"count": _collocation(trained.problem, cfg.burgers_grid)[0].count},
+        "collocation": {"count": _collocation(trained.problem, cfg.burgers_grid)[0]},
     }
     with open(f"{path_prefix}.meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
 
 
 def load_trained(path_prefix: str) -> TrainedPINN:
-    """Read what :func:`save_trained` wrote; a malformed weights file or
-    metadata, an unregistered problem id included, or a network other than
-    the ``[input_dim, *HIDDEN, 1]`` one of the problem's activation raises
-    :class:`ConfigurationError` naming the file.  Other keys, such as the
-    set-up earlier versions recorded, are ignored."""
+    """Read what :func:`save_trained` wrote; a malformed weights file, a
+    non-finite entry included, malformed metadata, an unregistered problem
+    id or an ill-typed epochs, seed or Burgers count included, or a network
+    other than the ``[input_dim, *HIDDEN, 1]`` one of the problem's
+    activation raises :class:`ConfigurationError` naming the file.  Other
+    keys, such as the set-up earlier versions recorded, are ignored."""
     params = load_weights(f"{path_prefix}.weights")
     meta_path = f"{path_prefix}.meta.json"
     try:
@@ -215,9 +209,10 @@ def load_trained(path_prefix: str) -> TrainedPINN:
             meta = json.load(fh)
         problem_id = meta["problem_id"]
         problem = get_entry(problem_id).problem
-        config = TrainConfig(meta["epochs"], meta["seed"])
+        config = TrainConfig(check_count("epochs", meta["epochs"], 0),
+                             check_count("seed", meta["seed"], 0))
         if isinstance(problem, BurgersProblem):
-            config.burgers_grid = tuple(meta["collocation"]["count"])
+            config.burgers_grid = check_pair("collocation count", meta["collocation"]["count"], 2)
         final_loss = meta["final_loss"]
     except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
         raise ConfigurationError(

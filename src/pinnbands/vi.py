@@ -129,11 +129,11 @@ def _likelihood(trained: TrainedPINN, data: Optional[SimulatedDataset]):
 
         def loglik(params, need_grads=True):
             jets, tape = forward_jets_batch(params, points, derivs, need_tape=need_grads)
-            r = residual_from_jets(problem, points, jets, pieces)
+            r = residual_from_jets(problem, jets, pieces)
             value = const - 0.5 * float(np.add.reduce(r * r))
             if not need_grads:
                 return value, None
-            dv, dslots = residual_jet_partials(problem, points, jets, pieces)
+            dv, dslots = residual_jet_partials(problem, jets, pieces)
             rbar = -r
             return value, backward(params, tape, rbar * dv, rbar * dslots).theta
 

@@ -85,6 +85,8 @@ def _parse(text: str) -> NetworkParameters:
             if idx in records:
                 raise ConfigurationError(f"repeated weights-file record '{kind} {idx}'")
             records[idx] = np.array([float(p) for p in parts[1:]], dtype=float)
+            if not np.all(np.isfinite(records[idx])):
+                raise ConfigurationError(f"non-finite entry in weights-file record '{kind} {idx}'")
         else:
             raise ConfigurationError(f"unknown weights-file record {kind!r}")
 

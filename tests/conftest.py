@@ -8,10 +8,12 @@ import pytest
 from pinnbands.bounds import estimate_envelope, pseudo_profile
 from pinnbands.errors import ConfigurationError
 from pinnbands.nlm import build_simulated_dataset
-from pinnbands.problems import NONSINGULAR_FIRST_ORDER_IDS, ODEProblem
+from pinnbands.problems import FIRST_ORDER_IDS, REGISTRY, ODEProblem
 from pinnbands.training import TrainConfig, train_deterministic, training_grid
 
 BENCH_SEED = 0
+
+NONSINGULAR_FIRST_ORDER_IDS = tuple(p for p in FIRST_ORDER_IDS if not REGISTRY[p].singular)
 
 TRAIN_SECONDS = {}
 

@@ -31,12 +31,12 @@ from pinnbands.nlm import (
     optimize_prior,
 )
 from pinnbands.problems import (
-    NONSINGULAR_FIRST_ORDER_IDS,
     analytic_solution,
     burgers_initial_condition,
     get_problem,
     residual_from_jets,
     residual_jet_partials,
+    residual_pieces,
     surrogate_values,
 )
 from pinnbands.training import TrainConfig, train_deterministic, training_grid
@@ -51,7 +51,7 @@ from pinnbands.vi import (
 )
 from pinnbands.bounds import estimate_envelope, pseudo_profile
 
-from conftest import TRAIN_SECONDS, moving_average, rate_problem
+from conftest import NONSINGULAR_FIRST_ORDER_IDS, TRAIN_SECONDS, moving_average, rate_problem
 
 EVAL_GRID = np.linspace(0.0, 4.0, 401)
 
@@ -118,15 +118,16 @@ def test_c01_autodiff_matches_finite_differences():
             continue
 
         pts = np.linspace(0.1, 1.9, 5)
+        pieces = residual_pieces(problem2, pts)
 
         def loss_of(p):
             jets, _ = forward_jets_batch(p, pts[:, None], problem2.derivs)
-            r = residual_from_jets(problem2, pts, jets)
+            r = residual_from_jets(problem2, jets, pieces)
             return float(np.mean(r * r))
 
         jets, tape = forward_jets_batch(params, pts[:, None], problem2.derivs, need_tape=True)
-        r = residual_from_jets(problem2, pts, jets)
-        dv, dslots = residual_jet_partials(problem2, pts, jets)
+        r = residual_from_jets(problem2, jets, pieces)
+        dv, dslots = residual_jet_partials(problem2, jets, pieces)
         rbar = 2.0 * r / len(r)
         grads = backward(params, tape, rbar * dv, rbar * dslots)
 

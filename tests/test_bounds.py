@@ -32,7 +32,7 @@ from pinnbands.problems import (
     residual_values,
     surrogate_values,
 )
-from pinnbands.training import GridSpec, TrainConfig, collocation_points, train_deterministic
+from pinnbands.training import TrainConfig, collocation_points, train_deterministic
 
 from conftest import rate_problem
 
@@ -306,7 +306,7 @@ class TestBurgersSigma:
         # at every point, whichever distinct rows its t_i were gathered from
         c = 0.7
         monkeypatch.setattr(bounds, "residual_values", lambda problem, params, rows: np.full(len(rows), -c))
-        pts = collocation_points(GridSpec((12, 30), ((-1.0, 1.0), (0.0, 2.0))))
+        pts = collocation_points((12, 30), ((-1.0, 1.0), (0.0, 2.0)))
         sig = burgers_sigma_grid(_stand_in(), pts, 64)
         assert sig == pytest.approx(c * pts[:, 1], rel=1e-15, abs=0.0)
 
@@ -315,7 +315,7 @@ class TestBurgersSigma:
         # t^2 / 2, exact for a linear integrand up to rounding; a point
         # gathered from another point's rows would be off by O(1)
         monkeypatch.setattr(bounds, "residual_values", lambda problem, params, rows: rows[:, 1].copy())
-        pts = collocation_points(GridSpec((12, 30), ((-1.0, 1.0), (0.0, 2.0))))
+        pts = collocation_points((12, 30), ((-1.0, 1.0), (0.0, 2.0)))
         pts = np.concatenate([pts, pts[::-5]])  # repeated points, out of order
         sig = burgers_sigma_grid(_stand_in(), pts, 64)
         assert sig == pytest.approx(0.5 * pts[:, 1] ** 2, rel=1e-14, abs=1e-15)
@@ -348,7 +348,7 @@ class TestBurgersSigma:
         # evaluating each distinct row once must give the bits of evaluating
         # every row
         n = 64
-        pts = collocation_points(GridSpec((20, 20), ((-1.0, 1.0), (0.0, 1.0))))
+        pts = collocation_points((20, 20), ((-1.0, 1.0), (0.0, 1.0)))
         taus = pts[:, 1][:, None] * np.linspace(0.0, 1.0, n)[None, :]
         flat = np.stack([np.repeat(pts[:, 0], n), taus.ravel()], axis=1)
         assert len(np.unique(flat[:, 0] + 1j * flat[:, 1])) < 0.6 * len(flat)
@@ -368,7 +368,7 @@ class TestBurgersSigma:
 
     @pytest.mark.parametrize("shape, n", [((1100, 3), 1), ((40, 40), 2), ((40, 40), 64)])
     def test_product_grid_matches_global_sort(self, tiny_burgers, shape, n):
-        pts = collocation_points(GridSpec(shape, ((-1.0, 1.0), (0.0, 1.0))))
+        pts = collocation_points(shape, ((-1.0, 1.0), (0.0, 1.0)))
         keys, _ = _global_keys(pts, n)
         assert len(keys) > 2 * ROW_BLOCK  # the distinct rows cross several blocks
         expected = sigma_grid_global_sort(tiny_burgers, pts, n)
@@ -388,7 +388,7 @@ class TestBurgersSigma:
         # holds one x group's rows, not its 640000 (x, tau) keys
         problem = get_problem("burgers")
         trained = _stand_in(problem, init_network([2, 32, 32, 1], "sigmoid", seed=0))
-        grid = collocation_points(GridSpec((100, 100), ((-1.0, 1.0), (0.0, 2.0))))
+        grid = collocation_points((100, 100), ((-1.0, 1.0), (0.0, 2.0)))
         tracemalloc.start()
         try:
             burgers_sigma_grid(trained, grid, 64)

@@ -15,7 +15,7 @@ from pinnbands.cli import main
 from pinnbands.errors import PinnbandsError
 from pinnbands.harness import METHODS
 from pinnbands.network import init_network
-from pinnbands.problems import problem_ids
+from pinnbands.problems import REGISTRY
 from pinnbands.training import TrainConfig, save_trained, train_deterministic
 from pinnbands.weights_io import save_weights
 
@@ -28,7 +28,7 @@ class TestListProblems:
     def test_lists_every_id(self, capsys):
         assert run_cli("list-problems") == 0
         out = capsys.readouterr().out
-        for pid in problem_ids():
+        for pid in REGISTRY:
             assert pid in out
 
 
@@ -192,7 +192,8 @@ class TestCertify:
         assert "oversample" in capsys.readouterr().err
         assert not os.path.exists(out_csv)
 
-    @pytest.mark.parametrize("meta", ["seedless", "not json", "unknown id", "empty id"])
+    @pytest.mark.parametrize("meta", ["seedless", "not json", "unknown id", "empty id",
+                                      "word epochs", "negative seed"])
     def test_malformed_metadata_exit_2(self, tmp_path, capsys, models_10, meta):
         prefix = str(tmp_path / "model")
         save_trained(models_10["ode1.exp"], prefix)
@@ -203,6 +204,10 @@ class TestCertify:
             record = json.loads(path.read_text())
             if meta == "seedless":
                 del record["seed"]
+            elif meta == "word epochs":
+                record["epochs"] = "ten"
+            elif meta == "negative seed":
+                record["seed"] = -3
             else:
                 record["problem_id"] = "nope" if meta == "unknown id" else ""
             path.write_text(json.dumps(record))
@@ -230,6 +235,25 @@ class TestCertify:
         assert code == 2
         err = capsys.readouterr().err
         assert f"'{record}'" in err and "model.weights" in err
+        assert not os.path.exists(tmp_path / "c.csv")
+
+    def test_non_finite_weight_entry_exit_2(self, tmp_path, capsys, models_10):
+        prefix = str(tmp_path / "model")
+        save_trained(models_10["ode1.exp"], prefix)
+        with open(f"{prefix}.weights") as fh:
+            lines = fh.read().splitlines()
+        # the first entry of layer 0's biases becomes nan
+        k = next(i for i, ln in enumerate(lines) if ln.startswith("bias 0 "))
+        lines[k] = "bias 0 nan " + lines[k].split(None, 3)[3]
+        with open(f"{prefix}.weights", "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code = run_cli(
+            "certify", "--weights", prefix, "--problem", "ode1.exp",
+            "--out", str(tmp_path / "c.csv"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and "model.weights: non-finite entry" in err
         assert not os.path.exists(tmp_path / "c.csv")
 
     def test_network_the_problem_does_not_train_exit_2(self, tmp_path, capsys, models_10):

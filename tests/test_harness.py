@@ -24,7 +24,6 @@ from pinnbands.errors import (
 from pinnbands.harness import (
     METHODS,
     PRESETS,
-    REPORT_COLUMNS,
     ExperimentConfig,
     coverage_metrics,
     emit_outputs,
@@ -226,7 +225,7 @@ class TestEmitOutputs:
         paths = emit_outputs(small_nlm_report, tmp_path)
         csv_path = [p for p in paths if p.endswith(".csv")][0]
         header = open(csv_path).readline().strip()
-        assert header == REPORT_COLUMNS
+        assert header == "x,u_true,u_det,mean,sd_total,sigma_P,bound,covered_3sigma"
 
     def test_json_roundtrip(self, small_nlm_report, tmp_path):
         paths = emit_outputs(small_nlm_report, tmp_path)

@@ -16,13 +16,13 @@ from pinnbands.errors import ConfigurationError, DomainError
 from pinnbands.harness import ExperimentConfig
 from pinnbands.network import NetworkParameters, forward_jets_batch, init_network
 from pinnbands.problems import (
+    REGISTRY,
     BurgersProblem,
     ODEProblem,
     analytic_solution,
     burgers_initial_condition,
     get_entry,
     get_problem,
-    problem_ids,
     residual_values,
     surrogate_values,
     sin_pi,
@@ -158,7 +158,7 @@ def burgers_jets(net, x, t):
 
 class TestRegistry:
     def test_all_ids_present(self):
-        ids = problem_ids()
+        ids = list(REGISTRY)
         assert len(ids) == 13
         assert "burgers" in ids and "ode1.poly" in ids
 
@@ -191,7 +191,7 @@ class TestRegistry:
         lam1, lam2 = get_problem("ode2.harmonic.exp").real_parts()
         assert lam1 == 0.0 and lam2 == 0.0
 
-    @pytest.mark.parametrize("pid", problem_ids())
+    @pytest.mark.parametrize("pid", list(REGISTRY))
     def test_vi_prior_follows_the_order(self, pid):
         # N(0, 0.1) for a first-order equation, N(0, 1) otherwise
         expect = float(np.sqrt(0.1)) if pid.startswith("ode1.") else 1.0
@@ -282,7 +282,7 @@ class TestAnalytic:
         with pytest.raises(DomainError):
             analytic_solution("ode1.logsing", np.array([0.5, 1.5]))
 
-    @pytest.mark.parametrize("pid", [p for p in problem_ids() if p != "burgers"])
+    @pytest.mark.parametrize("pid", [p for p in REGISTRY if p != "burgers"])
     def test_matches_rk45_oracle(self, pid):
         entry = get_entry(pid)
         problem = entry.problem

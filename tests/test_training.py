@@ -11,16 +11,15 @@ from pinnbands.errors import ConfigurationError, TrainingDivergedError
 from pinnbands.network import ROW_BLOCK, backward, forward_jets_batch, init_network
 from pinnbands.weights_io import save_weights
 from pinnbands.problems import (
-    NONSINGULAR_FIRST_ORDER_IDS,
     ODEProblem,
     analytic_solution,
     get_problem,
     residual_from_jets,
     residual_jet_partials,
+    residual_pieces,
     surrogate_values,
 )
 from pinnbands.training import (
-    GridSpec,
     TrainConfig,
     collocation_points,
     load_trained,
@@ -30,6 +29,8 @@ from pinnbands.training import (
     train_deterministic,
     training_grid,
 )
+
+from conftest import NONSINGULAR_FIRST_ORDER_IDS
 
 
 def naive_mse(problem, params, points):
@@ -88,7 +89,7 @@ class TestLoss:
 def test_burgers_slot_gradient_matches_finite_differences():
     # nonlinear residual u_t + u u_x - nu u_xx over the slots (x,), (t,), (x, x)
     from pinnbands.network import backward, forward_jets_batch
-    from pinnbands.problems import residual_from_jets, residual_jet_partials, residual_values
+    from pinnbands.problems import residual_values
 
     problem = get_problem("burgers")
     assert problem.derivs == ((0,), (1,), (0, 0))
@@ -101,8 +102,9 @@ def test_burgers_slot_gradient_matches_finite_differences():
             w *= 2.0
 
         jets, tape = forward_jets_batch(params, pts, problem.derivs, need_tape=True)
-        r = residual_from_jets(problem, pts, jets)
-        dv, dslots = residual_jet_partials(problem, pts, jets)
+        pieces = residual_pieces(problem, pts)
+        r = residual_from_jets(problem, jets, pieces)
+        dv, dslots = residual_jet_partials(problem, jets, pieces)
         rbar = 2.0 * r / len(r)
         grads = backward(params, tape, rbar * dv, rbar * dslots)
 
@@ -155,8 +157,9 @@ def _gradient_terms_abs(problem, params, pts):
     for i in range(len(pts)):
         row = pts[i:i + 1]
         jets, tape = forward_jets_batch(params, row, problem.derivs, need_tape=True)
-        r = residual_from_jets(problem, row, jets)
-        dv, dslots = residual_jet_partials(problem, row, jets)
+        pieces = residual_pieces(problem, row)
+        r = residual_from_jets(problem, jets, pieces)
+        dv, dslots = residual_jet_partials(problem, jets, pieces)
         rbar = 2.0 * r / len(pts)
         for path in range(S + 1):
             layers = []
@@ -199,8 +202,9 @@ class TestRowBlocks:
         loss, grads = residual_loss_and_grads(problem, params, pts)
 
         jets, tape = forward_jets_batch(params, pts, problem.derivs, need_tape=True)
-        r = residual_from_jets(problem, pts, jets)
-        dv, dslots = residual_jet_partials(problem, pts, jets)
+        pieces = residual_pieces(problem, pts)
+        r = residual_from_jets(problem, jets, pieces)
+        dv, dslots = residual_jet_partials(problem, jets, pieces)
         rbar = 2.0 * r / m
         one_shot = backward(params, tape, rbar * dv, rbar * dslots).theta
         one_shot_loss = float(np.add.reduce(r * r) / m)
@@ -282,13 +286,13 @@ class TestTrainDeterministic:
 
 class TestCollocation:
     def test_equally_spaced_grid(self):
-        pts = collocation_points(GridSpec(32, (0.0, 2.0)))
+        pts = collocation_points(32, (0.0, 2.0))
         assert len(pts) == 32
         assert pts[0] == 0.0 and pts[-1] == 2.0
         assert np.allclose(np.diff(pts), 2.0 / 31)
 
     def test_space_time_grid(self):
-        pts = collocation_points(GridSpec((3, 4), ((-1.0, 1.0), (0.0, 1.0))))
+        pts = collocation_points((3, 4), ((-1.0, 1.0), (0.0, 1.0)))
         assert pts.shape == (12, 2)
         assert pts[:, 0].min() == -1.0 and pts[:, 1].max() == 1.0
 
@@ -296,11 +300,11 @@ class TestCollocation:
     def test_non_integer_or_empty_count_rejected(self, count):
         domain = ((-1.0, 1.0), (0.0, 1.0)) if isinstance(count, tuple) else (0.0, 2.0)
         with pytest.raises(ConfigurationError, match="collocation count"):
-            collocation_points(GridSpec(count, domain))
+            collocation_points(count, domain)
 
     def test_numpy_integer_count_accepted(self):
-        assert np.array_equal(collocation_points(GridSpec(np.int64(5), (0.0, 2.0))),
-                              collocation_points(GridSpec(5, (0.0, 2.0))))
+        assert np.array_equal(collocation_points(np.int64(5), (0.0, 2.0)),
+                              collocation_points(5, (0.0, 2.0)))
 
     @pytest.mark.parametrize("epochs", [1.5, -1, "3"])
     def test_bad_epochs_rejected_before_training(self, epochs):
@@ -392,6 +396,43 @@ def test_load_rejects_a_network_the_problem_does_not_train(tmp_path, sizes, acti
     with open(f"{prefix}.meta.json", "w") as fh:
         fh.write(_OLD_META["burgers"])
     with pytest.raises(ConfigurationError, match="model.weights: a .* network, but burgers"):
+        load_trained(prefix)
+
+
+@pytest.mark.parametrize("pid, key, value", [
+    ("ode1.exp", "epochs", "ten"), ("ode1.exp", "epochs", 2.5), ("ode1.exp", "seed", -3),
+    ("ode1.exp", "seed", True), ("burgers", "count", [1, 0]), ("burgers", "count", [12]),
+], ids=["word-epochs", "float-epochs", "negative-seed", "bool-seed", "burgers-1x0", "burgers-one-count"])
+def test_load_rejects_ill_typed_sidecar_counts(tmp_path, pid, key, value):
+    problem = get_problem(pid)
+    prefix = str(tmp_path / "model")
+    save_weights(init_network([problem.input_dim, 32, 32, 1], problem.activation, seed=0),
+                 f"{prefix}.weights")
+    meta = json.loads(_OLD_META[pid])
+    if key == "count":
+        meta["collocation"]["count"] = value
+    else:
+        meta[key] = value
+    with open(f"{prefix}.meta.json", "w") as fh:
+        json.dump(meta, fh)
+    with pytest.raises(ConfigurationError, match="model.meta.json: malformed metadata"):
+        load_trained(prefix)
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_weight_entry(tmp_path, entry):
+    trained = train_deterministic("ode1.exp", TrainConfig(1, 0))
+    prefix = str(tmp_path / "model")
+    save_trained(trained, prefix)
+    with open(f"{prefix}.weights") as fh:
+        lines = fh.read().splitlines()
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("bias 1 "))
+    fields = lines[k].split()
+    fields[3] = entry
+    lines[k] = " ".join(fields)
+    with open(f"{prefix}.weights", "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match="model.weights: non-finite entry in .*'bias 1'"):
         load_trained(prefix)
 
 

@@ -19,7 +19,6 @@ from pinnbands.network import (
 from pinnbands.nlm import VAR_FLOOR, build_simulated_dataset, feature_matrix, nlm_fit
 from pinnbands.problems import get_problem, surrogate_values, transform_offset_scale
 from pinnbands.training import (
-    GridSpec,
     TrainConfig,
     collocation_points,
     train_deterministic,
@@ -365,7 +364,7 @@ class TestPredictiveMoments:
         params = init_network([2, 32, 32, 1], "sigmoid", seed=0)
         q = MeanFieldGaussian([2, 32, 32, 1], "sigmoid", params.theta.copy(),
                               np.full(params.theta.shape, -4.0))
-        grid = collocation_points(GridSpec((100, 100), ((-1.0, 1.0), (0.0, 2.0))))
+        grid = collocation_points((100, 100), ((-1.0, 1.0), (0.0, 2.0)))
         n = 1000
         assert n * ROW_BLOCK * 8 < 8e6 < n * len(grid) * 8
         tracemalloc.start()
