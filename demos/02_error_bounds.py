@@ -30,7 +30,7 @@ PROBLEM = "ode1.poly"
 for epochs in (10, 10000):
     trained = train_deterministic(PROBLEM, TrainConfig(epochs=epochs, seed=0))
     # 40 equal pieces of [0, 4]
-    envelope = estimate_envelope(trained, oversample=10, safety_factor=1.1)
+    envelope = estimate_envelope(trained)
     grid = np.linspace(0.0, 4.0, 401)
     bound = pseudo_sigma(trained.problem, envelope, grid)
     error = np.abs(

@@ -25,12 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, check_count, check_finite
+from .errors import ConfigurationError, DomainError, check_count
 from .network import ROW_BLOCK
 from .problems import BurgersProblem, ODEProblem, residual_values
 
 EQUAL_RATE_TOL = 1e-8
-N_INTERVALS = 40  # subintervals of the envelope's partition of [x0, test end]
+# on each of N_INTERVALS equal subintervals of [x0, test end] the envelope bounds
+# |r| by SAFETY_FACTOR times the largest |r| of OVERSAMPLE equispaced samples
+N_INTERVALS = 40
+OVERSAMPLE = 10
+SAFETY_FACTOR = 1.1
 
 @dataclass
 class ResidualEnvelope:
@@ -64,23 +68,16 @@ class ResidualEnvelope:
         return float(self.knots[-1])
 
 
-def uniform_knots(problem: ODEProblem) -> np.ndarray:
-    """Equispaced partition of [x0, test_end] into ``N_INTERVALS`` subintervals."""
-    return np.linspace(problem.x0, problem.test_domain[1], N_INTERVALS + 1)
-
-
-def envelope_from_function(residual_fn, knots, oversample=10, safety_factor=1.1) -> ResidualEnvelope:
-    """Envelope of an arbitrary scalar residual function (testing hook)."""
+def envelope_from_function(residual_fn, knots) -> ResidualEnvelope:
+    """Envelope of an arbitrary scalar residual function on ``knots``: the
+    largest |r| of ``OVERSAMPLE`` samples per subinterval, times
+    ``SAFETY_FACTOR`` (the testing hook of :func:`estimate_envelope`)."""
     knots = np.asarray(knots, dtype=float)
-    oversample = check_count("oversample", oversample, 1)
-    # below 1 the envelope undercuts the sampled maximum of |r| and is no
-    # longer a majorant
-    safety_factor = check_finite("safety_factor", safety_factor, 1.0, inclusive=True)
     eps = np.empty(len(knots) - 1)
     with np.errstate(divide="ignore"):  # singular sources hit inf at a pole
         for k in range(len(knots) - 1):
-            xi = np.linspace(knots[k], knots[k + 1], oversample)
-            eps[k] = safety_factor * np.max(np.abs(residual_fn(xi)))
+            xi = np.linspace(knots[k], knots[k + 1], OVERSAMPLE)
+            eps[k] = SAFETY_FACTOR * np.max(np.abs(residual_fn(xi)))
     if np.any(np.isnan(eps)):
         raise ConfigurationError("residual samples contain NaN; model state is broken")
     # eps = inf is kept: a singular source makes |r| genuinely unbounded on
@@ -88,18 +85,15 @@ def envelope_from_function(residual_fn, knots, oversample=10, safety_factor=1.1)
     return ResidualEnvelope(knots, eps)
 
 
-def estimate_envelope(trained, oversample=10, safety_factor=1.1) -> ResidualEnvelope:
-    """Sampled residual envelope of a trained surrogate on the
-    :func:`uniform_knots` of its test domain."""
+def estimate_envelope(trained) -> ResidualEnvelope:
+    """Sampled residual envelope of a trained ODE surrogate on ``N_INTERVALS``
+    equal subintervals of [x0, test end]."""
     problem = trained.problem
     if isinstance(problem, BurgersProblem):
         raise ConfigurationError("envelopes are defined for ODE problems only")
-    check_count("oversample of a trained model", oversample, 2)
     return envelope_from_function(
         lambda xs: residual_values(problem, trained.params, xs),
-        uniform_knots(problem),
-        oversample,
-        safety_factor,
+        np.linspace(problem.x0, problem.test_domain[1], N_INTERVALS + 1),
     )
 
 

@@ -86,9 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     certify = sub.add_parser("certify", help="error bound for saved weights (no training)")
     certify.add_argument("--weights", required=True, help="path prefix of saved model")
     certify.add_argument("--problem", required=True, help="problem id")
-    certify.add_argument("--grid-points", type=int, default=401, dest="grid_points")
-    certify.add_argument("--oversample", type=int, default=10)
-    certify.add_argument("--safety-factor", type=float, default=1.1, dest="safety_factor")
+    certify.add_argument("--grid-points", type=int, default=ExperimentConfig.grid_points)
     certify.add_argument("--out", required=True, help="output CSV path")
     return parser
 
@@ -166,10 +164,7 @@ def _certify(args) -> int:
     if isinstance(problem, BurgersProblem):
         raise ConfigurationError("certify needs an ODE problem; Burgers has no error bound")
     grid = evaluation_grid(config)
-    envelope = estimate_envelope(
-        trained, oversample=args.oversample, safety_factor=args.safety_factor
-    )
-    profile = pseudo_profile(trained, envelope, grid)
+    profile = pseudo_profile(trained, estimate_envelope(trained), grid)
     u_det = surrogate_values(problem, trained.params, grid)
     write_csv({"x": grid, "u_det": u_det, "bound": profile.sigma_p}, args.out)
     print(args.out)

@@ -58,12 +58,11 @@ def check_count(name, value, lowest):
     return count
 
 
-def check_finite(name, value, lowest, inclusive=False):
-    """``value`` as a finite ``float`` > ``lowest`` (>= if ``inclusive``)."""
+def check_finite(name, value, lowest):
+    """``value`` as a finite ``float`` > ``lowest``."""
     number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (number and math.isfinite(value) and (value > lowest or inclusive and value == lowest)):
-        relation = ">=" if inclusive else ">"
-        raise ConfigurationError(f"{name} must be finite and {relation} {lowest}, got {value!r}")
+    if not (number and math.isfinite(value) and value > lowest):
+        raise ConfigurationError(f"{name} must be finite and > {lowest}, got {value!r}")
     return float(value)
 
 

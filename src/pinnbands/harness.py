@@ -304,15 +304,7 @@ def save_artifacts(report: ExperimentReport, out_dir):
     search = report.nlm_search
     if search is not None:
         path = os.path.join(out_dir, f"{stem}_posterior.json")
-        export_posterior_json(
-            search.posterior,
-            path,
-            flags={
-                "feasible": search.feasible,
-                "n_violations": search.n_violations,
-                "objective": search.objective,
-            },
-        )
+        export_posterior_json(search, path)
         paths.append(path)
     return paths
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -226,8 +225,10 @@ def nlm_band(trained, posterior: NLMPosterior, profile: PseudoAleatoricProfile) 
     )
 
 
-def export_posterior_json(posterior: NLMPosterior, path, flags: Optional[dict] = None):
-    """JSON record: prior sigma, head mean, covariance upper triangle, flags."""
+def export_posterior_json(search: PriorSearchResult, path):
+    """JSON record of the search's winner: prior sigma, head mean, covariance
+    upper triangle, and the search's feasibility flags."""
+    posterior = search.posterior
     dim = posterior.mean.shape[0]
     iu = np.triu_indices(dim)
     record = {
@@ -235,7 +236,11 @@ def export_posterior_json(posterior: NLMPosterior, path, flags: Optional[dict] =
         "dim": int(dim),
         "mean": posterior.mean.tolist(),
         "covariance_upper_triangle": posterior.covariance[iu].tolist(),
-        "flags": flags or {},
+        "flags": {
+            "feasible": search.feasible,
+            "n_violations": search.n_violations,
+            "objective": search.objective,
+        },
     }
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)

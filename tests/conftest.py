@@ -67,14 +67,12 @@ def models_10():
 
 @pytest.fixture(scope="session")
 def envelopes_10000(models_10000):
-    return {pid: estimate_envelope(tr, oversample=10, safety_factor=1.1)
-            for pid, tr in models_10000.items()}
+    return {pid: estimate_envelope(tr) for pid, tr in models_10000.items()}
 
 
 @pytest.fixture(scope="session")
 def envelopes_10(models_10):
-    return {pid: estimate_envelope(tr, oversample=10, safety_factor=1.1)
-            for pid, tr in models_10.items()}
+    return {pid: estimate_envelope(tr) for pid, tr in models_10.items()}
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,6 @@ from pinnbands.bounds import (
     estimate_envelope,
     pseudo_profile,
     pseudo_sigma,
-    uniform_knots,
 )
 from pinnbands.errors import ConfigurationError, DomainError
 from pinnbands.network import ROW_BLOCK, init_network, row_blocks
@@ -75,14 +74,8 @@ class TestEnvelope:
         assert np.all(env.epsilons == 0.0)
 
     def test_sine_envelope_single_interval(self):
-        env = envelope_from_function(np.sin, [0.0, np.pi], oversample=1001, safety_factor=1.0)
-        assert 0.999 <= env.epsilons[0] <= 1.0
-
-    def test_safety_factor_scales_linearly(self):
-        knots = np.linspace(0, 4, 9)
-        a = envelope_from_function(np.cos, knots, 10, safety_factor=1.0)
-        b = envelope_from_function(np.cos, knots, 10, safety_factor=2.0)
-        assert np.allclose(b.epsilons, 2.0 * a.epsilons, rtol=1e-15)
+        env = envelope_from_function(np.sin, [0.0, np.pi])
+        assert env.epsilons[0] == 1.1 * np.max(np.sin(np.linspace(0, np.pi, 10)))
 
     def test_majorizes_sampled_residual(self, models_10000, envelopes_10000):
         trained = models_10000["ode1.exp"]
@@ -94,17 +87,9 @@ class TestEnvelope:
         k = np.clip(np.searchsorted(env.knots, xs, side="right") - 1, 0, len(env.epsilons) - 1)
         assert np.all(r <= env.epsilons[k])
 
-    @pytest.mark.parametrize("factor", [0.0, 0.5, float("nan"), float("inf")])
-    def test_bad_safety_factor_rejected(self, models_10, factor):
-        with pytest.raises(ConfigurationError, match="safety_factor"):
-            estimate_envelope(models_10["ode1.exp"], safety_factor=factor)
-
-    @pytest.mark.parametrize("oversample", [2.5, 10.0, True, "10"])
-    def test_non_integer_oversample_rejected(self, models_10, oversample):
-        with pytest.raises(ConfigurationError, match="oversample"):
-            estimate_envelope(models_10["ode1.exp"], oversample=oversample)
-        with pytest.raises(ConfigurationError, match="oversample"):
-            envelope_from_function(np.sin, [0.0, 1.0], oversample=oversample)
+    def test_burgers_model_rejected(self, tiny_burgers):
+        with pytest.raises(ConfigurationError, match="ODE problems only"):
+            estimate_envelope(tiny_burgers)
 
     def test_invalid_partition_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -404,8 +389,8 @@ class TestBurgersSigma:
         assert profile.sigma_p[0] == 0.0
 
 
-def test_uniform_knots_cover_test_domain():
-    knots = uniform_knots(get_problem("ode1.exp"))
+def test_uniform_knots_cover_test_domain(envelopes_10):
+    knots = envelopes_10["ode1.exp"].knots
     assert knots[0] == 0.0 and knots[-1] == 4.0 and len(knots) == 41
 
 
@@ -420,3 +405,8 @@ def test_profile_csv_export(tmp_path, models_10, envelopes_10):
     assert lines[0] == "x,sigma_P"
     assert len(lines) == 6
     assert float(lines[1].split(",")[1]) == 0.0
+
+
+def test_ode_profile_needs_envelope(models_10):
+    with pytest.raises(ConfigurationError, match="residual envelope"):
+        pseudo_profile(models_10["ode1.exp"], None, np.linspace(0, 4, 5))

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -167,30 +168,43 @@ class TestCertify:
         assert code == 2
         assert "configuration error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("factor", ["0", "0.5", "nan", "inf"])
-    def test_bad_safety_factor_exit_2(self, tmp_path, capsys, models_10, factor):
+    @pytest.mark.parametrize("flag,value", [("--oversample", "10"), ("--safety-factor", "1.1")])
+    def test_envelope_flags_rejected_exit_2(self, tmp_path, capsys, models_10, flag, value):
+        # the envelope's sampling is fixed; certify has no flags for it
         prefix = str(tmp_path / "model")
         save_trained(models_10["ode1.exp"], prefix)
         out_csv = tmp_path / "c.csv"
         code = run_cli(
             "certify", "--weights", prefix, "--problem", "ode1.exp",
-            "--safety-factor", factor, "--out", str(out_csv),
+            flag, value, "--out", str(out_csv),
         )
         assert code == 2
-        assert "safety_factor" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
         assert not os.path.exists(out_csv)
 
-    def test_oversample_below_two_exit_2(self, tmp_path, capsys, models_10):
-        prefix = str(tmp_path / "model")
-        save_trained(models_10["ode1.exp"], prefix)
-        out_csv = tmp_path / "c.csv"
+    def test_matches_solve_cell_bound(self, tmp_path):
+        # the bound of saved weights equals the bound the training cell wrote
         code = run_cli(
-            "certify", "--weights", prefix, "--problem", "ode1.exp",
-            "--oversample", "1", "--out", str(out_csv),
+            "solve", "--problem", "ode2.damped.exp", "--method", "deterministic",
+            "--det-epochs", "20", "--grid-points", "41", "--save-weights",
+            "--out", str(tmp_path),
         )
-        assert code == 2
-        assert "oversample" in capsys.readouterr().err
-        assert not os.path.exists(out_csv)
+        assert code == 0
+        (weights,) = tmp_path.glob("*.weights")
+        (cell_csv,) = tmp_path.glob("*.csv")
+        out_csv = tmp_path / "certified.csv"
+        code = run_cli(
+            "certify", "--weights", str(weights)[:-len(".weights")],
+            "--problem", "ode2.damped.exp", "--grid-points", "41", "--out", str(out_csv),
+        )
+        assert code == 0
+        with open(cell_csv) as fh:
+            cell = list(csv.DictReader(fh))
+        with open(out_csv) as fh:
+            certified = list(csv.DictReader(fh))
+        assert len(certified) == len(cell) == 41
+        for row_cert, row_cell in zip(certified, cell):
+            assert row_cert == {key: row_cell[key] for key in ("x", "u_det", "bound")}
 
     @pytest.mark.parametrize("meta", ["seedless", "not json", "unknown id", "empty id",
                                       "word epochs", "negative seed"])

@@ -22,6 +22,7 @@ from pinnbands.nlm import (
     VAR_FLOOR,
     NLMPosterior,
     PriorEvalGrid,
+    PriorSearchResult,
     CANDIDATE_SIGMAS,
     SimulatedDataset,
     export_posterior_json,
@@ -566,10 +567,10 @@ def test_posterior_json_roundtrip(tmp_path, models_10, envelopes_10):
         0.4,
     )
     path = tmp_path / "posterior.json"
-    export_posterior_json(post, path, flags={"feasible": True})
+    export_posterior_json(PriorSearchResult(0.4, False, 3, 1.25, post), path)
     record = json.loads(path.read_text())
     assert record["prior_sigma"] == 0.4
-    assert record["flags"]["feasible"] is True
+    assert record["flags"] == {"feasible": False, "n_violations": 3, "objective": 1.25}
     dim = record["dim"]
     assert len(record["covariance_upper_triangle"]) == dim * (dim + 1) // 2
     assert np.allclose(record["mean"], post.mean)

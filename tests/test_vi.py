@@ -518,7 +518,7 @@ def logsing_10():
     """ode1.logsing at 10 epochs and its sigma_P on the training grid, which
     is infinite from the pole's subinterval on."""
     trained = train_deterministic("ode1.logsing", TrainConfig(10, 0))
-    envelope = estimate_envelope(trained, oversample=10, safety_factor=1.1)
+    envelope = estimate_envelope(trained)
     return trained, pseudo_profile(trained, envelope, training_grid(trained))
 
 
