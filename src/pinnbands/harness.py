@@ -180,7 +180,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         run = vi_train(trained, VIConfig(config.vi_epochs, config.seed + _SEED_VI), dataset)
         samples = sample_posterior(run.q, config.n_posterior_samples, seed=config.seed + _SEED_SAMPLES)
         band = predictive_moments(samples, problem, grid, profile if dataset is not None else None)
-        extras = {"elbo_final": float(run.elbo_history[-1]) if len(run.elbo_history) else None}
+        extras = {"elbo_final": float(run.elbo_history[-1])}
 
     if isinstance(problem, BurgersProblem):
         table, metrics = _burgers_table(config, trained, grid, u_det, profile, band)

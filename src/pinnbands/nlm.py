@@ -6,8 +6,9 @@ likelihood is heteroscedastic: each simulated observation (the trained
 network's own output at a collocation point) carries the pseudo-aleatoric
 variance at that point, so the head is constrained tightly where the error
 bound is tight and left to the prior where it is loose.  One SVD of the
-whitened design gives the posterior at every prior scale, and
-:func:`optimize_prior` scores each of ``CANDIDATE_SIGMAS`` from it.
+whitened design gives the posterior at every prior scale as its factors:
+:func:`optimize_prior` scores each of ``CANDIDATE_SIGMAS`` from them, and
+:func:`nlm_band` reads the winner's by the same formula.
 
 The hard-IC transform is applied outside the linear head: the head is fit
 on raw network outputs, and predictions push the head mean through the
@@ -56,9 +57,25 @@ class SimulatedDataset:
 
 @dataclass
 class NLMPosterior:
-    mean: np.ndarray
-    covariance: np.ndarray
+    """The head posterior as the factors of its fit: with the SVD
+    S^-1/2 Phi = U Sigma V^T, ``v`` is V, ``d`` is D = 1 / (Sigma^2 + sigma^-2)
+    and ``proj`` is p = Sigma U^T S^-1/2 y, zero-padded to the feature
+    dimension."""
+
+    v: np.ndarray
+    d: np.ndarray
+    proj: np.ndarray
     prior_sigma: float
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.v @ (self.d * self.proj)
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """V D V^T, symmetrized; formed only for the posterior JSON."""
+        cov = (self.v * self.d) @ self.v.T
+        return 0.5 * (cov + cov.T)
 
 
 @dataclass
@@ -134,10 +151,11 @@ def _whitened_svd(features: np.ndarray, data: SimulatedDataset, **context):
     return vt.T, s2, proj
 
 
-def _posterior(v, s2, proj, prior_sigma: float) -> NLMPosterior:
-    d = 1.0 / (s2 + 1.0 / (prior_sigma * prior_sigma))
-    cov = (v * d) @ v.T
-    return NLMPosterior(v @ (d * proj), 0.5 * (cov + cov.T), float(prior_sigma))
+def _head_moments(fv: np.ndarray, fv2: np.ndarray, posterior: NLMPosterior):
+    """Raw head mean FV (D p) and epistemic variance (FV o FV) D, given
+    FV = F V and FV o FV; the variance sums non-negative terms, so it does
+    not cancel."""
+    return fv @ (posterior.d * posterior.proj), fv2 @ posterior.d
 
 
 def nlm_fit(features: np.ndarray, data: SimulatedDataset, prior_sigma: float) -> NLMPosterior:
@@ -149,8 +167,9 @@ def nlm_fit(features: np.ndarray, data: SimulatedDataset, prior_sigma: float) ->
     never forms Phi^T S^-1 Phi, whose condition number would be squared.
     Non-finite input raises :class:`ConditioningError`.
     """
-    check_finite("prior_sigma", prior_sigma, 0.0)
-    return _posterior(*_whitened_svd(features, data, prior_sigma=float(prior_sigma)), prior_sigma)
+    prior_sigma = check_finite("prior_sigma", prior_sigma, 0.0)
+    v, s2, proj = _whitened_svd(features, data, prior_sigma=prior_sigma)
+    return NLMPosterior(v, 1.0 / (s2 + 1.0 / (prior_sigma * prior_sigma)), proj, prior_sigma)
 
 
 def make_prior_eval_grid(trained, envelope: ResidualEnvelope) -> PriorEvalGrid:
@@ -181,9 +200,9 @@ def optimize_prior(
     ||mean - u_mse|| + ||sd - sigma_P|| (Euclidean over the grid); if none
     is feasible the least-violating candidate is returned, flagged.  The
     first of equal keys wins.  One SVD of the whitened design serves every
-    candidate: with FV = F V on the grid features F, the head mean is
-    FV (D p) and the epistemic variance (FV o FV) D, a sum of non-negative
-    terms.  Only the winner's covariance is formed.
+    candidate: with FV = F V on the grid features F, each candidate's
+    :func:`_head_moments` are scored, and the winner is returned as its
+    factors; no covariance is formed.
     """
     candidates = [check_finite("candidate sigma", s, 0.0) for s in np.ravel(candidate_sigmas)]
     check_count("number of candidate_sigmas", len(candidates), 1)
@@ -195,32 +214,34 @@ def optimize_prior(
     sigma_p = eval_grid.sigma_p[finite]
     best = None
     for sigma in candidates:
-        d = 1.0 / (s2 + 1.0 / (sigma * sigma))
-        mean = eval_grid.offset + eval_grid.scale * (fv @ (d * proj))
-        sd = np.sqrt(eval_grid.sigma_p**2 + eval_grid.scale**2 * (fv2 @ d))[finite]
+        posterior = NLMPosterior(v, 1.0 / (s2 + 1.0 / (sigma * sigma)), proj, sigma)
+        head_mean, head_var = _head_moments(fv, fv2, posterior)
+        mean = eval_grid.offset + eval_grid.scale * head_mean
+        sd = np.sqrt(eval_grid.sigma_p**2 + eval_grid.scale**2 * head_var)[finite]
         dev = mean[finite] - eval_grid.u_mse[finite]
         n_viol = int(np.sum(np.abs(dev) - (3.0 * sd - sigma_p) > 0))
         objective = float(np.linalg.norm(dev) + np.linalg.norm(sd - sigma_p))
-        if best is None or (n_viol, objective) < best[2:]:
-            best = (sigma, n_viol == 0, n_viol, objective)
-    return PriorSearchResult(*best, _posterior(v, s2, proj, best[0]))
+        if best is None or (n_viol, objective) < best[2:4]:
+            best = (sigma, n_viol == 0, n_viol, objective, posterior)
+    return PriorSearchResult(*best)
 
 
 def nlm_band(trained, posterior: NLMPosterior, profile: PseudoAleatoricProfile) -> PredictiveBand:
     """Predictive band on the grid of ``profile`` with the transform applied.
 
-    Mean and epistemic spread go through the hard-IC transform (the mask
-    multiplies the head); the profile's sigma_P is added untransformed since
-    it already bounds the transformed error.
+    The head moments are :func:`_head_moments`, as the prior search scored
+    them.  Mean and epistemic spread go through the hard-IC transform (the
+    mask multiplies the head); the profile's sigma_P is added untransformed
+    since it already bounds the transformed error.
     """
     grid = profile.grid
-    phi = feature_matrix(trained, grid)
-    epi_raw = np.sum((phi @ posterior.covariance) * phi, axis=1)
+    fv = feature_matrix(trained, grid) @ posterior.v
+    head_mean, head_var = _head_moments(fv, fv * fv, posterior)
     offset, scale = transform_offset_scale(trained.problem, grid)
     return PredictiveBand(
         grid=grid,
-        mean=offset + scale * (phi @ posterior.mean),
-        epistemic_var=scale**2 * np.maximum(epi_raw, 0.0),
+        mean=offset + scale * head_mean,
+        epistemic_var=scale**2 * head_var,
         sigma_p2=profile.sigma_p * profile.sigma_p,
     )
 
@@ -229,11 +250,11 @@ def export_posterior_json(search: PriorSearchResult, path):
     """JSON record of the search's winner: prior sigma, head mean, covariance
     upper triangle, and the search's feasibility flags."""
     posterior = search.posterior
-    dim = posterior.mean.shape[0]
+    dim = len(posterior.d)
     iu = np.triu_indices(dim)
     record = {
         "prior_sigma": posterior.prior_sigma,
-        "dim": int(dim),
+        "dim": dim,
         "mean": posterior.mean.tolist(),
         "covariance_upper_triangle": posterior.covariance[iu].tolist(),
         "flags": {

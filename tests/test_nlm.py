@@ -172,7 +172,7 @@ class TestFit:
 class TestPredict:
     def test_zero_posterior_zero_variance(self):
         trained = one_feature_model(0.3)
-        post = NLMPosterior(np.array([1.0, 2.0]), np.zeros((2, 2)), 1.0)
+        post = NLMPosterior(np.eye(2), np.zeros(2), np.array([1.0, 2.0]), 1.0)  # D = 0
         zero_env = ResidualEnvelope(np.array([0.0, 4.0]), np.array([0.0]))
         profile = pseudo_profile(trained, zero_env, np.linspace(0, 4, 9))
         band = nlm_band(trained, post, profile)
@@ -181,7 +181,10 @@ class TestPredict:
     def test_hand_arithmetic(self):
         # u0 = 2, mask m = 1 - e^-x, lam = 3; one constant envelope eps on [0, 4]
         trained = one_feature_model(0.5)
-        post = NLMPosterior(np.array([2.0, 1.0]), np.array([[0.5, 0.1], [0.1, 0.2]]), 1.0)
+        # head mean [2, 1] and covariance [[0.5, 0.1], [0.1, 0.2]] as factors:
+        # V and D from the eigendecomposition, p solving V (D p) = mean
+        d, v = np.linalg.eigh(np.array([[0.5, 0.1], [0.1, 0.2]]))
+        post = NLMPosterior(v, d, (v.T @ np.array([2.0, 1.0])) / d, 1.0)
         eps = 0.5
         env = ResidualEnvelope(np.array([0.0, 4.0]), np.array([eps]))
         profile = pseudo_profile(trained, env, np.array([1.0]))
@@ -303,8 +306,8 @@ def assert_same_search(res, oracle):
         sigma, feasible, n_viol, objective
     )
     assert res.posterior.prior_sigma == post.prior_sigma
-    assert np.array_equal(res.posterior.mean, post.mean)
-    assert np.array_equal(res.posterior.covariance, post.covariance)
+    for name in ("v", "d", "proj"):
+        assert np.array_equal(getattr(res.posterior, name), getattr(post, name)), name
 
 
 DESK_IDS = ("ode1.exp", "ode1.cos", "ode2.harmonic.exp", "ode2.damped.exp", "ode1.logsing")
@@ -466,10 +469,10 @@ def test_grid_variance_within_dot_product_bound(desk_searches, pid):
     assert np.all(np.abs(epi - exact) <= 2.0 * p * np.finfo(float).eps * mag)
 
 
-def exact_posterior(phi, y, variances, prior_sigma):
+def exact_solve(phi, y, variances, prior_sigma):
     """Mean and covariance of the head in exact rational arithmetic (the
-    doubles read exactly), by Gauss-Jordan elimination on [A | I | b], each
-    entry rounded once."""
+    doubles read exactly), by Gauss-Jordan elimination on [A | I | b]; the
+    entries are ``Fraction`` arrays."""
     m, dim = phi.shape
     q = np.vectorize(Fraction, otypes=[object])
     phi, y, w = q(phi), q(y), 1 / q(variances)
@@ -483,25 +486,60 @@ def exact_posterior(phi, y, variances, prior_sigma):
         for r in range(dim):
             if r != c:
                 rows[r] = [vr - rows[r][c] * vc for vr, vc in zip(rows[r], rows[c])]
-    exact = np.array(rows, dtype=float)
+    exact = np.array(rows, dtype=object)
     return exact[:, -1], exact[:, dim:-1]
 
 
-def test_floored_design_matches_exact_posterior():
-    # six points, five tanh features, one variance at the floor: the
-    # precision has cond(A) = 6.6e9, and a Cholesky fit of the normal
-    # equations is off by 5.7e-7 in the mean (relative, in norm); the SVD of
-    # the whitened design measured 7.5e-15 (mean) and 1.3e-15 (covariance)
+def exact_posterior(phi, y, variances, prior_sigma):
+    """:func:`exact_solve` with each entry rounded once."""
+    mean, cov = exact_solve(phi, y, variances, prior_sigma)
+    return mean.astype(float), cov.astype(float)
+
+
+def floored_design():
+    """Six points on [0, 1], the features of a 1-4-1 tanh net plus the bias
+    column, and one variance at the floor, at x0: the precision has
+    cond(A) = 6.6e9."""
     rng = np.random.default_rng(0)
+    params = NetworkParameters.zeros([1, 4, 1], "tanh")
+    params.weights[0][:, 0] = rng.normal(size=4)
+    params.biases[0][:] = rng.normal(size=4)
+    trained = TrainedPINN(params, "ode1.exp", np.empty(0), None)
     x = np.linspace(0.0, 1.0, 6)
-    phi = np.column_stack([np.tanh(np.outer(x, rng.normal(size=4)) + rng.normal(size=4)), np.ones(6)])
     y = rng.normal(size=6)
     variances = rng.uniform(1e-4, 1e-2, 6)
     variances[0] = VAR_FLOOR
-    post = nlm_fit(phi, SimulatedDataset(x, y, variances), 0.5)
-    mean, cov = exact_posterior(phi, y, variances, 0.5)
+    return trained, feature_matrix(trained, x), SimulatedDataset(x, y, variances)
+
+
+def test_floored_design_matches_exact_posterior():
+    # a Cholesky fit of the normal equations is off by 5.7e-7 in the mean
+    # (relative, in norm); the SVD of the whitened design measured 7.5e-15
+    # (mean) and 1.3e-15 (covariance)
+    _, phi, data = floored_design()
+    post = nlm_fit(phi, data, 0.5)
+    mean, cov = exact_posterior(phi, data.targets, data.variances, 0.5)
     assert np.linalg.norm(post.mean - mean) <= 1e-12 * np.linalg.norm(mean)
     assert np.linalg.norm(post.covariance - cov) <= 1e-12 * np.linalg.norm(cov)
+
+
+def test_floored_design_band_variance_matches_exact(monkeypatch):
+    # the band's head variance at each design row against the exact
+    # f^T A^-1 f, rounded once.  The transform mask vanishes at x0, the
+    # floored row, so the transform is replaced by the identity to expose
+    # the raw head there.  The quadratic form f^T C f of the rounded
+    # covariance cancels at that row (off by 2.6e-7 relative); the sum
+    # (FV o FV) D of non-negative terms measured 1.9e-15 there and at most
+    # 1.9e-14 on any row.
+    trained, phi, data = floored_design()
+    post = nlm_fit(phi, data, 0.5)
+    _, cov = exact_solve(phi, data.targets, data.variances, 0.5)
+    f = np.vectorize(Fraction, otypes=[object])(phi)
+    exact = np.array([float(row @ cov @ row) for row in f])
+    monkeypatch.setattr(nlm, "transform_offset_scale", lambda problem, grid: (0.0, 1.0))
+    zero_env = ResidualEnvelope(np.array([0.0, 4.0]), np.array([0.0]))
+    band = nlm_band(trained, post, pseudo_profile(trained, zero_env, data.points))
+    assert np.all(np.abs(band.epistemic_var - exact) <= 1e-12 * exact)
 
 
 class TestFitNumerics:
@@ -557,6 +595,19 @@ class TestFitNumerics:
         ])
         assert code == 3
         assert "not finite" in capsys.readouterr().err
+
+
+def test_desk_cell_never_forms_the_covariance(tmp_path, monkeypatch):
+    # the search and the band read the SVD factors; only the posterior JSON
+    # of save_artifacts forms V D V^T (test_posterior_json_roundtrip)
+    def refuse(self):
+        raise AssertionError("the covariance was formed")
+
+    monkeypatch.setattr(NLMPosterior, "covariance", property(refuse))
+    config = ExperimentConfig(problem="ode2.harmonic.exp", method="error_aware_nlm",
+                              det_epochs=1000, grid_points=401, seed=0)
+    written = harness.emit_outputs(run_experiment(config), tmp_path)
+    assert len(written) == 3 and all(os.path.getsize(p) > 0 for p in written)
 
 
 def test_posterior_json_roundtrip(tmp_path, models_10, envelopes_10):
