@@ -27,9 +27,9 @@ from .harness import (
     ExperimentConfig,
     coverage_metrics,
     emit_outputs,
-    preset_configs,
     run_experiment,
     save_artifacts,
+    select_cells,
 )
 from .nlm import (
     build_simulated_dataset,

@@ -17,7 +17,6 @@ import sys
 from dataclasses import replace
 
 from .bands import write_csv
-from .bounds import estimate_envelope, pseudo_profile
 from .errors import (
     CONFIG_FIELDS,
     ConditioningError,
@@ -32,13 +31,11 @@ from .harness import (
     METHODS,
     ExperimentConfig,
     emit_outputs,
-    evaluation_grid,
-    preset_configs,
-    resolve_preset,
     run_experiment,
     save_artifacts,
+    select_cells,
 )
-from .problems import REGISTRY, BurgersProblem, surrogate_values
+from .problems import REGISTRY, BurgersProblem
 from .training import load_trained
 
 _CONFIG_EXIT = 2
@@ -118,20 +115,8 @@ def _solve(args) -> int:
         raise ConfigurationError("solve needs --out (or out= in the config file)")
 
     overrides = {k: merged[k] for k in CONFIG_FIELDS if k in merged}
-    explicit_cell = "problem" in merged
-    if explicit_cell != ("method" in merged):
-        raise ConfigurationError("solve needs --problem and --method together, or neither")
-    preset = merged.get("preset")
-    if explicit_cell:
-        cell = ExperimentConfig(problem=merged["problem"], method=merged["method"])
-        # a preset supplies budget defaults for the explicitly named cell
-        configs = [replace(cell, **resolve_preset(preset)["overrides"]) if preset else cell]
-    elif preset:
-        configs = preset_configs(preset)
-    else:
-        raise ConfigurationError("solve needs --problem and --method, or a preset with cells")
-    configs = [replace(c, **overrides) for c in configs]
-
+    configs = select_cells(merged.get("problem"), merged.get("method"), merged.get("preset"),
+                           **overrides)
     for cfg in configs:
         report = run_experiment(cfg)
         paths = emit_outputs(report, out_dir)
@@ -151,7 +136,7 @@ def _list_problems() -> int:
 
 
 def _certify(args) -> int:
-    # certify reads only the problem and the grid; every problem has a deterministic cell
+    # certify is the deterministic cell of the loaded weights; every problem has one
     config = ExperimentConfig(
         problem=args.problem, method="deterministic", grid_points=args.grid_points
     ).validate()
@@ -160,13 +145,12 @@ def _certify(args) -> int:
         raise ConfigurationError(
             f"weights were trained for {trained.problem_id!r}, not {args.problem!r}"
         )
-    problem = trained.problem
-    if isinstance(problem, BurgersProblem):
+    if isinstance(trained.problem, BurgersProblem):
         raise ConfigurationError("certify needs an ODE problem; Burgers has no error bound")
-    grid = evaluation_grid(config)
-    profile = pseudo_profile(trained, estimate_envelope(trained), grid)
-    u_det = surrogate_values(problem, trained.params, grid)
-    write_csv({"x": grid, "u_det": u_det, "bound": profile.sigma_p}, args.out)
+    config = replace(config, det_epochs=trained.config.epochs, seed=trained.config.seed,
+                     burgers_grid=trained.config.burgers_grid)
+    table = run_experiment(config, trained).table
+    write_csv({key: table[key] for key in ("x", "u_det", "bound")}, args.out)
     print(args.out)
     return 0
 

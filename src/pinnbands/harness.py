@@ -129,7 +129,7 @@ def coverage_metrics(band: PredictiveBand, truth, k: float = 3.0):
     return float(np.mean(covered)), float(np.mean(2.0 * k * sd))
 
 
-def evaluation_grid(config: ExperimentConfig) -> np.ndarray:
+def _evaluation_grid(config: ExperimentConfig) -> np.ndarray:
     """Report grid of ``config.problem``: ``grid_points`` over [x0, test end]
     for an ODE; for Burgers the ``burgers_grid`` over space x test time, rows
     x-major."""
@@ -139,17 +139,22 @@ def evaluation_grid(config: ExperimentConfig) -> np.ndarray:
     return collocation_points(config.grid_points, (problem.x0, problem.test_domain[1]))
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Execute one experiment cell: train, sigma_P on the report grid, head
-    (deterministic, NLM or VI), then the table and metrics of the problem kind."""
+def run_experiment(config: ExperimentConfig, trained: TrainedPINN = None) -> ExperimentReport:
+    """Execute one experiment cell: train (or take ``trained``, which must be
+    the model the cell trains, else :class:`ConfigurationError`), sigma_P on
+    the report grid, head (deterministic, NLM or VI), then the table and
+    metrics of the problem kind."""
     config = config.validate()
     entry = get_entry(config.problem)
     problem = entry.problem
-    trained = train_deterministic(
-        config.problem, TrainConfig(config.det_epochs, config.seed, config.burgers_grid)
-    )
+    train_config = TrainConfig(config.det_epochs, config.seed, config.burgers_grid)
+    if trained is None:
+        trained = train_deterministic(config.problem, train_config)
+    elif (trained.problem_id, trained.config) != (config.problem, train_config):
+        raise ConfigurationError(f"the cell trains {config.problem!r} with {train_config}, "
+                                 f"not {trained.problem_id!r} with {trained.config}")
 
-    grid = evaluation_grid(config)
+    grid = _evaluation_grid(config)
     u_det = surrogate_values(problem, trained.params, grid)
     # Burgers has no envelope: its sigma_P is the accumulated-residual heuristic
     envelope = None if isinstance(problem, BurgersProblem) else estimate_envelope(trained)
@@ -351,21 +356,23 @@ PRESETS = {
 }
 
 
-def resolve_preset(name: str):
-    if name not in PRESETS:
-        raise ConfigurationError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
-    return PRESETS[name]
-
-
-def preset_configs(name: str):
-    """Experiment configs for a preset's cells; a preset of budgets only
-    raises :class:`ConfigurationError`."""
-    preset = resolve_preset(name)
-    if preset["cells"] is None:
+def select_cells(problem=None, method=None, preset=None, **overrides):
+    """The configs a solve runs: the cell ``problem`` x ``method``, else the
+    cells of ``preset``; the preset's budgets, then ``overrides``, replace the
+    :class:`ExperimentConfig` defaults.  A lone ``problem`` or ``method``, an
+    unknown preset, a preset of budgets only without a cell, or neither a
+    cell nor a preset raises :class:`ConfigurationError`."""
+    if (problem is None) != (method is None):
+        raise ConfigurationError("solve needs --problem and --method together, or neither")
+    if preset and preset not in PRESETS:
+        raise ConfigurationError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
+    chosen = PRESETS[preset] if preset else {"cells": None, "overrides": {}}
+    cells = [(problem, method)] if problem is not None else chosen["cells"]
+    if cells is None and not preset:
+        raise ConfigurationError("solve needs --problem and --method, or a preset with cells")
+    if cells is None:
         raise ConfigurationError(
-            f"preset {name!r} defines budgets only; also pass --problem and --method"
+            f"preset {preset!r} defines budgets only; also pass --problem and --method"
         )
-    return [
-        ExperimentConfig(problem=problem, method=method, **preset["overrides"])
-        for problem, method in preset["cells"]
-    ]
+    budgets = {**chosen["overrides"], **overrides}
+    return [ExperimentConfig(problem=p, method=m, **budgets) for p, m in cells]

@@ -6,8 +6,8 @@ network with the problem's ``activation``, trained by Adam at its
 its training domain; Burgers on an (nx, nt) grid over its training window,
 moved every epoch by uniform noise of up to half an x cell in each coordinate
 and clipped to the window.
-:class:`TrainConfig` keeps only what a run chooses: the epochs, the seed and
-the Burgers grid.
+:class:`TrainConfig` keeps only what a run chooses, checked when it is
+built: the epochs, the seed and the Burgers grid.
 
 One epoch is one full-batch Adam step over the collocation grid, whose loss
 and gradient are summed over fixed blocks of ``ROW_BLOCK`` rows.  Runs are
@@ -46,6 +46,11 @@ class TrainConfig:
     seed: int = 0
     burgers_grid: tuple = BURGERS_GRID  # (nx, nt); ODE problems ignore it
 
+    def __post_init__(self):
+        self.epochs = check_count("epochs", self.epochs, 0)
+        self.seed = check_count("seed", self.seed, 0)
+        self.burgers_grid = check_pair("burgers_grid", self.burgers_grid, 2)
+
 
 @dataclass
 class TrainedPINN:
@@ -78,7 +83,7 @@ def _collocation(problem, burgers_grid):
     of its per-epoch jitter: ``ODE_POINTS`` fixed points, or ``burgers_grid``
     moved by half a cell."""
     if isinstance(problem, BurgersProblem):
-        nx, nt = check_pair("burgers_grid", burgers_grid, 2)
+        nx, nt = burgers_grid
         a, b = problem.space_domain
         cell = (b - a) / (nx - 1)
         return (nx, nt), (problem.space_domain, problem.train_time), cell / 2.0
@@ -155,7 +160,7 @@ def train_deterministic(problem_id: str, config: TrainConfig) -> TrainedPINN:
 
     # a fixed grid feeds the same points every epoch, so its pieces are reused
     pieces = _block_pieces(problem, base_points) if jitter <= 0 else None
-    history = np.empty(check_count("epochs", config.epochs, 0))
+    history = np.empty(config.epochs)
     for epoch in range(len(history)):
         pts = _jittered(base_points, domain, jitter, rng)
         loss, grads = residual_loss_and_grads(problem, params, pts, pieces)
@@ -209,10 +214,9 @@ def load_trained(path_prefix: str) -> TrainedPINN:
             meta = json.load(fh)
         problem_id = meta["problem_id"]
         problem = get_entry(problem_id).problem
-        config = TrainConfig(check_count("epochs", meta["epochs"], 0),
-                             check_count("seed", meta["seed"], 0))
-        if isinstance(problem, BurgersProblem):
-            config.burgers_grid = check_pair("collocation count", meta["collocation"]["count"], 2)
+        # an ODE sidecar's count is its fixed point count, not a Burgers grid
+        grid = meta["collocation"]["count"] if isinstance(problem, BurgersProblem) else BURGERS_GRID
+        config = TrainConfig(meta["epochs"], meta["seed"], grid)
         final_loss = meta["final_loss"]
     except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
         raise ConfigurationError(

@@ -309,9 +309,10 @@ class PosteriorDraws:
 
 
 def sample_posterior(q: MeanFieldGaussian, n: int, seed: int = 0) -> PosteriorDraws:
-    """n i.i.d. parameter draws theta = mu + sigma * zeta, deterministic per seed.
+    """n i.i.d. parameter draws theta = mu + sigma * zeta, deterministic per seed;
+    an ``n`` below 1 or a ``seed`` below 0 raises :class:`ConfigurationError` here.
 
     The draws are streamed (:class:`PosteriorDraws`): a band over them needs
     O(DRAW_BLOCK_ROWS * P) memory for the draws, not O(n * P).
     """
-    return PosteriorDraws(q, check_count("n", n, 1), seed)
+    return PosteriorDraws(q, check_count("n", n, 1), check_count("seed", seed, 0))

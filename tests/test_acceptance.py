@@ -363,13 +363,16 @@ def _desk_config(pid, method, det_epochs):
 
 
 @pytest.fixture(scope="module")
-def coverage_reports():
+def coverage_reports(models_10, models_10000):
+    # the session models are the ones these cells train: same seed and budgets
+    models = {10: models_10, 10000: models_10000}
     reports = {}
     for pid in NONSINGULAR_FIRST_ORDER_IDS:
         for method in ("error_aware_nlm", "error_aware_vi"):
             for det_epochs in (10, 10000):
                 key = (pid, method, det_epochs)
-                reports[key] = run_experiment(_desk_config(pid, method, det_epochs))
+                config = _desk_config(pid, method, det_epochs)
+                reports[key] = run_experiment(config, models[det_epochs][pid])
     return reports
 
 
@@ -384,9 +387,9 @@ def test_c06_error_aware_coverage(coverage_reports):
     report("C6", "12 cells all >= 0.99 full-domain 3-sigma coverage: " + "; ".join(details[:4]) + " ...")
 
 
-def test_c07_baseline_contrast(coverage_reports):
+def test_c07_baseline_contrast(coverage_reports, models_10):
     pid = "ode1.exp"
-    baseline = run_experiment(_desk_config(pid, "baseline_vi", 10))
+    baseline = run_experiment(_desk_config(pid, "baseline_vi", 10), models_10[pid])
     aware = coverage_reports[(pid, "error_aware_vi", 10)]
 
     def extrapolation_coverage(rep):

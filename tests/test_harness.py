@@ -20,17 +20,18 @@ from pinnbands.errors import (
     ShapeError,
     TrainingDivergedError,
 )
+from pinnbands import harness
 from pinnbands.harness import (
     METHODS,
     PRESETS,
     ExperimentConfig,
     coverage_metrics,
     emit_outputs,
-    preset_configs,
-    resolve_preset,
     run_experiment,
+    select_cells,
 )
 from pinnbands.problems import get_entry
+from pinnbands.training import TrainConfig, train_deterministic
 from pinnbands.vi import VIConfig, vi_train
 
 from conftest import training_dataset
@@ -316,48 +317,97 @@ class TestBurgersCell:
                 assert fa.read() == fb.read(), name
 
 
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestGivenModel:
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(problem="ode1.cos", method="error_aware_nlm", det_epochs=60,
+                         grid_points=41, seed=5),
+        ExperimentConfig(problem="ode2.damped.exp", method="error_aware_vi", det_epochs=10,
+                         vi_epochs=5, grid_points=41, n_posterior_samples=8, seed=2),
+        ExperimentConfig(method="error_aware_vi", **_TINY_BURGERS),
+    ], ids=["nlm", "vi", "burgers"])
+    def test_given_model_emits_the_training_cells_bytes(self, cfg, tmp_path):
+        trained = train_deterministic(
+            cfg.problem, TrainConfig(cfg.det_epochs, cfg.seed, cfg.burgers_grid)
+        )
+        emit_outputs(run_experiment(cfg), tmp_path / "trained")
+        emit_outputs(run_experiment(cfg, trained), tmp_path / "given")
+        assert len(_files(tmp_path / "given")) >= 2
+        assert _files(tmp_path / "given") == _files(tmp_path / "trained")
+
+    @pytest.mark.parametrize("change", [
+        {"problem": "ode1.poly"}, {"det_epochs": 3}, {"seed": 1}, {"burgers_grid": (7, 6)},
+    ], ids=["problem", "epochs", "seed", "burgers-grid"])
+    def test_other_model_rejected_before_any_stage(self, change, monkeypatch):
+        cell = _TINY_BURGERS if "burgers_grid" in change else {"problem": "ode1.exp"}
+        base = ExperimentConfig(method="deterministic", **{"det_epochs": 2, **cell})
+        trained = train_deterministic(
+            base.problem, TrainConfig(base.det_epochs, base.seed, base.burgers_grid)
+        )
+        cfg = replace(base, **change)
+
+        def stage(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        for name in ("train_deterministic", "_evaluation_grid", "surrogate_values",
+                     "estimate_envelope", "pseudo_profile"):
+            monkeypatch.setattr(harness, name, stage)
+        with pytest.raises(ConfigurationError, match="the cell trains"):
+            run_experiment(cfg, trained)
+
+
 class TestPresets:
     def test_known_presets(self):
         assert set(PRESETS) == {"fig1", "fig2", "fig4", "fig5", "burgers", "desk"}
 
     def test_fig2_has_eight_cells(self):
-        configs = preset_configs("fig2")
+        configs = select_cells(preset="fig2")
         assert len(configs) == 8
         methods = {c.method for c in configs}
         assert methods == {"error_aware_nlm", "error_aware_vi"}
 
     def test_desk_overrides_budgets(self):
-        # the CLI applies a budget-only preset to the cell it names
-        cell = ExperimentConfig(problem="ode1.exp", method="deterministic")
-        cfg = replace(cell, **PRESETS["desk"]["overrides"])
+        # a budget-only preset applies to the cell named with it
+        (cfg,) = select_cells("ode1.exp", "deterministic", "desk")
+        assert (cfg.problem, cfg.method) == ("ode1.exp", "deterministic")
         assert cfg.det_epochs == 2000 and cfg.vi_epochs == 5000 and cfg.grid_points == 201
         assert cfg.burgers_grid == (50, 50)
 
     def test_budget_only_preset_has_no_cells(self):
         with pytest.raises(ConfigurationError, match="budgets only"):
-            preset_configs("desk")
+            select_cells(preset="desk")
 
     @pytest.mark.parametrize("name, det, vi", [
         ("fig1", 10, 50000), ("fig2", 10000, 50000), ("fig4", 10000, 50000),
         ("fig5", 10000, 50000), ("burgers", 20000, 20000),
     ])
     def test_figure_preset_budgets(self, name, det, vi):
-        for cfg in preset_configs(name):
+        for cfg in select_cells(preset=name):
             assert (cfg.det_epochs, cfg.vi_epochs, cfg.burgers_grid) == (det, vi, (100, 100))
 
     def test_preset_stem_follows_det_epochs(self):
-        cfg = replace(preset_configs("fig1")[0], det_epochs=3)
+        cfg = select_cells(preset="fig1", det_epochs=3)[0]
         assert cfg.stem().endswith("_det3")
 
+    def test_neither_cell_nor_preset(self):
+        with pytest.raises(ConfigurationError, match="or a preset with cells"):
+            select_cells(det_epochs=3)
+
+    def test_overrides_win_over_preset_budgets(self):
+        (cfg,) = select_cells("ode1.exp", "error_aware_vi", "desk", det_epochs=7, seed=4)
+        assert (cfg.det_epochs, cfg.vi_epochs, cfg.seed) == (7, 5000, 4)
+
     def test_unknown_preset(self):
-        with pytest.raises(ConfigurationError):
-            resolve_preset("fig9")
+        with pytest.raises(ConfigurationError, match="unknown preset 'fig9'"):
+            select_cells(preset="fig9")
 
     def test_fig2_preset_emits_eight_band_files(self, tmp_path):
         # budget-reduced run preserving the preset's cell structure
-        for cfg in preset_configs("fig2"):
-            cfg = replace(cfg, det_epochs=5, vi_epochs=5, grid_points=21,
-                          n_posterior_samples=8)
+        for cfg in select_cells(preset="fig2", det_epochs=5, vi_epochs=5, grid_points=21,
+                                n_posterior_samples=8):
             emit_outputs(run_experiment(cfg), tmp_path)
         bands = [f for f in os.listdir(tmp_path) if f.endswith("_band.dat")]
         assert len(bands) == 8

@@ -311,6 +311,19 @@ class TestCollocation:
         with pytest.raises(ConfigurationError, match="epochs"):
             train_deterministic("ode1.exp", TrainConfig(epochs, 0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", -1), ("seed", -1), ("seed", 1.5), ("seed", "3"), ("seed", True),
+        ("burgers_grid", (1, 3)), ("burgers_grid", (4,)),
+    ])
+    def test_bad_config_rejected_when_built(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            TrainConfig(**{"epochs": 10, field: value})
+
+    def test_config_fields_are_coerced(self):
+        config = TrainConfig(np.int64(10), np.int64(2), [4, 3])
+        assert config == TrainConfig(10, 2, (4, 3))
+        assert type(config.epochs) is int and type(config.seed) is int
+
 
 class TestDerivedSetUp:
     @pytest.mark.parametrize("pid, sizes, activation", [

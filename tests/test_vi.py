@@ -219,6 +219,12 @@ class TestSampling:
         with pytest.raises(ConfigurationError, match="integer"):
             sample_posterior(q, n)
 
+    @pytest.mark.parametrize("seed", [-2, True, 1.5, "3"])
+    def test_bad_seed_rejected_at_the_call(self, models_10, seed):
+        q = vi_init(models_10["ode1.exp"], seed=0)
+        with pytest.raises(ConfigurationError, match="seed"):
+            sample_posterior(q, 3, seed=seed)
+
     def test_numpy_integer_draw_count_accepted(self, models_10):
         q = vi_init(models_10["ode1.exp"], seed=0)
         a, b = sample_posterior(q, np.int64(3), seed=2), sample_posterior(q, 3, seed=2)
